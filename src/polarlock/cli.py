@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: ``run`` (execute a config, write CSV + summary), ``oracle``
-(brute-force best intensity for one SOP), ``sweep`` (vary one config key
+(closed-form best intensity for one SOP), ``sweep`` (vary one config key
 over a list of values, one CSV per value), ``validate`` (algebraic identity
 suite).  Exit codes: 0 success, 1 config/usage error, 2 identity-check
 failure.
@@ -10,6 +10,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -17,7 +18,8 @@ import numpy as np
 
 from .config import ConfigError, load_experiment_config, resolve_key
 from .device import DeviceParams
-from .harness import run_experiment, run_identity_checks, summarize
+from .harness import (run_experiment, run_identity_checks, summarize,
+                      threads_from_env)
 from .jones import JonesVector, random_sop
 from .oracle import oracle_best
 
@@ -42,12 +44,10 @@ def _build_parser() -> _Parser:
     p_run.add_argument("--trials", type=int, help="override trial count")
     p_run.add_argument("--seed", type=int, help="override base seed")
 
-    p_or = sub.add_parser("oracle", help="brute-force best port intensity")
+    p_or = sub.add_parser("oracle", help="closed-form best port intensity")
     p_or.add_argument("--sop", help="input SOP as 'ex_re,ex_im,ey_re,ey_im'")
     p_or.add_argument("--seed", type=int, default=0,
                       help="draw a random SOP from this seed (default 0)")
-    p_or.add_argument("--grid", type=int, default=64,
-                      help="grid points per axis (default 64)")
 
     p_sw = sub.add_parser("sweep", help="vary one config key over values")
     p_sw.add_argument("--key", required=True, help="config key to vary")
@@ -75,6 +75,13 @@ def _overrides(args) -> dict[str, str]:
     return over
 
 
+def _workers() -> int:
+    try:
+        return threads_from_env()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _write_outputs(cfg, table) -> str:
     stem, ext = os.path.splitext(cfg.output_path)
     table.write_csv(cfg.output_path)
@@ -86,8 +93,9 @@ def _write_outputs(cfg, table) -> str:
 
 
 def _cmd_run(args) -> int:
+    workers = _workers()
     cfg = load_experiment_config(args.config, _overrides(args))
-    table = run_experiment(cfg)
+    table = run_experiment(cfg, max_workers=workers)
     text = _write_outputs(cfg, table)
     sys.stdout.write(text)
     print(f"rows written to {cfg.output_path}")
@@ -102,13 +110,15 @@ def _cmd_oracle(args) -> int:
             raise ConfigError("--sop needs four numbers: ex_re,ex_im,ey_re,ey_im")
         try:
             vals = [float(p) for p in parts]
-        except ValueError:
-            raise ConfigError(f"bad --sop value: {args.sop!r}") from None
-        sop = JonesVector(complex(vals[0], vals[1]),
-                          complex(vals[2], vals[3])).normalized()
+            sop = JonesVector(complex(vals[0], vals[1]),
+                              complex(vals[2], vals[3])).normalized()
+        except ValueError as exc:
+            raise ConfigError(f"bad --sop value {args.sop!r} ({exc})") from None
+        if not all(math.isfinite(v) for v in vals):
+            raise ConfigError(f"--sop values must be finite: {args.sop!r}")
     else:
         sop = random_sop(np.random.default_rng(args.seed))
-    best, phases = oracle_best(sop, device, grid_points=args.grid)
+    best, phases = oracle_best(sop, device)
     print(f"best_intensity: {best:.9g}")
     for i, theta in enumerate(phases.as_tuple(), start=1):
         print(f"theta{i}: {theta:.9g}")
@@ -116,6 +126,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    workers = _workers()
     key = resolve_key(args.key)
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
@@ -130,7 +141,7 @@ def _cmd_sweep(args) -> int:
         over[key] = value
         over["experiment.output"] = f"{stem}_{leaf}_{value}{ext}"
         cfg = load_experiment_config(args.config, over)
-        table = run_experiment(cfg)
+        table = run_experiment(cfg, max_workers=workers)
         _write_outputs(cfg, table)
         finals = ", ".join(f"{lab}={table.median_final_er(lab):.2f}dB"
                            for lab in table.variant_order)

@@ -187,7 +187,8 @@ def measure(input_sop: JonesVector, phases: PhaseQuad, params: DeviceParams,
     added per detector, and the readings are clamped at zero and, if
     configured, at ``detector_saturation``.  With ``absolute=True`` both
     ideal powers are scaled by the insertion loss before noise is applied.
-    Deterministic per ``rng`` state.
+    Deterministic per ``rng`` state; ``rng`` may be None only on a
+    noiseless device.
     """
     out = dpc_transform(phases) @ input_sop
     e_x, e_y = out.ex, out.ey
@@ -203,6 +204,8 @@ def measure(input_sop: JonesVector, phases: PhaseQuad, params: DeviceParams,
         i_py *= scale
 
     if params.noise_sigma > 0.0:
+        if rng is None:
+            raise ValueError("measure needs an rng when noise_sigma > 0")
         eta = rng.normal(0.0, params.noise_sigma, size=2)
         i_px += eta[0]
         i_py += eta[1]

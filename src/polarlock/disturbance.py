@@ -44,6 +44,13 @@ class DisturbanceModel:
         if self.jump_at < 0:
             raise ValueError("jump_at must be >= 0")
 
+    def check_run_length(self, n_iter: int) -> None:
+        """Raise ValueError if a jump model would jump at or after the last
+        of ``n_iter`` iterations, i.e. never within the run."""
+        if self.kind == "jump" and self.jump_at >= n_iter:
+            raise ValueError(f"jump_at ({self.jump_at}) must be below the run "
+                             f"length ({n_iter} iterations)")
+
 
 def rotation_matrix(axis, angle: float) -> JonesMatrix:
     """SU(2) element rotating the Stokes vector by ``angle`` about the unit
@@ -164,10 +171,12 @@ def relock_experiment(params: DeviceParams, cfg: AnnealConfig,
     noise spikes neither signal nor veto a re-lock.  The returned count is
     the number of iterations past ``jump_at`` until that ER is back at or
     above ``recovery_db``: 0 if it never fell below the threshold after the
-    jump (never unlocked), None if it never got back.
+    jump (never unlocked), None if it never got back.  ``jump_at`` must lie
+    below ``cfg.total_iterations``, so the jump happens within the run.
     """
     if model.kind != "jump":
         raise ValueError("relock_experiment needs a jump disturbance model")
+    model.check_run_length(cfg.total_iterations)
     if input_sop is None:
         input_sop = random_sop(rng)
     objective = DisturbedObjective(input_sop, params, model, rng)

@@ -114,6 +114,7 @@ class ExperimentConfig:
             raise ValueError("variant list must be non-empty")
         if len({v.label for v in self.variants}) != len(self.variants):
             raise ValueError("variant labels must be unique")
+        self.disturbance.check_run_length(self.anneal.total_iterations)
 
 
 @dataclass(slots=True)
@@ -212,6 +213,18 @@ def _run_job(args):
                        trace.i_px, trace.i_py, trace.er_db, trace.accepted)
 
 
+def threads_from_env() -> int:
+    """Worker count from the POLARLOCK_THREADS environment variable
+    (1 when unset); raises ValueError naming the variable if it is not an
+    integer."""
+    raw = os.environ.get(THREADS_ENV, "1")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(
+            f"{THREADS_ENV} must be an integer, got {raw!r}") from None
+
+
 def run_experiment(cfg: ExperimentConfig,
                    max_workers: int | None = None) -> ResultsTable:
     """Run every (variant, trial) pair and assemble the results table.
@@ -222,7 +235,7 @@ def run_experiment(cfg: ExperimentConfig,
     a process pool, with output identical to the serial order.
     """
     if max_workers is None:
-        max_workers = int(os.environ.get(THREADS_ENV, "1"))
+        max_workers = threads_from_env()
     jobs = [(cfg, vi, trial)
             for vi in range(len(cfg.variants))
             for trial in range(cfg.trials)]

@@ -1,14 +1,21 @@
-"""Brute-force optimality reference: exhaustive grid search over the four
-stage phases followed by coordinate-descent refinement.
+"""Closed-form optimality reference: the stage phases that steer an input
+SOP fully into the maximized port.
 
-This is deliberately independent of the annealing controller so it can serve
-as an oracle for it: the grid is dense enough to land in the basin of the
-global maximum and the refinement closes the remaining gap.
+On the Poincare sphere a 0-deg stage rotates the SOP about s1 and a 45-deg
+stage rotates it about s2, so the first two stages alone reach any SOP
+exactly.  M0(theta1) sets the relative phase arg(ey) - arg(ex) to pi/2,
+which puts the SOP on the s2 = 0 great circle; M45 rotates along that
+circle, and theta2 = 2 atan2(|ey|, |ex|) takes the SOP to the x state, all
+power in the maximized port.  The last two stages stay at zero.
+
+This is independent of the annealing controller, so it serves as an
+oracle for it.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import cmath
+import math
 
 from .device import DeviceParams, PhaseQuad, dpc_transform
 from .jones import JonesVector
@@ -20,74 +27,24 @@ def port_intensity(sop: JonesVector, phases: PhaseQuad) -> float:
     return out.ex.real ** 2 + out.ex.imag ** 2
 
 
-def _grid_best(sop: JonesVector, span: float, n: int
-               ) -> tuple[float, list[float]]:
-    g = np.linspace(0.0, span, n)
-    c = np.cos(0.5 * g)
-    s = np.sin(0.5 * g)
-    e = np.exp(-0.5j * g)
-    ec = np.conj(e)
-
-    # propagate the input through the cascade, one broadcast axis per stage
-    v1x = e * sop.ex                                   # (n1,)
-    v1y = ec * sop.ey
-    v2x = c[:, None] * v1x - 1j * s[:, None] * v1y     # (n2, n1)
-    v2y = -1j * s[:, None] * v1x + c[:, None] * v1y
-    v3x = e[:, None, None] * v2x                       # (n3, n2, n1)
-    v3y = ec[:, None, None] * v2y
-
-    best_val = -1.0
-    best_idx = (0, 0, 0, 0)
-    for k in range(n):  # last stage handled per grid value to bound memory
-        ox = c[k] * v3x - 1j * s[k] * v3y
-        inten = ox.real ** 2 + ox.imag ** 2
-        flat = int(np.argmax(inten))
-        val = float(inten.flat[flat])
-        if val > best_val:
-            i3, i2, i1 = np.unravel_index(flat, inten.shape)
-            best_val = val
-            best_idx = (int(i1), int(i2), int(i3), k)
-    return best_val, [float(g[i]) for i in best_idx]
-
-
-def _refine(sop: JonesVector, theta: list[float], span: float,
-            start: float, stop: float) -> tuple[float, list[float]]:
-    best = port_intensity(sop, PhaseQuad(*theta))
-    h = start
-    while h >= stop:
-        improved = False
-        for ax in range(4):
-            base = theta[ax]
-            for cand in (base + h, base - h):
-                cand = min(max(cand, 0.0), span)
-                if cand == base:
-                    continue
-                theta[ax] = cand
-                val = port_intensity(sop, PhaseQuad(*theta))
-                if val > best:
-                    best = val
-                    base = cand
-                    improved = True
-                else:
-                    theta[ax] = base
-        if not improved:
-            h *= 0.5
-    return best, theta
-
-
-def oracle_best(sop: JonesVector, device: DeviceParams,
-                grid_points: int = 64, refine_start: float = 0.05,
-                refine_stop: float = 1e-5) -> tuple[float, PhaseQuad]:
+def oracle_best(sop: JonesVector, device: DeviceParams
+                ) -> tuple[float, PhaseQuad]:
     """Globally maximize the ideal maximized-port power for one input SOP.
 
-    Exhaustive search on a ``grid_points``-per-axis grid over
-    [0, phase_max]^4, then coordinate descent with step halving from
-    ``refine_start`` down to ``refine_stop`` radians.  Requires a noiseless
-    device (the oracle is a ground-truth reference, not a simulation).
+    Returns ``(port_intensity(sop, phases), phases)`` for the closed-form
+    phases described in the module docstring.  Requires a noiseless device
+    (the oracle is a ground-truth reference, not a simulation) and a heater
+    span of at least one full turn, which theta1 may need.
     """
     if device.noise_sigma != 0.0:
         raise ValueError("oracle_best requires a noiseless device")
-    span = device.tps.phase_max
-    _, theta = _grid_best(sop, span, grid_points)
-    best, theta = _refine(sop, theta, span, refine_start, refine_stop)
-    return best, PhaseQuad(*theta)
+    if device.tps.phase_max < 2.0 * math.pi:
+        raise ValueError("oracle_best requires tps.phase_max >= 2*pi, got "
+                         f"{device.tps.phase_max!r}")
+    d = 0.0
+    if sop.ex != 0 and sop.ey != 0:
+        d = cmath.phase(sop.ey) - cmath.phase(sop.ex)
+    theta1 = (0.5 * math.pi - d) % (2.0 * math.pi)
+    theta2 = 2.0 * math.atan2(abs(sop.ey), abs(sop.ex))
+    phases = PhaseQuad(theta1, theta2, 0.0, 0.0)
+    return port_intensity(sop, phases), phases

@@ -118,8 +118,8 @@ def test_dpc_transform_stage_order():
 
 
 def test_dpc_transform_reaches_circular_input():
-    # brute-force grid + refinement confirms a phase setting steering
-    # (1, i)/sqrt(2) into the x port almost perfectly
+    # the closed-form oracle finds a phase setting steering (1, i)/sqrt(2)
+    # into the x port almost perfectly
     sop = JonesVector(SQ2, 1j * SQ2)
     best, _ = oracle_best(sop, DeviceParams.ideal())
     assert best >= 0.9999
@@ -173,6 +173,12 @@ def test_measure_noiseless_er_never_exceeds_floor():
                          dev, rng=None)
         er = 10.0 * math.log10(sample.i_px / sample.i_py)
         assert er <= 28.0 + 1e-9
+
+
+def test_measure_noisy_device_requires_rng():
+    with pytest.raises(ValueError, match="rng"):
+        measure(JonesVector(1.0, 0.0), PhaseQuad(0, 0, 0, 0), DeviceParams(),
+                rng=None)
 
 
 def test_measure_deterministic_per_seed():

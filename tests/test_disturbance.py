@@ -147,6 +147,15 @@ def test_relock_requires_jump_model():
                           np.random.default_rng(0))
 
 
+def test_relock_rejects_jump_past_run_length():
+    cfg = AnnealConfig(m0=4, n0=25)
+    model = DisturbanceModel(kind="jump", jump_at=cfg.total_iterations,
+                             jump_magnitude=math.pi / 2)
+    with pytest.raises(ValueError, match="jump_at"):
+        relock_experiment(DeviceParams(), cfg, model,
+                          np.random.default_rng(0))
+
+
 def test_relock_zero_magnitude_never_unlocks():
     model = DisturbanceModel(kind="jump", jump_at=250, jump_magnitude=0.0)
     _, recovery = relock_experiment(DeviceParams(), AnnealConfig(), model,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from polarlock import (AnnealConfig, ConfigError, DeviceParams,
-                       ExperimentConfig, JonesVector, Variant,
+                       DisturbanceModel, ExperimentConfig, JonesVector, Variant,
                        load_experiment_config, oracle_best, parse_variant,
                        port_intensity, random_sop, run_experiment,
                        run_identity_checks, summarize)
@@ -56,6 +56,9 @@ def test_experiment_config_validation():
         ExperimentConfig(variants=())
     with pytest.raises(ValueError):
         ExperimentConfig(variants=(Variant("variable"), Variant("variable")))
+    with pytest.raises(ValueError, match="jump_at"):
+        ExperimentConfig(disturbance=DisturbanceModel(kind="jump",
+                                                      jump_at=500))
 
 
 # --- experiment runs -------------------------------------------------------------
@@ -255,6 +258,13 @@ def test_config_invalid_combination_reported(tmp_path):
         load_experiment_config(str(path))
 
 
+def test_config_rejects_jump_past_run_length():
+    over = {"disturbance.kind": "jump", "anneal.m0": "4", "anneal.n0": "25"}
+    load_experiment_config(None, {**over, "disturbance.jump_at": "99"})
+    with pytest.raises(ConfigError, match="jump_at"):
+        load_experiment_config(None, {**over, "disturbance.jump_at": "100"})
+
+
 def test_config_missing_file_names_path():
     with pytest.raises(ConfigError, match="nowhere.cfg"):
         load_experiment_config("nowhere.cfg")
@@ -315,6 +325,14 @@ def test_cli_run_unwritable_output(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cli_run_bad_threads_env(tmp_path, monkeypatch, capsys):
+    cfg = _write_small_cfg(tmp_path)
+    monkeypatch.setenv("POLARLOCK_THREADS", "abc")
+    assert cli_main(["run", "--config", str(cfg)]) == 1
+    assert "POLARLOCK_THREADS" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_cli_unknown_subcommand_exits_one():
     with pytest.raises(SystemExit) as exc:
         cli_main(["explode"])
@@ -332,10 +350,16 @@ def test_cli_no_subcommand_exits_one():
 
 
 def test_cli_oracle_aligned(capsys):
-    assert cli_main(["oracle", "--sop", "1,0,0,0", "--grid", "32"]) == 0
+    assert cli_main(["oracle", "--sop", "1,0,0,0"]) == 0
     out = capsys.readouterr().out
     line = [l for l in out.splitlines() if l.startswith("best_intensity")][0]
     assert float(line.split(": ")[1]) >= 1.0 - 1e-9
+
+
+@pytest.mark.parametrize("sop", ["0,0,0,0", "nan,0,1,0", "1,0,x,0"])
+def test_cli_oracle_rejects_bad_sop(sop, capsys):
+    assert cli_main(["oracle", "--sop", sop]) == 1
+    assert "--sop" in capsys.readouterr().err
 
 
 def test_cli_sweep_noise_monotone(tmp_path, capsys):
