@@ -82,12 +82,16 @@ DEFAULT_SCHEDULE = StepSchedule.default()
 
 def step_for_gap(i_st: float, schedule: StepSchedule) -> float:
     """Scheduled step for intensity gap ``i_st`` (clamped into [0, 1])."""
+    return schedule.entries[_bracket(i_st, schedule.entries)][1]
+
+
+def _bracket(i_st: float, entries) -> int:
+    """Index of the schedule entry whose bracket holds the clamped gap."""
     gap = min(max(i_st, 0.0), 1.0)
-    entries = schedule.entries
     for k in range(len(entries) - 1):
         if gap > entries[k + 1][0]:
-            return entries[k][1]
-    return entries[-1][1]
+            return k
+    return len(entries) - 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,18 +172,21 @@ def propose(s_p: PhaseQuad, st: float, rng, phase_max: float = 3.0 * math.pi
     Per component, with fresh draws r ~ U[0, 1] and sign c in {-1, +1}: move
     by +st*r at or below the lower boundary 0, by -st*r at or above the
     upper boundary, and by c*st*r in the interior; the result is clamped
-    into [0, phase_max].  Consumes exactly two uniform draws per component.
+    into [0, phase_max].  Consumes exactly two scalar ``rng.random()`` draws
+    per component, r then u, component by component.
     """
     if st < 0:
         raise ValueError("step must be >= 0")
-    return PhaseQuad(*_propose_components(s_p.as_tuple(), st, phase_max, rng))
+    draws = [rng.random() for _ in range(8)]
+    return PhaseQuad(*_reflect(s_p.as_tuple(), st, phase_max, draws))
 
 
-def _propose_components(values, st, hi, rng):
+def _reflect(values, st, hi, draws):
+    """The proposal rule of ``propose`` on a 4-tuple, given its eight
+    uniform draws in (r, u) order per component."""
     out = []
-    for x in values:
-        r = rng.random()
-        u = rng.random()
+    pairs = iter(draws)
+    for x, r, u in zip(values, pairs, pairs):
         if x <= 0.0:
             x = x + st * r
         elif x >= hi:
@@ -227,6 +234,18 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
     heater calibration.
 
     Deterministic given the rng states of the controller and the objective.
+    When both share one generator, as in the harness, each iteration draws
+    from it in this order:
+
+    1. the proposal: eight uniforms in one ``rng.random(8)``, r then u for
+       stage 1, then stage 2, 3 and 4 (the same stream as eight scalar
+       draws);
+    2. the evaluation: the objective's own draws, e.g. a disturbance
+       advance, then two normals for a noisy reading (i_px's first);
+    3. the acceptance: one uniform, only when the reading is worse than the
+       latest one.
+
+    The initial evaluation draws as in step 2.
     """
     init_phase = cfg.init_phase if cfg.init_phase is not None else tps.phase_max / 2.0
     phase_mode = cfg.mode == "phase"
@@ -246,55 +265,50 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
     best_state = applied
     best_iter = 0
 
-    n_total = cfg.total_iterations
-    it_idx = np.empty(n_total, dtype=np.int64)
-    temp_arr = np.empty(n_total)
-    step_arr = np.empty(n_total)
-    phase_arr = np.empty((n_total, 4))
-    ipx_arr = np.empty(n_total)
-    ipy_arr = np.empty(n_total)
-    er_arr = np.empty(n_total)
-    acc_arr = np.empty(n_total, dtype=bool)
-    imax_arr = np.empty(n_total)
+    # each schedule entry's step, and the step the search point moves by
+    entries = cfg.schedule.entries
+    steps = [st for _, st in entries]
+    moves = steps if phase_mode else [
+        phase_step_to_voltage_step(st, tps.v_max, tps) for st in steps]
 
+    rows = []
+    temperatures = []
     temperature = cfg.t0
     it = 0
+    draw = rng.random
     for _ in range(cfg.m0):
+        temperatures.append(temperature)
         for _ in range(cfg.n0):
-            gap = 1.0 - i_ref
-            st = step_for_gap(gap, cfg.schedule)
-            local_step = st if phase_mode else phase_step_to_voltage_step(
-                st, tps.v_max, tps)
-            cand = _propose_components(state, local_step, hi, rng)
+            k = _bracket(1.0 - i_ref, entries)
+            cand = _reflect(state, moves[k], hi, draw(8).tolist())
             if phase_mode:
                 phases = PhaseQuad(*cand)
             else:
                 phases = PhaseQuad(*(voltage_to_phase(v, tps) for v in cand))
             sample = objective(phases)
-            ok = accept(sample.i_px, i_ref, temperature, rng)
+            i_px = sample.i_px
+            ok = accept(i_px, i_ref, temperature, rng)
             if ok:
                 state = cand
-            i_ref = sample.i_px
-            if sample.i_px > best_i:
-                best_i = sample.i_px
-                best_state = phases
-                best_iter = it + 1
-
-            it_idx[it] = it + 1
-            temp_arr[it] = temperature
-            step_arr[it] = st
-            phase_arr[it] = phases.as_tuple()
-            ipx_arr[it] = sample.i_px
-            ipy_arr[it] = sample.i_py
-            er_arr[it] = _er_db(sample.i_px, sample.i_py)
-            acc_arr[it] = ok
-            imax_arr[it] = best_i
+            i_ref = i_px
             it += 1
+            if i_px > best_i:
+                best_i = i_px
+                best_state = phases
+                best_iter = it
+            rows.append((steps[k], *phases.as_tuple(), i_px, sample.i_py,
+                         _er_db(i_px, sample.i_py), ok, best_i))
         temperature *= cfg.cooling_p
 
-    return LockTrace(it_idx, temp_arr, step_arr, phase_arr, ipx_arr, ipy_arr,
-                     er_arr, acc_arr, imax_arr, best_state, best_i, best_iter,
-                     initial_sample)
+    # one array per field, so that a caller keeping a few fields does not
+    # keep the whole table alive
+    table = np.array(rows)
+    col = lambda j: table[:, j].copy()
+    return LockTrace(np.arange(1, it + 1, dtype=np.int64),
+                     np.repeat(temperatures, cfg.n0), col(0),
+                     table[:, 1:5].copy(), col(5), col(6), col(7),
+                     table[:, 8].astype(bool), col(9), best_state, best_i,
+                     best_iter, initial_sample)
 
 
 def run_lock_fixed(objective: Objective, cfg: AnnealConfig, tps: TpsParams,

@@ -15,6 +15,7 @@ quantization step for a drive updated in fixed voltage ticks.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -176,6 +177,45 @@ def dpc_transform(phases: PhaseQuad) -> JonesMatrix:
             @ make_m45(phases.theta2) @ make_m0(phases.theta1))
 
 
+def _cascade(sop: JonesVector, phases: PhaseQuad) -> tuple[complex, complex]:
+    """Output field (ex, ey) of ``dpc_transform(phases) @ sop`` in scalar
+    complex arithmetic, without building the matrices.
+
+    The products are formed in the same order as the matrix chain:
+    M45(t4) @ M0(t3), then @ M45(t2), then @ M0(t1), then @ sop.  The only
+    terms left out are those multiplying the exact zero off-diagonals of the
+    M0 stages; for finite phases such a term is a signed zero, and adding it
+    changes at most the sign of a zero, so the result equals the matrix
+    chain's exactly.
+    """
+    t1, t2, t3, t4 = phases.theta1, phases.theta2, phases.theta3, phases.theta4
+    if not (math.isfinite(t1) and math.isfinite(t2)
+            and math.isfinite(t3) and math.isfinite(t4)):
+        raise ValueError(f"stage phases must be finite, got {phases!r}")
+    # the stage elements, exactly as make_m0 and make_m45 build them
+    p1 = cmath.exp(-0.5j * t1)
+    p1c = p1.conjugate()
+    p3 = cmath.exp(-0.5j * t3)
+    p3c = p3.conjugate()
+    c2 = math.cos(0.5 * t2)
+    s2 = -1.0j * math.sin(0.5 * t2)
+    c4 = math.cos(0.5 * t4)
+    s4 = -1.0j * math.sin(0.5 * t4)
+    # M45(t4) @ M0(t3)
+    a00 = c4 * p3
+    a01 = s4 * p3c
+    a10 = s4 * p3
+    a11 = c4 * p3c
+    # @ M45(t2), then @ M0(t1)
+    b00 = (a00 * c2 + a01 * s2) * p1
+    b01 = (a00 * s2 + a01 * c2) * p1c
+    b10 = (a10 * c2 + a11 * s2) * p1
+    b11 = (a10 * s2 + a11 * c2) * p1c
+    # @ sop
+    ex, ey = sop.ex, sop.ey
+    return b00 * ex + b01 * ey, b10 * ex + b11 * ey
+
+
 def measure(input_sop: JonesVector, phases: PhaseQuad, params: DeviceParams,
             rng, absolute: bool = False) -> DetectorSample:
     """Simulate one detector reading pair for a given input SOP and phase
@@ -187,11 +227,13 @@ def measure(input_sop: JonesVector, phases: PhaseQuad, params: DeviceParams,
     added per detector, and the readings are clamped at zero and, if
     configured, at ``detector_saturation``.  With ``absolute=True`` both
     ideal powers are scaled by the insertion loss before noise is applied.
-    Deterministic per ``rng`` state; ``rng`` may be None only on a
-    noiseless device.
+
+    A noisy reading draws exactly two normals from ``rng``, i_px's first,
+    with scalar ``rng.normal(0.0, noise_sigma)`` calls (the same stream as
+    one ``normal(size=2)``); a noiseless one draws nothing, and ``rng`` may
+    then be None.  Readings are Python floats in both cases.
     """
-    out = dpc_transform(phases) @ input_sop
-    e_x, e_y = out.ex, out.ey
+    e_x, e_y = _cascade(input_sop, phases)
     i_px = e_x.real * e_x.real + e_x.imag * e_x.imag
     i_py = e_y.real * e_y.real + e_y.imag * e_y.imag
 
@@ -203,12 +245,12 @@ def measure(input_sop: JonesVector, phases: PhaseQuad, params: DeviceParams,
         i_px *= scale
         i_py *= scale
 
-    if params.noise_sigma > 0.0:
+    sigma = params.noise_sigma
+    if sigma > 0.0:
         if rng is None:
             raise ValueError("measure needs an rng when noise_sigma > 0")
-        eta = rng.normal(0.0, params.noise_sigma, size=2)
-        i_px += eta[0]
-        i_py += eta[1]
+        i_px += rng.normal(0.0, sigma)
+        i_py += rng.normal(0.0, sigma)
 
     if i_px < 0.0:
         i_px = 0.0

@@ -32,6 +32,10 @@ THREADS_ENV = "POLARLOCK_THREADS"
 CSV_COLUMNS = ("variant", "trial", "iteration", "temperature", "step_rad",
                "i_px", "i_py", "er_db", "accepted")
 
+# one row-file line: ``_fmt`` for floats, 0/1 for ``accepted``
+_CSV_ROW = "%s,%d,%d,%.9g,%.9g,%.9g,%.9g,%.9g,%d\n"
+_CSV_SLICE = 1024
+
 _VARIANT_RE = re.compile(r"^(fixed|voltage-fixed)\(([^)]+)\)$")
 
 
@@ -176,13 +180,14 @@ class ResultsTable:
     def write_csv(self, path: str) -> None:
         """Rows in the documented column order, floats at 9 significant
         digits; byte-identical for identical configs."""
+        cols = (self.variant, self.trial, self.iteration, self.temperature,
+                self.step_rad, self.i_px, self.i_py, self.er_db, self.accepted)
         with open(path, "w", newline="") as f:
             f.write(",".join(CSV_COLUMNS) + "\n")
-            for k in range(len(self.variant)):
-                f.write(f"{self.variant[k]},{self.trial[k]},{self.iteration[k]},"
-                        f"{_fmt(self.temperature[k])},{_fmt(self.step_rad[k])},"
-                        f"{_fmt(self.i_px[k])},{_fmt(self.i_py[k])},"
-                        f"{_fmt(self.er_db[k])},{int(self.accepted[k])}\n")
+            # bounded slices keep the Python copies of the rows small
+            for start in range(0, len(self.variant), _CSV_SLICE):
+                part = [c[start:start + _CSV_SLICE].tolist() for c in cols]
+                f.writelines(_CSV_ROW % row for row in zip(*part))
 
     def write_aggregate_csv(self, path: str) -> None:
         with open(path, "w", newline="") as f:

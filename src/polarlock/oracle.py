@@ -17,14 +17,14 @@ from __future__ import annotations
 import cmath
 import math
 
-from .device import DeviceParams, PhaseQuad, dpc_transform
+from .device import DeviceParams, PhaseQuad, _cascade
 from .jones import JonesVector
 
 
 def port_intensity(sop: JonesVector, phases: PhaseQuad) -> float:
     """Ideal maximized-port power |out_x|^2 (no floor, loss, or noise)."""
-    out = dpc_transform(phases) @ sop
-    return out.ex.real ** 2 + out.ex.imag ** 2
+    ex, _ = _cascade(sop, phases)
+    return ex.real ** 2 + ex.imag ** 2
 
 
 def oracle_best(sop: JonesVector, device: DeviceParams

@@ -192,6 +192,22 @@ def test_measure_deterministic_per_seed():
     assert s1 == s2
 
 
+@pytest.mark.parametrize("dev", [DeviceParams(), DeviceParams.ideal()],
+                         ids=["noisy", "noiseless"])
+def test_measure_readings_are_python_floats(dev):
+    sample = measure(JonesVector(SQ2, SQ2), PhaseQuad(0.5, 1.5, 2.5, 3.5),
+                     dev, np.random.default_rng(3))
+    assert type(sample.i_px) is float and type(sample.i_py) is float
+    assert repr(sample).count("np.") == 0
+
+
+def test_measure_noisy_reading_draws_one_normal_pair():
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    measure(JonesVector(1.0, 0.0), PhaseQuad(0, 0, 0, 0), DeviceParams(), rng)
+    ref.normal(size=2)
+    assert rng.random() == ref.random()
+
+
 def test_measure_saturation_clamp():
     dev = DeviceParams(noise_sigma=0.0, detector_saturation=0.8)
     sample = measure(JonesVector(1.0, 0.0), PhaseQuad(0, 0, 0, 0), dev,

@@ -1,0 +1,106 @@
+"""Golden bit-identity tests: SHA-256 digests of complete lock traces and of
+the CSV artifacts for fixed seeds.
+
+Any change to the arithmetic of the cascade, the order of rng draws, the
+proposal rule, the trace bookkeeping or the CSV formatting changes a digest.
+A deliberate change of output must update these digests and say why.
+"""
+
+import hashlib
+import math
+import struct
+
+import numpy as np
+import pytest
+
+from polarlock import (AnnealConfig, DeviceParams, DisturbanceModel,
+                       DisturbedObjective, ExperimentConfig, Variant,
+                       bind_objective, random_sop, relock_experiment,
+                       run_experiment, run_lock)
+
+_TRACE_ARRAYS = ("iteration", "temperature", "step_rad", "phases", "i_px",
+                 "i_py", "er_db", "accepted", "i_max")
+
+
+def trace_digest(trace) -> str:
+    """Every array of the trace (dtype, shape and bytes), then the lock
+    point and the initial reading as float64."""
+    h = hashlib.sha256()
+    for name in _TRACE_ARRAYS:
+        arr = np.ascontiguousarray(getattr(trace, name))
+        h.update(f"{name}:{arr.dtype.str}:{arr.shape}".encode())
+        h.update(arr.tobytes())
+    h.update(struct.pack("<4d", *(float(x) for x in trace.best_phases.as_tuple())))
+    h.update(struct.pack("<dq", float(trace.best_intensity),
+                         int(trace.best_iteration)))
+    h.update(struct.pack("<2d", float(trace.initial_sample.i_px),
+                         float(trace.initial_sample.i_py)))
+    return h.hexdigest()
+
+
+def _bound_run(seed: int, acfg: AnnealConfig):
+    device = DeviceParams()
+    rng = np.random.default_rng(seed)
+    sop = random_sop(rng)
+    return run_lock(bind_objective(sop, device, rng), acfg, device.tps, rng)
+
+
+def test_golden_noisy_phase_mode():
+    trace = _bound_run(11, AnnealConfig())
+    assert trace_digest(trace) == (
+        "b0f4f7171728d6c9ff1c7962aba19707157efde8a2a77e7870aa455f75f11043")
+
+
+def test_golden_voltage_mode():
+    trace = _bound_run(12, AnnealConfig(mode="voltage"))
+    assert trace_digest(trace) == (
+        "5cc3f11c378d58b7bb507f66a92588fc0378fc7e1196dfc6b7ccf388efdbec8b")
+
+
+def test_golden_drift_objective():
+    device = DeviceParams()
+    rng = np.random.default_rng(13)
+    sop = random_sop(rng)
+    model = DisturbanceModel(kind="drift", drift_rate=0.01)
+    objective = DisturbedObjective(sop, device, model, rng)
+    trace = run_lock(objective, AnnealConfig(), device.tps, rng)
+    assert trace_digest(trace) == (
+        "976edbd32bc1bf01dcaeb168069e149425588138c64ae09d5eb9801517708120")
+
+
+def test_golden_relock_jump():
+    model = DisturbanceModel(kind="jump", jump_at=250,
+                             jump_magnitude=math.pi / 2.0)
+    trace, recovery = relock_experiment(DeviceParams(), AnnealConfig(), model,
+                                        np.random.default_rng(14))
+    assert recovery == 69
+    assert trace_digest(trace) == (
+        "ae659076ce58c929241e8ca4838779b52092091a7171b8e63cfc1513c21d761d")
+
+
+@pytest.fixture(scope="module")
+def small_table():
+    cfg = ExperimentConfig(
+        anneal=AnnealConfig(m0=3, n0=20),
+        variants=(Variant("variable"), Variant("fixed", 0.16),
+                  Variant("voltage-fixed", 0.05)),
+        trials=4, base_seed=21)
+    return run_experiment(cfg, max_workers=1)
+
+
+def _file_digest(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_golden_rows_csv(small_table, tmp_path):
+    path = tmp_path / "rows.csv"
+    small_table.write_csv(str(path))
+    assert _file_digest(path) == (
+        "bd237bf1d8a1312e2e7144478225ebac61ed718da4a25b8279643e25af40a5fd")
+
+
+def test_golden_aggregate_csv(small_table, tmp_path):
+    path = tmp_path / "aggregate.csv"
+    small_table.write_aggregate_csv(str(path))
+    assert _file_digest(path) == (
+        "f32940bec215e419e136b3a104d200718edb20da51acc725462c523da8ed45e3")
