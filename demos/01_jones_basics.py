@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from polarlock import (COUPLER_IN, COUPLER_OUT, JonesVector, apply,
+from polarlock import (COUPLER_IN, COUPLER_OUT, JonesVector,
                        extinction_ratio_db, make_m0, make_m45, random_sop,
                        to_stokes)
 
@@ -42,7 +42,7 @@ for name, v in named.items():
           f"({s.s1:+.3f}, {s.s2:+.3f}, {s.s3:+.3f})")
 
 print("\nA half-wave 45-deg stage swaps the ports (up to global phase):")
-out = apply(make_m45(math.pi), JonesVector(1.0, 0.0))
+out = make_m45(math.pi) @ JonesVector(1.0, 0.0)
 print(f"M45(pi) @ (1, 0) = ({out.ex:.3f}, {out.ey:.3f}); "
       f"same SOP as vertical: {out.same_sop(JonesVector(0.0, 1.0))}")
 

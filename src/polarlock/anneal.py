@@ -14,7 +14,7 @@ so an unlucky noisy last sample cannot degrade the reported lock point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
@@ -51,6 +51,8 @@ class StepSchedule:
     def __post_init__(self):
         if not self.entries:
             raise ValueError("schedule needs at least one entry")
+        if not all(math.isfinite(x) for entry in self.entries for x in entry):
+            raise ValueError("schedule thresholds and steps must be finite")
         thresholds = [t for t, _ in self.entries]
         steps = [s for _, s in self.entries]
         if len(self.entries) > 1:
@@ -71,10 +73,6 @@ class StepSchedule:
     @classmethod
     def fixed(cls, st: float) -> "StepSchedule":
         return cls(((1.0, st),))
-
-    @property
-    def is_fixed(self) -> bool:
-        return len(self.entries) == 1
 
 
 DEFAULT_SCHEDULE = StepSchedule.default()
@@ -311,31 +309,7 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
                      best_iter, initial_sample)
 
 
-def run_lock_fixed(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
-                   rng, st: float | None = None) -> LockTrace:
-    """Fixed-step baseline: ``run_lock`` with a single-step schedule.
-
-    Pass ``st`` to override the schedule in ``cfg``; otherwise ``cfg`` must
-    already carry a single-entry schedule.
-    """
-    if st is not None:
-        cfg = replace(cfg, schedule=StepSchedule.fixed(st))
-    elif not cfg.schedule.is_fixed:
-        raise ValueError("run_lock_fixed needs a single-step schedule "
-                         "(or an explicit st)")
-    return run_lock(objective, cfg, tps, rng)
-
-
-def voltage_domain_step(dtheta: float, tps: TpsParams) -> float:
-    """Smallest voltage tick realizing phase step ``dtheta``: the linearized
-    increment evaluated at v_max, where the per-volt phase gain is largest.
-    Used to quantize voltage-domain proposals."""
-    if dtheta == 0.0:
-        return 0.0
-    return phase_step_to_voltage_step(dtheta, tps.v_max, tps)
-
-
 def voltage_step_to_phase_step(dv: float, tps: TpsParams) -> float:
-    """Inverse of ``voltage_domain_step``: the phase step whose v_max
-    quantization is exactly ``dv``."""
+    """The phase step whose v_max quantization,
+    ``phase_step_to_voltage_step(st, tps.v_max, tps)``, is exactly ``dv``."""
     return 2.0 * tps.c_slope * tps.v_max * dv / tps.resistance

@@ -163,6 +163,10 @@ def _cmd_validate(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    for option, low in (("seed", 0), ("samples", 1)):
+        value = getattr(args, option, None)
+        if value is not None and value < low:
+            parser.error(f"--{option} must be >= {low}, got {value}")
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 1

@@ -2,7 +2,7 @@
 
 Every key is optional; an empty (or absent) file yields the reference
 defaults.  Lines starting with ``#`` and blank lines are ignored.  The full
-key set is in ``KEY_HELP`` and the README.
+key set is in ``KEYS`` and the README.
 """
 
 from __future__ import annotations
@@ -91,8 +91,6 @@ KEYS = {
     "experiment.base_seed": ("experiment", "base_seed", _int),
     "experiment.output": ("experiment", "output_path", _str),
 }
-
-KEY_HELP = "\n".join(sorted(KEYS))
 
 
 def resolve_key(key: str) -> str:

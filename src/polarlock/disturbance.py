@@ -16,7 +16,7 @@ import numpy as np
 
 from .anneal import AnnealConfig, LockTrace, run_lock
 from .device import DetectorSample, DeviceParams, PhaseQuad, measure
-from .jones import JonesMatrix, JonesVector, random_sop
+from .jones import JonesVector, random_sop
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,21 +52,16 @@ class DisturbanceModel:
                              f"length ({n_iter} iterations)")
 
 
-def rotation_matrix(axis, angle: float) -> JonesMatrix:
-    """SU(2) element rotating the Stokes vector by ``angle`` about the unit
-    axis (n1, n2, n3), right-hand rule in (s1, s2, s3) coordinates."""
+def rotate_sop(sop: JonesVector, axis, angle: float) -> JonesVector:
+    """Rotate a SOP on the Poincare sphere by ``angle`` about the unit axis
+    (n1, n2, n3), right-hand rule in (s1, s2, s3) coordinates, by applying
+    the SU(2) half-angle element; preserves the norm."""
     n1, n2, n3 = axis
     c = math.cos(0.5 * angle)
     s = math.sin(0.5 * angle)
-    return JonesMatrix(
-        complex(c, s * n1), complex(-s * n3, s * n2),
-        complex(s * n3, s * n2), complex(c, -s * n1),
-    )
-
-
-def rotate_sop(sop: JonesVector, axis, angle: float) -> JonesVector:
-    """Rotate a SOP on the Poincare sphere; preserves the norm."""
-    return rotation_matrix(axis, angle) @ sop
+    ex, ey = sop.ex, sop.ey
+    return JonesVector(complex(c, s * n1) * ex + complex(-s * n3, s * n2) * ey,
+                       complex(s * n3, s * n2) * ex + complex(c, -s * n1) * ey)
 
 
 def _random_axis(rng) -> np.ndarray:
@@ -76,21 +71,6 @@ def _random_axis(rng) -> np.ndarray:
         v = rng.normal(size=3)
         n = math.sqrt(float(v @ v))
     return v / n
-
-
-def evolve_sop(sop: JonesVector, iteration: int, model: DisturbanceModel,
-               rng) -> JonesVector:
-    """Advance the input SOP by one iteration of the disturbance model.
-
-    Stateless helper: the drift axis is redrawn per call (the stateful
-    ``DisturbedObjective`` walks it instead).  Deterministic per rng state;
-    static models consume no draws.
-    """
-    if model.kind == "drift" and model.drift_rate > 0.0:
-        return rotate_sop(sop, _random_axis(rng), model.drift_rate)
-    if model.kind == "jump" and iteration == model.jump_at:
-        return rotate_sop(sop, _random_axis(rng), model.jump_magnitude)
-    return sop
 
 
 class DisturbedObjective:

@@ -15,6 +15,7 @@ import os
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -34,7 +35,9 @@ CSV_COLUMNS = ("variant", "trial", "iteration", "temperature", "step_rad",
 
 # one row-file line: ``_fmt`` for floats, 0/1 for ``accepted``
 _CSV_ROW = "%s,%d,%d,%.9g,%.9g,%.9g,%.9g,%.9g,%d\n"
-_CSV_SLICE = 1024
+
+# the per-iteration fields kept from each trial, in CSV column order
+_FIELDS = ("temperature", "step_rad", "i_px", "i_py", "er_db", "accepted")
 
 _VARIANT_RE = re.compile(r"^(fixed|voltage-fixed)\(([^)]+)\)$")
 
@@ -61,8 +64,9 @@ class Variant:
         if self.kind == "variable":
             if self.value is not None:
                 raise ValueError("variable variant takes no value")
-        elif self.value is None or self.value < 0:
-            raise ValueError(f"{self.kind} variant needs a step value >= 0")
+        elif self.value is None or not 0.0 <= self.value < math.inf:
+            raise ValueError(
+                f"{self.kind} variant needs a finite step value >= 0")
 
     @property
     def label(self) -> str:
@@ -114,54 +118,61 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
         if not self.variants:
             raise ValueError("variant list must be non-empty")
         if len({v.label for v in self.variants}) != len(self.variants):
             raise ValueError("variant labels must be unique")
         self.disturbance.check_run_length(self.anneal.total_iterations)
+        for v in self.variants:
+            try:
+                v.anneal_config(self.anneal, self.device.tps)
+            except ValueError as exc:
+                raise ValueError(f"variant {v.label}: {exc}") from None
 
 
 @dataclass(slots=True)
 class ResultsTable:
-    """Flat per-iteration rows for a whole ensemble, plus enough structure
-    to recompute the per-variant percentile curves exactly."""
+    """Per-iteration results of a whole ensemble as (variant, trial,
+    iteration) blocks: ``er_db[v, t, i]`` is iteration i + 1 of trial t of
+    ``variant_order[v]``, and likewise for every other field."""
 
     variant_order: tuple[str, ...]
-    variant: np.ndarray
-    trial: np.ndarray
-    iteration: np.ndarray
     temperature: np.ndarray
     step_rad: np.ndarray
     i_px: np.ndarray
     i_py: np.ndarray
     er_db: np.ndarray
     accepted: np.ndarray
-    trials: int
-    iterations_per_trial: int
+
+    @property
+    def trials(self) -> int:
+        return self.er_db.shape[1]
+
+    @property
+    def iterations_per_trial(self) -> int:
+        return self.er_db.shape[2]
 
     def __len__(self) -> int:
-        return len(self.variant)
+        return self.er_db.size
 
-    def _er_matrix(self, label: str) -> np.ndarray:
-        """(trials, iterations) ER readings for one variant."""
-        mask = self.variant == label
-        if not mask.any():
+    def _index(self, label: str) -> int:
+        """Block index of one variant."""
+        if label not in self.variant_order[:len(self.er_db)]:
             raise ValueError(f"no rows for variant '{label}'")
-        return self.er_db[mask].reshape(self.trials, self.iterations_per_trial)
+        return self.variant_order.index(label)
 
     def percentile_curves(self, label: str
                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(iteration, p10, p50, p90) ER curves across trials."""
-        er = self._er_matrix(label)
+        er = self.er_db[self._index(label)]
         p10, p50, p90 = np.percentile(er, [10.0, 50.0, 90.0], axis=0)
         iters = np.arange(1, self.iterations_per_trial + 1)
         return iters, p10, p50, p90
 
     def median_er_curve(self, label: str) -> np.ndarray:
-        return np.median(self._er_matrix(label), axis=0)
-
-    def median_er_at(self, label: str, iteration: int) -> float:
-        return float(self.median_er_curve(label)[iteration - 1])
+        return np.median(self.er_db[self._index(label)], axis=0)
 
     def first_crossing(self, label: str, threshold_db: float) -> int | None:
         """First iteration at which the median ER reaches the threshold."""
@@ -169,25 +180,25 @@ class ResultsTable:
         return int(hits[0]) + 1 if hits.size else None
 
     def acceptance_rate(self, label: str) -> float:
-        mask = self.variant == label
-        if not mask.any():
-            raise ValueError(f"no rows for variant '{label}'")
-        return float(np.mean(self.accepted[mask]))
+        return float(np.mean(self.accepted[self._index(label)]))
 
     def median_final_er(self, label: str) -> float:
-        return float(np.median(self._er_matrix(label)[:, -1]))
+        return float(np.median(self.er_db[self._index(label), :, -1]))
 
     def write_csv(self, path: str) -> None:
-        """Rows in the documented column order, floats at 9 significant
-        digits; byte-identical for identical configs."""
-        cols = (self.variant, self.trial, self.iteration, self.temperature,
-                self.step_rad, self.i_px, self.i_py, self.er_db, self.accepted)
+        """Rows in the documented column order, variant by variant, then
+        trial by trial; floats at 9 significant digits; byte-identical for
+        identical configs."""
+        blocks = [getattr(self, name) for name in _FIELDS]
+        iters = range(1, self.iterations_per_trial + 1)
         with open(path, "w", newline="") as f:
             f.write(",".join(CSV_COLUMNS) + "\n")
-            # bounded slices keep the Python copies of the rows small
-            for start in range(0, len(self.variant), _CSV_SLICE):
-                part = [c[start:start + _CSV_SLICE].tolist() for c in cols]
-                f.writelines(_CSV_ROW % row for row in zip(*part))
+            # one trial at a time keeps the Python copies of the rows small
+            for label, *block in zip(self.variant_order, *blocks):
+                for t, cols in enumerate(zip(*block)):
+                    f.writelines(_CSV_ROW % row for row in zip(
+                        repeat(label), repeat(t), iters,
+                        *(c.tolist() for c in cols)))
 
     def write_aggregate_csv(self, path: str) -> None:
         with open(path, "w", newline="") as f:
@@ -212,10 +223,9 @@ def _run_trial(cfg: ExperimentConfig, variant: Variant, trial: int):
 
 
 def _run_job(args):
-    cfg, vi, trial = args
-    trace = _run_trial(cfg, cfg.variants[vi], trial)
-    return vi, trial, (trace.iteration, trace.temperature, trace.step_rad,
-                       trace.i_px, trace.i_py, trace.er_db, trace.accepted)
+    cfg, variant, trial = args
+    trace = _run_trial(cfg, variant, trial)
+    return [getattr(trace, name) for name in _FIELDS]
 
 
 def threads_from_env() -> int:
@@ -241,8 +251,9 @@ def run_experiment(cfg: ExperimentConfig,
     """
     if max_workers is None:
         max_workers = threads_from_env()
-    jobs = [(cfg, vi, trial)
-            for vi in range(len(cfg.variants))
+    # built in (variant, trial) order, which both map paths keep
+    jobs = [(cfg, variant, trial)
+            for variant in cfg.variants
             for trial in range(cfg.trials)]
 
     if max_workers > 1:
@@ -250,27 +261,11 @@ def run_experiment(cfg: ExperimentConfig,
             results = list(pool.map(_run_job, jobs, chunksize=4))
     else:
         results = [_run_job(j) for j in jobs]
-    results.sort(key=lambda r: (r[0], r[1]))
 
-    n_iter = cfg.anneal.total_iterations
-    labels = [cfg.variants[vi].label for vi, _, _ in results]
-    variant_col = np.repeat(labels, n_iter)
-    trial_col = np.repeat([t for _, t, _ in results], n_iter)
-    stack = lambda i: np.concatenate([cols[i] for _, _, cols in results])
-    return ResultsTable(
-        variant_order=tuple(v.label for v in cfg.variants),
-        variant=variant_col,
-        trial=trial_col,
-        iteration=stack(0).astype(np.int64),
-        temperature=stack(1),
-        step_rad=stack(2),
-        i_px=stack(3),
-        i_py=stack(4),
-        er_db=stack(5),
-        accepted=stack(6).astype(bool),
-        trials=cfg.trials,
-        iterations_per_trial=n_iter,
-    )
+    shape = (len(cfg.variants), cfg.trials, cfg.anneal.total_iterations)
+    return ResultsTable(tuple(v.label for v in cfg.variants),
+                        *(np.stack(col).reshape(shape)
+                          for col in zip(*results)))
 
 
 def summarize(table: ResultsTable, threshold_db: float = 25.0) -> str:

@@ -61,9 +61,6 @@ class JonesVector:
         inner = self.ex.conjugate() * other.ex + self.ey.conjugate() * other.ey
         return abs(abs(inner) - self.norm() * other.norm()) <= tol
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.ex, self.ey], dtype=complex)
-
 
 @dataclass(frozen=True, slots=True)
 class JonesMatrix:
@@ -77,11 +74,6 @@ class JonesMatrix:
     @classmethod
     def identity(cls) -> "JonesMatrix":
         return cls(1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
-
-    @classmethod
-    def from_array(cls, a) -> "JonesMatrix":
-        return cls(complex(a[0][0]), complex(a[0][1]),
-                   complex(a[1][0]), complex(a[1][1]))
 
     def dagger(self) -> "JonesMatrix":
         return JonesMatrix(self.m00.conjugate(), self.m10.conjugate(),
@@ -106,9 +98,6 @@ class JonesMatrix:
         """Max elementwise deviation of M† M from the identity."""
         d = self.dagger() @ self
         return max(abs(d.m00 - 1.0), abs(d.m01), abs(d.m10), abs(d.m11 - 1.0))
-
-    def is_unitary(self, tol: float = ALGEBRA_TOL) -> bool:
-        return self.unitarity_defect() <= tol
 
     def as_array(self) -> np.ndarray:
         return np.array([[self.m00, self.m01], [self.m10, self.m11]],
@@ -154,11 +143,6 @@ def make_m45(delta45: float) -> JonesMatrix:
     c = math.cos(0.5 * delta45)
     s = -1.0j * math.sin(0.5 * delta45)
     return JonesMatrix(c, s, s, c)
-
-
-def apply(m: JonesMatrix, v: JonesVector) -> JonesVector:
-    """Matrix-vector product; preserves the norm when ``m`` is unitary."""
-    return m @ v
 
 
 def to_stokes(v: JonesVector) -> StokesParams:

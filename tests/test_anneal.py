@@ -6,9 +6,9 @@ import pytest
 
 from polarlock import (AnnealConfig, DeviceParams, JonesVector, PhaseQuad,
                        StepSchedule, TpsParams, accept, bind_objective,
-                       dpc_transform, port_intensity, propose, random_sop,
-                       run_lock, run_lock_fixed, step_for_gap,
-                       voltage_domain_step, voltage_step_to_phase_step,
+                       dpc_transform, phase_step_to_voltage_step,
+                       port_intensity, propose, random_sop, run_lock,
+                       step_for_gap, voltage_step_to_phase_step,
                        voltage_to_phase)
 
 TPS = TpsParams()
@@ -66,6 +66,17 @@ def test_step_for_gap_fixed_schedule():
 def test_step_schedule_validation(entries):
     with pytest.raises(ValueError):
         StepSchedule(tuple(entries))
+
+
+@pytest.mark.parametrize("entries", [
+    ((1.0, math.nan),),
+    ((1.0, math.inf),),
+    ((math.nan, 0.16), (0.1, 0.08)),
+    ((math.inf, 0.16), (0.1, 0.08)),
+])
+def test_step_schedule_rejects_non_finite(entries):
+    with pytest.raises(ValueError, match="finite"):
+        StepSchedule(entries)
 
 
 def test_fixed_schedule_allows_zero_step():
@@ -221,15 +232,10 @@ def test_run_lock_already_locked_input_stays_locked():
 
 def test_run_lock_fixed_zero_step_is_constant():
     _, objective, rng = _noiseless_objective(16)
-    trace = run_lock_fixed(objective, AnnealConfig(), TPS, rng, st=0.0)
+    cfg = AnnealConfig(schedule=StepSchedule.fixed(0.0))
+    trace = run_lock(objective, cfg, TPS, rng)
     assert np.all(trace.i_px == trace.i_px[0])
     assert np.all(trace.i_max == trace.i_max[0])
-
-
-def test_run_lock_fixed_requires_single_step_schedule():
-    _, objective, rng = _noiseless_objective(17)
-    with pytest.raises(ValueError):
-        run_lock_fixed(objective, AnnealConfig(), TPS, rng)
 
 
 def test_run_lock_voltage_mode_phases_follow_calibration():
@@ -245,17 +251,19 @@ def test_run_lock_voltage_mode_phases_follow_calibration():
 
 
 def test_voltage_domain_step_values():
-    assert voltage_domain_step(0.008, TPS) == pytest.approx(
-        0.004780103124052169, rel=1e-12)
-    assert voltage_domain_step(0.16, TPS) == pytest.approx(
-        0.09560206248104337, rel=1e-12)
-    assert voltage_domain_step(0.0, TPS) == 0.0
+    # phase steps quantize to volts at v_max, where the gain is largest
+    def tick(st):
+        return phase_step_to_voltage_step(st, TPS.v_max, TPS)
+    assert tick(0.008) == pytest.approx(0.004780103124052169, rel=1e-12)
+    assert tick(0.16) == pytest.approx(0.09560206248104337, rel=1e-12)
+    assert tick(0.0) == 0.0
 
 
 def test_voltage_step_round_trip():
     for dv in (0.1, 0.005):
         st = voltage_step_to_phase_step(dv, TPS)
-        assert voltage_domain_step(st, TPS) == pytest.approx(dv, rel=1e-12)
+        assert phase_step_to_voltage_step(st, TPS.v_max, TPS) == pytest.approx(
+            dv, rel=1e-12)
 
 
 def test_step_reopens_after_intensity_collapse():

@@ -9,6 +9,7 @@ from polarlock import (AnnealConfig, ConfigError, DeviceParams,
                        port_intensity, random_sop, run_experiment,
                        run_identity_checks, summarize)
 from polarlock.cli import main as cli_main
+from polarlock.harness import _run_trial
 
 SMALL = ExperimentConfig(
     anneal=AnnealConfig(m0=4, n0=25),
@@ -26,7 +27,9 @@ def test_parse_variant_forms():
 
 
 @pytest.mark.parametrize("token", ["", "fixed", "fixed()", "fixed(x)",
-                                   "variable(0.1)", "random(0.1)"])
+                                   "variable(0.1)", "random(0.1)",
+                                   "fixed(nan)", "fixed(inf)",
+                                   "voltage-fixed(nan)"])
 def test_parse_variant_rejects_garbage(token):
     with pytest.raises(ValueError):
         parse_variant(token)
@@ -63,16 +66,30 @@ def test_experiment_config_validation():
 
 # --- experiment runs -------------------------------------------------------------
 
-def test_run_experiment_row_count_and_order():
+def test_run_experiment_row_count_and_order(tmp_path):
     table = run_experiment(SMALL)
     n = SMALL.anneal.total_iterations
     assert len(table) == 2 * 3 * n
+    assert table.er_db.shape == (2, 3, n)
+    assert (table.trials, table.iterations_per_trial) == (3, n)
     assert table.variant_order == ("variable", "fixed(0.16)")
-    # rows sorted by (variant order, trial, iteration)
-    first = table.variant[0]
-    assert first == "variable"
-    assert list(table.iteration[:n]) == list(range(1, n + 1))
-    assert table.trial[0] == 0 and table.trial[n] == 1
+    # rows are written in (variant order, trial, iteration) order
+    path = tmp_path / "rows.csv"
+    table.write_csv(path)
+    keys = [line.split(",")[:3]
+            for line in path.read_text().splitlines()[1:]]
+    assert keys == [[label, str(t), str(i)]
+                    for label in table.variant_order
+                    for t in range(3) for i in range(1, n + 1)]
+
+
+def test_table_blocks_match_trial_traces():
+    table = run_experiment(SMALL)
+    for v, variant in enumerate(SMALL.variants):
+        for t in range(SMALL.trials):
+            trace = _run_trial(SMALL, variant, t)
+            assert np.array_equal(table.er_db[v, t], trace.er_db)
+            assert np.array_equal(table.accepted[v, t], trace.accepted)
 
 
 def test_run_experiment_deterministic_csv(tmp_path):
@@ -102,10 +119,9 @@ def test_run_experiment_honors_threads_env(tmp_path, monkeypatch):
 
 def test_aggregates_recomputable_from_rows(tmp_path):
     table = run_experiment(SMALL)
-    for label in table.variant_order:
-        mask = table.variant == label
-        er = table.er_db[mask].reshape(table.trials, table.iterations_per_trial)
-        p10, p50, p90 = np.percentile(er, [10.0, 50.0, 90.0], axis=0)
+    for v, label in enumerate(table.variant_order):
+        p10, p50, p90 = np.percentile(table.er_db[v], [10.0, 50.0, 90.0],
+                                      axis=0)
         _, q10, q50, q90 = table.percentile_curves(label)
         assert np.array_equal(p10, q10)
         assert np.array_equal(p50, q50)
@@ -376,6 +392,31 @@ def test_cli_sweep_noise_monotone(tmp_path, capsys):
                 if l.startswith("variable.median_final_er_db")][0]
         medians.append(float(line.split(": ")[1]))
     assert medians[0] >= medians[1] >= medians[2]
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["run", "--seed", "-1"], "--seed"),
+    (["sweep", "--key", "trials", "--values", "1", "--seed", "-1"], "--seed"),
+    (["sweep", "--key", "base_seed", "--values", "-1"], "base_seed"),
+    (["sweep", "--key", "variants", "--values", "fixed(inf)"],
+     "experiment.variants"),
+    (["sweep", "--key", "variants", "--values", "voltage-fixed(1e308)"],
+     "voltage-fixed"),
+    (["oracle", "--seed", "-1"], "--seed"),
+    (["validate", "--seed", "-1"], "--seed"),
+    (["validate", "--samples", "0"], "--samples"),
+    (["validate", "--samples", "-1"], "--samples"),
+])
+def test_cli_bad_input_exits_one(argv, named, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    try:
+        code = cli_main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    assert code == 1
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_sweep_rejects_unknown_key(tmp_path, capsys):
