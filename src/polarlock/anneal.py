@@ -280,9 +280,10 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
             k = _bracket(1.0 - i_ref, entries)
             cand = _reflect(state, moves[k], hi, draw(8).tolist())
             if phase_mode:
-                phases = PhaseQuad(*cand)
+                thetas = cand
             else:
-                phases = PhaseQuad(*(voltage_to_phase(v, tps) for v in cand))
+                thetas = tuple(voltage_to_phase(v, tps) for v in cand)
+            phases = PhaseQuad(*thetas)
             sample = objective(phases)
             i_px = sample.i_px
             ok = accept(i_px, i_ref, temperature, rng)
@@ -294,7 +295,7 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
                 best_i = i_px
                 best_state = phases
                 best_iter = it
-            rows.append((steps[k], *phases.as_tuple(), i_px, sample.i_py,
+            rows.append((steps[k], *thetas, i_px, sample.i_py,
                          _er_db(i_px, sample.i_py), ok, best_i))
         temperature *= cfg.cooling_p
 

@@ -229,9 +229,9 @@ def measure(input_sop: JonesVector, phases: PhaseQuad, params: DeviceParams,
     ideal powers are scaled by the insertion loss before noise is applied.
 
     A noisy reading draws exactly two normals from ``rng``, i_px's first,
-    with scalar ``rng.normal(0.0, noise_sigma)`` calls (the same stream as
-    one ``normal(size=2)``); a noiseless one draws nothing, and ``rng`` may
-    then be None.  Readings are Python floats in both cases.
+    in one ``rng.normal(0.0, noise_sigma, 2)`` (the same stream and bits as
+    two scalar calls); a noiseless one draws nothing, and ``rng`` may then
+    be None.  Readings are Python floats in both cases.
     """
     e_x, e_y = _cascade(input_sop, phases)
     i_px = e_x.real * e_x.real + e_x.imag * e_x.imag
@@ -249,8 +249,9 @@ def measure(input_sop: JonesVector, phases: PhaseQuad, params: DeviceParams,
     if sigma > 0.0:
         if rng is None:
             raise ValueError("measure needs an rng when noise_sigma > 0")
-        i_px += rng.normal(0.0, sigma)
-        i_py += rng.normal(0.0, sigma)
+        n_px, n_py = rng.normal(0.0, sigma, 2).tolist()
+        i_px += n_px
+        i_py += n_py
 
     if i_px < 0.0:
         i_px = 0.0

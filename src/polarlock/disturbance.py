@@ -37,8 +37,9 @@ class DisturbanceModel:
     def __post_init__(self):
         if self.kind not in ("static", "drift", "jump"):
             raise ValueError(f"unknown disturbance kind {self.kind!r}")
-        if self.drift_rate < 0:
-            raise ValueError("drift_rate must be >= 0")
+        if not 0.0 <= self.drift_rate < math.inf:
+            raise ValueError(f"drift_rate must be a finite number >= 0, "
+                             f"got {self.drift_rate!r}")
         if not 0.0 <= self.jump_magnitude <= math.pi:
             raise ValueError("jump_magnitude must lie in [0, pi]")
         if self.jump_at < 0:
@@ -64,58 +65,76 @@ def rotate_sop(sop: JonesVector, axis, angle: float) -> JonesVector:
                        complex(s * n3, s * n2) * ex + complex(c, -s * n1) * ey)
 
 
-def _random_axis(rng) -> np.ndarray:
-    v = rng.normal(size=3)
-    n = math.sqrt(float(v @ v))
+def _random_axis(rng) -> tuple[float, float, float]:
+    """A uniformly random unit axis: three normals, redrawn while their norm
+    is below 1e-12."""
+    x, y, z = rng.normal(size=3).tolist()
+    n = math.sqrt(x * x + y * y + z * z)
     while n < 1e-12:
-        v = rng.normal(size=3)
-        n = math.sqrt(float(v @ v))
-    return v / n
+        x, y, z = rng.normal(size=3).tolist()
+        n = math.sqrt(x * x + y * y + z * z)
+    return x / n, y / n, z / n
 
 
 class DisturbedObjective:
     """Objective whose input SOP evolves once per evaluation.
 
     Evaluation k corresponds to lock-trace iteration k (the pre-loop
-    evaluation is k = 0 and sees the undisturbed input).  Drift advances the
-    SOP on every subsequent evaluation about a random-walked axis; a jump
-    model rotates it exactly once, on the evaluation whose index equals
-    ``jump_at``.  Static models add no rng draws, so a run wired through
-    this class is stream-identical to one using a plain bound objective.
+    evaluation is k = 0).  Before measuring, evaluation k draws from the
+    shared rng as follows:
+
+    - drift (``drift_rate > 0``): nothing at k = 0, which sees the
+      undisturbed input; at k = 1 the starting axis, three normals in one
+      ``normal(size=3)``, redrawn while their norm is below 1e-12; at every
+      later k exactly three normals d, and the axis becomes a + d/2
+      normalized.  The SOP is then rotated by ``drift_rate`` about the axis.
+    - jump: a random axis as above, only at k == ``jump_at`` (k = 0
+      included), and the SOP is rotated once by ``jump_magnitude``.
+    - static, or drift at rate 0: nothing, so a run wired through this
+      class is stream-identical to one using a plain bound objective.
+
+    The axis is kept as three Python floats, so the drift arithmetic is
+    plain scalar IEEE and does not depend on the BLAS kernel.
     """
 
     def __init__(self, input_sop: JonesVector, params: DeviceParams,
                  model: DisturbanceModel, rng):
         self._sop = input_sop
         self._params = params
-        self._model = model
         self._rng = rng
         self._calls = 0
-        self._axis: np.ndarray | None = None
+        self._axis: tuple[float, float, float] | None = None
+        self._drift = model.drift_rate if model.kind == "drift" else 0.0
+        self._jump_at = model.jump_at if model.kind == "jump" else -1
+        self._jump_magnitude = model.jump_magnitude
 
     @property
     def current_sop(self) -> JonesVector:
         return self._sop
 
     def __call__(self, phases: PhaseQuad) -> DetectorSample:
-        self._advance()
-        sample = measure(self._sop, phases, self._params, self._rng)
-        self._calls += 1
-        return sample
-
-    def _advance(self) -> None:
         k = self._calls
-        m = self._model
-        if m.kind == "drift" and m.drift_rate > 0.0 and k > 0:
-            if self._axis is None:
-                self._axis = _random_axis(self._rng)
+        self._calls = k + 1
+        # measure and rotate_sop stay module-global lookups, so that a wrapper
+        # patched onto this module (a tracer, a test's counter) sees every call
+        if self._drift and k:
+            axis = self._axis
+            if axis is None:
+                axis = _random_axis(self._rng)
             else:
-                step = self._axis + 0.5 * self._rng.normal(size=3)
-                self._axis = step / math.sqrt(float(step @ step))
-            self._sop = rotate_sop(self._sop, self._axis, m.drift_rate)
-        elif m.kind == "jump" and k == m.jump_at:
+                x, y, z = axis
+                dx, dy, dz = self._rng.normal(size=3).tolist()
+                x += 0.5 * dx
+                y += 0.5 * dy
+                z += 0.5 * dz
+                n = math.sqrt(x * x + y * y + z * z)
+                axis = (x / n, y / n, z / n)
+            self._axis = axis
+            self._sop = rotate_sop(self._sop, axis, self._drift)
+        elif k == self._jump_at:
             self._sop = rotate_sop(self._sop, _random_axis(self._rng),
-                                   m.jump_magnitude)
+                                   self._jump_magnitude)
+        return measure(self._sop, phases, self._params, self._rng)
 
 
 def _smoothed_er_db(trace: LockTrace, window: int) -> np.ndarray:

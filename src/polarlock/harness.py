@@ -125,11 +125,17 @@ class ExperimentConfig:
         if len({v.label for v in self.variants}) != len(self.variants):
             raise ValueError("variant labels must be unique")
         self.disturbance.check_run_length(self.anneal.total_iterations)
+        phase_max = self.device.tps.phase_max
         for v in self.variants:
             try:
-                v.anneal_config(self.anneal, self.device.tps)
+                acfg = v.anneal_config(self.anneal, self.device.tps)
             except ValueError as exc:
                 raise ValueError(f"variant {v.label}: {exc}") from None
+            top = max(st for _, st in acfg.schedule.entries)
+            if top > phase_max:
+                raise ValueError(
+                    f"variant {v.label}: phase step {top:g} rad exceeds the "
+                    f"phase span tps.phase_max = {phase_max:g} rad")
 
 
 @dataclass(slots=True)
@@ -311,8 +317,13 @@ def run_identity_checks(seed: int = 0, n: int = 1000,
 
     Covers the coupler-sandwich decomposition of the 45-deg retarder,
     unitarity of the retarders and of random cascades, norm preservation,
-    pure-state Stokes consistency, and global-phase invariance.
+    pure-state Stokes consistency, and global-phase invariance.  Needs
+    ``seed >= 0`` and ``n >= 1``.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     span = 3.0 * math.pi
 

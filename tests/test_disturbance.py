@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from polarlock import disturbance
 from polarlock import (AnnealConfig, DeviceParams, DisturbanceModel,
                        DisturbedObjective, JonesVector, PhaseQuad,
                        bind_objective, random_sop,
@@ -52,6 +54,12 @@ def test_rotate_sop_preserves_norm():
 def test_model_validation(kwargs):
     with pytest.raises(ValueError):
         DisturbanceModel(**kwargs)
+
+
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -1.0])
+def test_model_rejects_bad_drift_rate(rate):
+    with pytest.raises(ValueError, match="drift_rate"):
+        DisturbanceModel(kind="drift", drift_rate=rate)
 
 
 def test_drift_accumulation_is_bounded():
@@ -168,3 +176,93 @@ def test_relock_recovers_from_quarter_turn():
     assert recovery is not None and 0 < recovery <= 200
     # the jump must actually have unlocked the controller
     assert trace.er_db[250:252].min() < 20.0
+
+
+# --- drift path ------------------------------------------------------------------
+
+_DRIFT = DisturbanceModel(kind="drift", drift_rate=0.01)
+
+
+def _drift_objective(seed):
+    rng = np.random.default_rng(seed)
+    sop = random_sop(rng)
+    return DisturbedObjective(sop, DeviceParams(noise_sigma=0.0), _DRIFT,
+                              rng), rng
+
+
+def test_drift_draw_order_matches_reference_generator():
+    objective, rng = _drift_objective(15)
+    ref = np.random.default_rng(15)
+    random_sop(ref)
+    phases = PhaseQuad.uniform(1.0)
+
+    objective(phases)  # evaluation 0 sees the undisturbed input
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert objective._axis is None
+
+    objective(phases)  # evaluation 1 draws the starting axis
+    v = ref.normal(size=3)
+    while math.sqrt(float(v @ v)) < 1e-12:
+        v = ref.normal(size=3)
+    x, y, z = v.tolist()
+    n = math.sqrt(x * x + y * y + z * z)
+    axis = (x / n, y / n, z / n)
+    assert objective._axis == axis
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+    for _ in range(20):  # each later evaluation draws exactly three normals
+        objective(phases)
+        dx, dy, dz = ref.normal(size=3).tolist()
+        x, y, z = axis[0] + 0.5 * dx, axis[1] + 0.5 * dy, axis[2] + 0.5 * dz
+        n = math.sqrt(x * x + y * y + z * z)
+        axis = (x / n, y / n, z / n)
+        assert objective._axis == axis
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_jump_at_zero_rotates_on_the_preloop_evaluation():
+    dev = DeviceParams(noise_sigma=0.0)
+    model = DisturbanceModel(kind="jump", jump_at=0, jump_magnitude=math.pi / 2)
+    rng = np.random.default_rng(16)
+    sop = random_sop(rng)
+    objective = DisturbedObjective(sop, dev, model, rng)
+    objective(PhaseQuad.uniform(1.0))
+    assert objective.current_sop != sop
+    after = objective.current_sop
+    objective(PhaseQuad.uniform(1.0))
+    assert objective.current_sop == after
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2 ** 63), st.integers(1, 200))
+def test_drift_axis_stays_unit_and_rotation_keeps_norm(seed, advances):
+    objective, _ = _drift_objective(seed)
+    phases = PhaseQuad.uniform(1.0)
+    objective(phases)
+    for _ in range(advances):
+        before = objective.current_sop.norm()
+        objective(phases)
+        assert abs(objective.current_sop.norm() - before) <= 1e-15
+    axis = objective._axis
+    assert len(axis) == 3 and all(type(c) is float for c in axis)
+    x, y, z = axis
+    assert abs(math.sqrt(x * x + y * y + z * z) - 1.0) <= 1e-15
+
+
+def test_drift_calls_rotate_and_measure_through_module_globals(monkeypatch):
+    # bench/tracing.py counts and times these two names on the module
+    calls = {"rotate_sop": 0, "measure": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(disturbance, name,
+                            counted(name, getattr(disturbance, name)))
+    objective, _ = _drift_objective(17)
+    for _ in range(10):
+        objective(PhaseQuad.uniform(1.0))
+    assert calls == {"rotate_sop": 9, "measure": 10}

@@ -65,7 +65,7 @@ def test_golden_drift_objective():
     objective = DisturbedObjective(sop, device, model, rng)
     trace = run_lock(objective, AnnealConfig(), device.tps, rng)
     assert trace_digest(trace) == (
-        "976edbd32bc1bf01dcaeb168069e149425588138c64ae09d5eb9801517708120")
+        "3214b144f6c2cb4f4ea4506950eba2e9e8c6af71853a5e2164b989def205b701")
 
 
 def test_golden_relock_jump():

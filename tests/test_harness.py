@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from polarlock import (AnnealConfig, ConfigError, DeviceParams,
-                       DisturbanceModel, ExperimentConfig, JonesVector, Variant,
-                       load_experiment_config, oracle_best, parse_variant,
-                       port_intensity, random_sop, run_experiment,
-                       run_identity_checks, summarize)
+                       DisturbanceModel, ExperimentConfig, JonesVector,
+                       StepSchedule, Variant, load_experiment_config,
+                       oracle_best, parse_variant, port_intensity, random_sop,
+                       run_experiment, run_identity_checks, summarize)
 from polarlock.cli import main as cli_main
 from polarlock.harness import _run_trial
 
@@ -212,6 +212,19 @@ def test_identity_checks_all_pass():
         assert chk.passed, f"{chk.name} defect {chk.defect}"
 
 
+@pytest.mark.parametrize("kwargs,named", [
+    ({"n": 0}, "n must"), ({"seed": -1}, "seed must")])
+def test_identity_checks_name_bad_arguments(kwargs, named):
+    with pytest.raises(ValueError, match=named):
+        run_identity_checks(**kwargs)
+
+
+def test_experiment_config_rejects_base_step_beyond_phase_span():
+    anneal = AnnealConfig(schedule=StepSchedule.fixed(10.0))
+    with pytest.raises(ValueError, match="variant variable: .*phase_max"):
+        ExperimentConfig(anneal=anneal, variants=(Variant("variable"),))
+
+
 # --- config files --------------------------------------------------------------------
 
 def test_config_defaults_from_empty_file(tmp_path):
@@ -406,6 +419,9 @@ def test_cli_sweep_noise_monotone(tmp_path, capsys):
     (["validate", "--seed", "-1"], "--seed"),
     (["validate", "--samples", "0"], "--samples"),
     (["validate", "--samples", "-1"], "--samples"),
+    (["sweep", "--key", "variants", "--values", "voltage-fixed(1e300)"],
+     "voltage-fixed(1e+300)"),
+    (["sweep", "--key", "variants", "--values", "fixed(10)"], "fixed(10)"),
 ])
 def test_cli_bad_input_exits_one(argv, named, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
