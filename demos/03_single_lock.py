@@ -28,7 +28,7 @@ for k in (1, 5, 10, 20, 40, 70, 100, 150, 250, 500):
 
 print(f"\nbest reading {trace.best_intensity:.6f} at iteration "
       f"{trace.best_iteration}")
-print(f"lock point: {np.round(trace.best_phases.as_tuple(), 4)} rad")
+print(f"lock point: {np.round(trace.best_phases, 4)} rad")
 print(f"true (noise-free) intensity there: "
       f"{port_intensity(sop, trace.best_phases):.6f}")
 print(f"acceptance rate over the run: {trace.accepted.mean():.2f}")

@@ -19,12 +19,12 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .device import (DetectorSample, PhaseQuad, TpsParams, DeviceParams,
-                     measure, phase_step_to_voltage_step, voltage_to_phase,
-                     phase_to_voltage)
+from .device import (PHASE_SPAN, DetectorSample, PhaseQuad, TpsParams,
+                     DeviceParams, measure, phase_step_to_voltage_step,
+                     voltage_to_phase, phase_to_voltage)
 
-#: objective protocol: phases in, one noisy detector reading pair out
-Objective = Callable[[PhaseQuad], DetectorSample]
+#: objective protocol: a phase 4-tuple in, a noisy (i_px, i_py) reading out
+Objective = Callable[[tuple[float, float, float, float]], tuple[float, float]]
 
 # intensities are clamped here before dB conversion in traces, so a reading
 # noise-clipped to zero yields a large finite ER instead of an error
@@ -121,6 +121,13 @@ class AnnealConfig:
             raise ValueError("init_phase must be >= 0")
         if self.mode not in ("phase", "voltage"):
             raise ValueError("mode must be 'phase' or 'voltage'")
+        t = self.t0  # the last outer loop's temperature, as run_lock cools it
+        for _ in range(self.m0 - 1):
+            t *= self.cooling_p
+        if not t > 0.0:
+            raise ValueError(f"t0={self.t0!r}, cooling_p={self.cooling_p!r} "
+                             f"and m0={self.m0} cool the last outer loop's "
+                             f"temperature to {t!r}; it must be > 0")
 
     @property
     def total_iterations(self) -> int:
@@ -163,28 +170,22 @@ class LockTrace:
         return float(self.er_db[-1])
 
 
-def propose(s_p: PhaseQuad, st: float, rng, phase_max: float = 3.0 * math.pi
-            ) -> PhaseQuad:
-    """Boundary-reflecting random proposal around ``s_p``.
+def propose(s_p, st: float, rng, hi: float = PHASE_SPAN
+            ) -> tuple[float, float, float, float]:
+    """The lock loop's boundary-reflecting random move of the 4-tuple s_p.
 
-    Per component, with fresh draws r ~ U[0, 1] and sign c in {-1, +1}: move
-    by +st*r at or below the lower boundary 0, by -st*r at or above the
-    upper boundary, and by c*st*r in the interior; the result is clamped
-    into [0, phase_max].  Consumes exactly two scalar ``rng.random()`` draws
-    per component, r then u, component by component.
+    ``hi`` is the upper edge of the searched coordinate: phase_max radians
+    in phase mode, v_max volts in voltage mode.  Per component, with draws
+    r, u ~ U[0, 1]: move by +st*r at or below 0, by -st*r at or above
+    ``hi``, and in the interior by +st*r if u < 0.5, else by -st*r; then
+    clamp into [0, hi].  Draws eight uniforms in one ``rng.random(8)``, r
+    then u per component, and returns a plain 4-tuple.
     """
     if st < 0:
         raise ValueError("step must be >= 0")
-    draws = [rng.random() for _ in range(8)]
-    return PhaseQuad(*_reflect(s_p.as_tuple(), st, phase_max, draws))
-
-
-def _reflect(values, st, hi, draws):
-    """The proposal rule of ``propose`` on a 4-tuple, given its eight
-    uniform draws in (r, u) order per component."""
     out = []
-    pairs = iter(draws)
-    for x, r, u in zip(values, pairs, pairs):
+    draws = iter(rng.random(8).tolist())
+    for x, r, u in zip(s_p, draws, draws):
         if x <= 0.0:
             x = x + st * r
         elif x >= hi:
@@ -211,7 +212,7 @@ def accept(i_new: float, i_old: float, temperature: float, rng) -> bool:
 
 def bind_objective(input_sop, params: DeviceParams, rng) -> Objective:
     """Close a device measurement over a fixed input SOP and rng stream."""
-    def objective(phases: PhaseQuad) -> DetectorSample:
+    def objective(phases) -> DetectorSample:
         return measure(input_sop, phases, params, rng)
     return objective
 
@@ -223,21 +224,21 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
     The search point starts with all four phases at ``cfg.init_phase``
     (half the span by default) and is evaluated once; then ``m0`` outer
     loops of ``n0`` inner iterations run.  Each inner iteration looks up the
-    step from the gap 1 - (latest reading), proposes a boundary-reflected
-    move of all four components, evaluates it, and applies the Metropolis
-    rule against the latest reading; the temperature is multiplied by
-    ``cooling_p`` after each outer loop.  In voltage mode the search point
-    lives in drive volts, each phase step is quantized to its voltage
-    equivalent at v_max, and phases follow from the quadratic + linear
-    heater calibration.
+    step from the gap 1 - (latest reading), moves all four components with
+    ``propose``, evaluates the phases (a plain 4-tuple), and applies the
+    Metropolis rule against the latest reading; the temperature is
+    multiplied by ``cooling_p`` after each outer loop.  In voltage mode the
+    search point lives in drive volts, each phase step is quantized to its
+    voltage equivalent at v_max, and phases follow from the quadratic +
+    linear heater calibration.
 
     Deterministic given the rng states of the controller and the objective.
     When both share one generator, as in the harness, each iteration draws
     from it in this order:
 
-    1. the proposal: eight uniforms in one ``rng.random(8)``, r then u for
-       stage 1, then stage 2, 3 and 4 (the same stream as eight scalar
-       draws);
+    1. the proposal: ``propose``'s eight uniforms in one ``rng.random(8)``,
+       r then u for stage 1, then stage 2, 3 and 4 (the same stream as
+       eight scalar draws);
     2. the evaluation: the objective's own draws, e.g. a disturbance
        advance, then two normals for a noisy reading (i_px's first);
     3. the acceptance: one uniform, only when the reading is worse than the
@@ -250,17 +251,17 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
     if phase_mode:
         hi = tps.phase_max
         state = (min(init_phase, hi),) * 4
-        applied = PhaseQuad(*state)
+        thetas = state
     else:
         hi = tps.v_max
         state = (phase_to_voltage(init_phase, tps),) * 4
-        applied = PhaseQuad(*(voltage_to_phase(v, tps) for v in state))
+        thetas = tuple(voltage_to_phase(v, tps) for v in state)
 
-    sample = objective(applied)
-    initial_sample = sample
-    i_ref = sample.i_px
-    best_i = sample.i_px
-    best_state = applied
+    i_px, i_py = objective(thetas)
+    initial_sample = DetectorSample(i_px, i_py)
+    i_ref = i_px
+    best_i = i_px
+    best_thetas = thetas
     best_iter = 0
 
     # each schedule entry's step, and the step the search point moves by
@@ -273,19 +274,16 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
     temperatures = []
     temperature = cfg.t0
     it = 0
-    draw = rng.random
     for _ in range(cfg.m0):
         temperatures.append(temperature)
         for _ in range(cfg.n0):
             k = _bracket(1.0 - i_ref, entries)
-            cand = _reflect(state, moves[k], hi, draw(8).tolist())
+            cand = propose(state, moves[k], rng, hi)
             if phase_mode:
                 thetas = cand
             else:
                 thetas = tuple(voltage_to_phase(v, tps) for v in cand)
-            phases = PhaseQuad(*thetas)
-            sample = objective(phases)
-            i_px = sample.i_px
+            i_px, i_py = objective(thetas)
             ok = accept(i_px, i_ref, temperature, rng)
             if ok:
                 state = cand
@@ -293,10 +291,10 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
             it += 1
             if i_px > best_i:
                 best_i = i_px
-                best_state = phases
+                best_thetas = thetas
                 best_iter = it
-            rows.append((steps[k], *thetas, i_px, sample.i_py,
-                         _er_db(i_px, sample.i_py), ok, best_i))
+            rows.append((steps[k], *thetas, i_px, i_py, _er_db(i_px, i_py),
+                         ok, best_i))
         temperature *= cfg.cooling_p
 
     # one array per field, so that a caller keeping a few fields does not
@@ -306,8 +304,8 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
     return LockTrace(np.arange(1, it + 1, dtype=np.int64),
                      np.repeat(temperatures, cfg.n0), col(0),
                      table[:, 1:5].copy(), col(5), col(6), col(7),
-                     table[:, 8].astype(bool), col(9), best_state, best_i,
-                     best_iter, initial_sample)
+                     table[:, 8].astype(bool), col(9), PhaseQuad(*best_thetas),
+                     best_i, best_iter, initial_sample)
 
 
 def voltage_step_to_phase_step(dv: float, tps: TpsParams) -> float:

@@ -120,7 +120,7 @@ def _cmd_oracle(args) -> int:
         sop = random_sop(np.random.default_rng(args.seed))
     best, phases = oracle_best(sop, device)
     print(f"best_intensity: {best:.9g}")
-    for i, theta in enumerate(phases.as_tuple(), start=1):
+    for i, theta in enumerate(phases, start=1):
         print(f"theta{i}: {theta:.9g}")
     return 0
 

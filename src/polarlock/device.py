@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .jones import JonesMatrix, JonesVector, make_m0, make_m45
 
@@ -62,17 +63,14 @@ class TpsParams:
             raise ValueError("rise/fall times must be > 0")
 
 
-@dataclass(frozen=True, slots=True)
-class PhaseQuad:
-    """The four controllable stage phases, the annealer's search point."""
+class PhaseQuad(NamedTuple):
+    """The four controllable stage phases, the annealer's search point; a
+    plain tuple, so any 4-tuple of floats serves wherever one is expected."""
 
     theta1: float
     theta2: float
     theta3: float
     theta4: float
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.theta1, self.theta2, self.theta3, self.theta4)
 
     @classmethod
     def uniform(cls, theta: float) -> "PhaseQuad":
@@ -120,10 +118,9 @@ class DeviceParams:
         return 2.0 * self.coupling_loss_db + self.on_chip_loss_db
 
 
-@dataclass(frozen=True, slots=True)
-class DetectorSample:
-    """One pair of detector readings: i_px on the maximized port, i_py on
-    the minimized port."""
+class DetectorSample(NamedTuple):
+    """One pair of detector readings, a plain ``(i_px, i_py)`` tuple: i_px
+    on the maximized port, i_py on the minimized port."""
 
     i_px: float
     i_py: float
@@ -173,8 +170,8 @@ def dpc_transform(phases: PhaseQuad) -> JonesMatrix:
     Stage order seen by the light is 0deg, 45deg, 0deg, 45deg, so the
     product is M45(t4) @ M0(t3) @ M45(t2) @ M0(t1).
     """
-    return (make_m45(phases.theta4) @ make_m0(phases.theta3)
-            @ make_m45(phases.theta2) @ make_m0(phases.theta1))
+    t1, t2, t3, t4 = phases
+    return make_m45(t4) @ make_m0(t3) @ make_m45(t2) @ make_m0(t1)
 
 
 def _cascade(sop: JonesVector, phases: PhaseQuad) -> tuple[complex, complex]:
@@ -188,7 +185,7 @@ def _cascade(sop: JonesVector, phases: PhaseQuad) -> tuple[complex, complex]:
     changes at most the sign of a zero, so the result equals the matrix
     chain's exactly.
     """
-    t1, t2, t3, t4 = phases.theta1, phases.theta2, phases.theta3, phases.theta4
+    t1, t2, t3, t4 = phases
     if not (math.isfinite(t1) and math.isfinite(t2)
             and math.isfinite(t3) and math.isfinite(t4)):
         raise ValueError(f"stage phases must be finite, got {phases!r}")

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anneal import AnnealConfig, LockTrace, run_lock
-from .device import DetectorSample, DeviceParams, PhaseQuad, measure
+from .anneal import AnnealConfig, LockTrace, _er_db, run_lock
+from .device import DetectorSample, DeviceParams, measure
 from .jones import JonesVector, random_sop
 
 
@@ -112,7 +112,7 @@ class DisturbedObjective:
     def current_sop(self) -> JonesVector:
         return self._sop
 
-    def __call__(self, phases: PhaseQuad) -> DetectorSample:
+    def __call__(self, phases) -> DetectorSample:
         k = self._calls
         self._calls = k + 1
         # measure and rotate_sop stay module-global lookups, so that a wrapper
@@ -141,7 +141,8 @@ def _smoothed_er_db(trace: LockTrace, window: int) -> np.ndarray:
     """ER of trailing-mean intensities; windows are truncated at the start.
 
     Averaging before the dB conversion keeps a single noise-clipped reading
-    of the minimized port from masquerading as a huge extinction ratio.
+    of the minimized port from masquerading as a huge extinction ratio.  dB
+    come from the loop's scalar ``_er_db``, not the host-dependent np.log10.
     """
     w = max(int(window), 1)
     n = len(trace)
@@ -151,9 +152,9 @@ def _smoothed_er_db(trace: LockTrace, window: int) -> np.ndarray:
         c = np.concatenate(([0.0], np.cumsum(x)))
         return (c[1:] - c[np.maximum(np.arange(n) + 1 - w, 0)]) / counts
 
-    px = np.maximum(trailing_mean(trace.i_px), 1e-12)
-    py = np.maximum(trailing_mean(trace.i_py), 1e-12)
-    return 10.0 * np.log10(px / py)
+    px = trailing_mean(trace.i_px).tolist()
+    py = trailing_mean(trace.i_py).tolist()
+    return np.array([_er_db(a, b) for a, b in zip(px, py)])
 
 
 def relock_experiment(params: DeviceParams, cfg: AnnealConfig,

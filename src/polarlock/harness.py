@@ -21,7 +21,7 @@ import numpy as np
 
 from .anneal import (AnnealConfig, StepSchedule, bind_objective, run_lock,
                      voltage_step_to_phase_step)
-from .device import DeviceParams, PhaseQuad, TpsParams, dpc_transform
+from .device import DeviceParams, TpsParams, dpc_transform
 from .disturbance import DisturbanceModel, DisturbedObjective
 from .jones import (COUPLER_IN, COUPLER_OUT, JonesVector, make_m0, make_m45,
                     random_sop, to_stokes)
@@ -237,13 +237,15 @@ def _run_job(args):
 def threads_from_env() -> int:
     """Worker count from the POLARLOCK_THREADS environment variable
     (1 when unset); raises ValueError naming the variable if it is not an
-    integer."""
+    integer >= 1."""
     raw = os.environ.get(THREADS_ENV, "1")
     try:
-        return int(raw)
+        workers = int(raw)
     except ValueError:
-        raise ValueError(
-            f"{THREADS_ENV} must be an integer, got {raw!r}") from None
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"{THREADS_ENV} must be an integer >= 1, got {raw!r}")
+    return workers
 
 
 def run_experiment(cfg: ExperimentConfig,
@@ -335,7 +337,7 @@ def run_identity_checks(seed: int = 0, n: int = 1000,
                     make_m45(d).unitarity_defect()) for d in deltas)
 
     quads = rng.uniform(0.0, span, size=(max(n // 4, 1), 4))
-    cascades = [dpc_transform(PhaseQuad(*q)) for q in quads]
+    cascades = [dpc_transform(q) for q in quads]
     d_cas = max(m.unitarity_defect() for m in cascades)
 
     d_norm = 0.0

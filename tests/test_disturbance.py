@@ -266,3 +266,31 @@ def test_drift_calls_rotate_and_measure_through_module_globals(monkeypatch):
     for _ in range(10):
         objective(PhaseQuad.uniform(1.0))
     assert calls == {"rotate_sop": 9, "measure": 10}
+
+
+# --- re-lock scoring ----------------------------------------------------------
+
+def test_smoothed_er_db_equals_scalar_log10_recomputation():
+    # np.log10 may take a vectorized path that differs from libm in the last
+    # bits, and recovery compares these values against a threshold, so they
+    # must come from math.log10 on every host
+    model = DisturbanceModel(kind="jump", jump_at=250,
+                             jump_magnitude=math.pi / 2)
+    trace, _ = relock_experiment(DeviceParams(), AnnealConfig(), model,
+                                 np.random.default_rng(12))
+    window = 5
+
+    def running_sums(x):
+        sums = [0.0]
+        for v in x.tolist():
+            sums.append(sums[-1] + v)
+        return sums
+
+    cx, cy = running_sums(trace.i_px), running_sums(trace.i_py)
+    expected = []
+    for i in range(len(trace)):
+        lo = max(i + 1 - window, 0)
+        px = max((cx[i + 1] - cx[lo]) / (i + 1 - lo), 1e-12)
+        py = max((cy[i + 1] - cy[lo]) / (i + 1 - lo), 1e-12)
+        expected.append(10.0 * math.log10(px / py))
+    assert disturbance._smoothed_er_db(trace, window).tolist() == expected

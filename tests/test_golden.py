@@ -30,7 +30,7 @@ def trace_digest(trace) -> str:
         arr = np.ascontiguousarray(getattr(trace, name))
         h.update(f"{name}:{arr.dtype.str}:{arr.shape}".encode())
         h.update(arr.tobytes())
-    h.update(struct.pack("<4d", *(float(x) for x in trace.best_phases.as_tuple())))
+    h.update(struct.pack("<4d", *(float(x) for x in trace.best_phases)))
     h.update(struct.pack("<dq", float(trace.best_intensity),
                          int(trace.best_iteration)))
     h.update(struct.pack("<2d", float(trace.initial_sample.i_px),

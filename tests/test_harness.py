@@ -354,9 +354,10 @@ def test_cli_run_unwritable_output(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_cli_run_bad_threads_env(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("threads", ["abc", "0", "-2"])
+def test_cli_run_bad_threads_env(threads, tmp_path, monkeypatch, capsys):
     cfg = _write_small_cfg(tmp_path)
-    monkeypatch.setenv("POLARLOCK_THREADS", "abc")
+    monkeypatch.setenv("POLARLOCK_THREADS", threads)
     assert cli_main(["run", "--config", str(cfg)]) == 1
     assert "POLARLOCK_THREADS" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
@@ -422,6 +423,7 @@ def test_cli_sweep_noise_monotone(tmp_path, capsys):
     (["sweep", "--key", "variants", "--values", "voltage-fixed(1e300)"],
      "voltage-fixed(1e+300)"),
     (["sweep", "--key", "variants", "--values", "fixed(10)"], "fixed(10)"),
+    (["sweep", "--key", "cooling_p", "--values", "1e-200"], "cooling_p"),
 ])
 def test_cli_bad_input_exits_one(argv, named, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

@@ -66,7 +66,7 @@ def test_oracle_property_arbitrary_sop(a, b, c, d):
     sop = raw.normalized()
     best, phases = oracle_best(sop, IDEAL)
     span = IDEAL.tps.phase_max
-    assert all(0.0 <= t <= span for t in phases.as_tuple())
+    assert all(0.0 <= t <= span for t in phases)
     assert best >= 1.0 - 1e-12
     assert port_intensity(sop, phases) == best
 
