@@ -14,7 +14,8 @@ so an unlucky noisy last sample cannot degrade the reported lock point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Literal
 
 import numpy as np
@@ -35,6 +36,16 @@ def _er_db(i_px: float, i_py: float) -> float:
     return 10.0 * math.log10(max(i_px, _DB_FLOOR) / max(i_py, _DB_FLOOR))
 
 
+def _er_db_array(i_px: np.ndarray, i_py: np.ndarray) -> np.ndarray:
+    """``_er_db`` over two 1-D arrays, equal to it bit for bit: the floors
+    and the ratio are exact IEEE operations in numpy as in Python, and the
+    log goes through ``math.log10``, since numpy's vector log10 may differ
+    from libm in the last bit on some hosts."""
+    ratio = np.maximum(i_px, _DB_FLOOR) / np.maximum(i_py, _DB_FLOOR)
+    return 10.0 * np.fromiter(map(math.log10, ratio.tolist()), float,
+                              ratio.size)
+
+
 @dataclass(frozen=True, slots=True)
 class StepSchedule:
     """Gap-threshold table mapping the intensity gap to a search step.
@@ -47,6 +58,8 @@ class StepSchedule:
     """
 
     entries: tuple[tuple[float, float], ...]
+    # each bracket's lower edge, the threshold of the entry after it
+    _lower: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.entries:
@@ -54,6 +67,7 @@ class StepSchedule:
         if not all(math.isfinite(x) for entry in self.entries for x in entry):
             raise ValueError("schedule thresholds and steps must be finite")
         thresholds = [t for t, _ in self.entries]
+        object.__setattr__(self, "_lower", tuple(thresholds[1:]))
         steps = [s for _, s in self.entries]
         if len(self.entries) > 1:
             if any(b >= a for a, b in zip(thresholds, thresholds[1:])):
@@ -80,16 +94,19 @@ DEFAULT_SCHEDULE = StepSchedule.default()
 
 def step_for_gap(i_st: float, schedule: StepSchedule) -> float:
     """Scheduled step for intensity gap ``i_st`` (clamped into [0, 1])."""
-    return schedule.entries[_bracket(i_st, schedule.entries)][1]
+    return schedule.entries[_bracket(i_st, schedule._lower)][1]
 
 
-def _bracket(i_st: float, entries) -> int:
-    """Index of the schedule entry whose bracket holds the clamped gap."""
-    gap = min(max(i_st, 0.0), 1.0)
-    for k in range(len(entries) - 1):
-        if gap > entries[k + 1][0]:
+def _bracket(i_st: float, lower: tuple[float, ...]) -> int:
+    """Index of the schedule entry whose bracket holds the gap, clamped into
+    [0, 1]; ``lower`` is the schedule's ``_lower``."""
+    gap = 0.0 if i_st < 0.0 else 1.0 if i_st > 1.0 else i_st
+    k = 0
+    for t in lower:
+        if gap > t:
             return k
-    return len(entries) - 1
+        k += 1
+    return k
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,14 +128,17 @@ class AnnealConfig:
     mode: Literal["phase", "voltage"] = "phase"
 
     def __post_init__(self):
-        if self.t0 <= 0:
-            raise ValueError("t0 must be > 0")
+        if not 0.0 < self.t0 < math.inf:
+            raise ValueError(f"t0 must be a finite number > 0, "
+                             f"got {self.t0!r}")
         if self.m0 < 1 or self.n0 < 1:
             raise ValueError("m0 and n0 must be >= 1")
         if not 0.0 < self.cooling_p < 1.0:
             raise ValueError("cooling_p must lie in (0, 1)")
-        if self.init_phase is not None and self.init_phase < 0:
-            raise ValueError("init_phase must be >= 0")
+        init = self.init_phase
+        if init is not None and not 0.0 <= init < math.inf:
+            raise ValueError(f"init_phase must be a finite number >= 0 (or "
+                             f"None), got {init!r}")
         if self.mode not in ("phase", "voltage"):
             raise ValueError("mode must be 'phase' or 'voltage'")
         t = self.t0  # the last outer loop's temperature, as run_lock cools it
@@ -138,13 +158,13 @@ class AnnealConfig:
 class LockTrace:
     """Per-iteration record of one locking run.
 
-    Arrays are indexed by inner iteration; ``iteration`` counts cumulatively
-    from 1 across the outer loops.  ``i_max`` is the running best reading and
-    ``best_phases`` / ``best_intensity`` the returned lock point (the phases
-    at which the running best was set).
+    Arrays are indexed by inner iteration, and row i is iteration i + 1.
+    ``best_phases`` / ``best_intensity`` are the returned lock point: the
+    highest reading, the initial one included, and the phases that gave it;
+    ``best_iteration`` is the first iteration that reached it (0 for the
+    initial reading).
     """
 
-    iteration: np.ndarray
     temperature: np.ndarray
     step_rad: np.ndarray
     phases: np.ndarray            # (n, 4) applied stage phases
@@ -152,14 +172,25 @@ class LockTrace:
     i_py: np.ndarray
     er_db: np.ndarray
     accepted: np.ndarray
-    i_max: np.ndarray
     best_phases: PhaseQuad
     best_intensity: float
     best_iteration: int
     initial_sample: DetectorSample
 
     def __len__(self) -> int:
-        return len(self.iteration)
+        return len(self.i_px)
+
+    @property
+    def iteration(self) -> np.ndarray:
+        """Iteration numbers, counted from 1 across the outer loops."""
+        return np.arange(1, len(self) + 1, dtype=np.int64)
+
+    @property
+    def i_max(self) -> np.ndarray:
+        """The running best reading after each iteration: the running
+        maximum over the initial reading followed by ``i_px``."""
+        return np.maximum.accumulate(
+            np.concatenate(([self.initial_sample.i_px], self.i_px)))[1:]
 
     @property
     def initial_er_db(self) -> float:
@@ -186,17 +217,8 @@ def propose(s_p, st: float, rng, hi: float = PHASE_SPAN
     out = []
     draws = iter(rng.random(8).tolist())
     for x, r, u in zip(s_p, draws, draws):
-        if x <= 0.0:
-            x = x + st * r
-        elif x >= hi:
-            x = x - st * r
-        else:
-            x = x + st * r if u < 0.5 else x - st * r
-        if x < 0.0:
-            x = 0.0
-        elif x > hi:
-            x = hi
-        out.append(x)
+        x = x + st * r if x <= 0.0 or (x < hi and u < 0.5) else x - st * r
+        out.append(0.0 if x < 0.0 else hi if x > hi else x)
     return tuple(out)
 
 
@@ -245,6 +267,10 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
        latest one.
 
     The initial evaluation draws as in step 2.
+
+    The loop records only each iteration's step, phases, reading and
+    verdict; ``er_db`` and the lock point are derived from those once the
+    loop ends, with the same values a per-iteration computation gives.
     """
     init_phase = cfg.init_phase if cfg.init_phase is not None else tps.phase_max / 2.0
     phase_mode = cfg.mode == "phase"
@@ -256,28 +282,25 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
         hi = tps.v_max
         state = (phase_to_voltage(init_phase, tps),) * 4
         thetas = tuple(voltage_to_phase(v, tps) for v in state)
+    initial_thetas = thetas
 
     i_px, i_py = objective(thetas)
     initial_sample = DetectorSample(i_px, i_py)
     i_ref = i_px
-    best_i = i_px
-    best_thetas = thetas
-    best_iter = 0
 
     # each schedule entry's step, and the step the search point moves by
-    entries = cfg.schedule.entries
-    steps = [st for _, st in entries]
+    lower = cfg.schedule._lower
+    steps = [st for _, st in cfg.schedule.entries]
     moves = steps if phase_mode else [
         phase_step_to_voltage_step(st, tps.v_max, tps) for st in steps]
 
     rows = []
     temperatures = []
     temperature = cfg.t0
-    it = 0
     for _ in range(cfg.m0):
         temperatures.append(temperature)
         for _ in range(cfg.n0):
-            k = _bracket(1.0 - i_ref, entries)
+            k = _bracket(1.0 - i_ref, lower)
             cand = propose(state, moves[k], rng, hi)
             if phase_mode:
                 thetas = cand
@@ -288,23 +311,25 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
             if ok:
                 state = cand
             i_ref = i_px
-            it += 1
-            if i_px > best_i:
-                best_i = i_px
-                best_thetas = thetas
-                best_iter = it
-            rows.append((steps[k], *thetas, i_px, i_py, _er_db(i_px, i_py),
-                         ok, best_i))
+            rows.append((steps[k], *thetas, i_px, i_py, ok))
         temperature *= cfg.cooling_p
 
+    n = len(rows)
+    table = np.fromiter(chain.from_iterable(rows), float, 8 * n).reshape(n, 8)
     # one array per field, so that a caller keeping a few fields does not
     # keep the whole table alive
-    table = np.array(rows)
-    col = lambda j: table[:, j].copy()
-    return LockTrace(np.arange(1, it + 1, dtype=np.int64),
-                     np.repeat(temperatures, cfg.n0), col(0),
-                     table[:, 1:5].copy(), col(5), col(6), col(7),
-                     table[:, 8].astype(bool), col(9), PhaseQuad(*best_thetas),
+    px, py = table[:, 5].copy(), table[:, 6].copy()
+    # the lock point: the first of the highest readings, the initial one
+    # included, i.e. where the running best (i_max) reaches its final value
+    best_iter = int(np.argmax(np.concatenate(([initial_sample.i_px], px))))
+    if best_iter:
+        best_thetas = table[best_iter - 1, 1:5].tolist()
+        best_i = float(px[best_iter - 1])
+    else:
+        best_thetas, best_i = initial_thetas, initial_sample.i_px
+    return LockTrace(np.repeat(temperatures, cfg.n0), table[:, 0].copy(),
+                     table[:, 1:5].copy(), px, py, _er_db_array(px, py),
+                     table[:, 7].astype(bool), PhaseQuad(*best_thetas),
                      best_i, best_iter, initial_sample)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .jones import JonesMatrix, JonesVector, make_m0, make_m45
@@ -28,6 +28,15 @@ PHASE_SPAN = 3.0 * math.pi
 # first-order step response: a 10-90% transition time t maps to the
 # exponential time constant t / ln 9
 _LN9 = math.log(9.0)
+
+
+def _check_field(params, name: str, positive: bool) -> None:
+    """Raise ValueError naming field ``name`` of ``params`` unless it is a
+    finite number, > 0 when ``positive``, else >= 0."""
+    value = getattr(params, name)
+    if not ((0.0 < value if positive else 0.0 <= value) and value < math.inf):
+        raise ValueError(f"{name} must be a finite number "
+                         f"{'> 0' if positive else '>= 0'}, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,18 +58,11 @@ class TpsParams:
     tau_fall: float = 5.9e-6        # s, 10-90% fall time
 
     def __post_init__(self):
-        if self.resistance <= 0:
-            raise ValueError("resistance must be > 0")
-        if self.c_slope <= 0:
-            raise ValueError("c_slope must be > 0")
+        for name in ("resistance", "c_slope", "v_max", "phase_max",
+                     "tau_rise", "tau_fall"):
+            _check_field(self, name, positive=True)
         if not 0.0 <= self.theta_bias < 2.0 * math.pi:
             raise ValueError("theta_bias must lie in [0, 2*pi)")
-        if self.v_max <= 0:
-            raise ValueError("v_max must be > 0")
-        if self.phase_max <= 0:
-            raise ValueError("phase_max must be > 0")
-        if self.tau_rise <= 0 or self.tau_fall <= 0:
-            raise ValueError("rise/fall times must be > 0")
 
 
 class PhaseQuad(NamedTuple):
@@ -96,16 +98,17 @@ class DeviceParams:
     coupling_loss_db: float = 7.0
     on_chip_loss_db: float = 3.0
     detector_saturation: float | None = None
+    # 10^(-static_er_db/10), the splitter's floor on i_py / i_px, or None
+    _py_floor: float | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.static_er_db is not None and self.static_er_db <= 0:
-            raise ValueError("static_er_db must be > 0 (or None to disable)")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
-        if self.coupling_loss_db < 0 or self.on_chip_loss_db < 0:
-            raise ValueError("losses must be >= 0")
-        if self.detector_saturation is not None and self.detector_saturation <= 0:
-            raise ValueError("detector_saturation must be > 0 (or None)")
+        for name in ("static_er_db", "detector_saturation"):
+            if getattr(self, name) is not None:
+                _check_field(self, name, positive=True)
+        for name in ("noise_sigma", "coupling_loss_db", "on_chip_loss_db"):
+            _check_field(self, name, positive=False)
+        object.__setattr__(self, "_py_floor", None if self.static_er_db is None
+                           else 10.0 ** (-self.static_er_db / 10.0))
 
     @classmethod
     def ideal(cls, tps: TpsParams = TpsParams()) -> "DeviceParams":
@@ -234,8 +237,9 @@ def measure(input_sop: JonesVector, phases: PhaseQuad, params: DeviceParams,
     i_px = e_x.real * e_x.real + e_x.imag * e_x.imag
     i_py = e_y.real * e_y.real + e_y.imag * e_y.imag
 
-    if params.static_er_db is not None:
-        i_py = max(i_py, i_px * 10.0 ** (-params.static_er_db / 10.0))
+    floor = params._py_floor
+    if floor is not None:
+        i_py = max(i_py, i_px * floor)
 
     if absolute:
         scale = 10.0 ** (-params.insertion_loss_db / 10.0)

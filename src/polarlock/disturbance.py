@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anneal import AnnealConfig, LockTrace, _er_db, run_lock
+from .anneal import AnnealConfig, LockTrace, _er_db_array, run_lock
 from .device import DetectorSample, DeviceParams, measure
 from .jones import JonesVector, random_sop
 
@@ -142,7 +142,8 @@ def _smoothed_er_db(trace: LockTrace, window: int) -> np.ndarray:
 
     Averaging before the dB conversion keeps a single noise-clipped reading
     of the minimized port from masquerading as a huge extinction ratio.  dB
-    come from the loop's scalar ``_er_db``, not the host-dependent np.log10.
+    come from ``_er_db_array``, which equals the scalar ``_er_db`` bit for
+    bit, not from the host-dependent np.log10.
     """
     w = max(int(window), 1)
     n = len(trace)
@@ -152,9 +153,7 @@ def _smoothed_er_db(trace: LockTrace, window: int) -> np.ndarray:
         c = np.concatenate(([0.0], np.cumsum(x)))
         return (c[1:] - c[np.maximum(np.arange(n) + 1 - w, 0)]) / counts
 
-    px = trailing_mean(trace.i_px).tolist()
-    py = trailing_mean(trace.i_py).tolist()
-    return np.array([_er_db(a, b) for a, b in zip(px, py)])
+    return _er_db_array(trailing_mean(trace.i_px), trailing_mean(trace.i_py))
 
 
 def relock_experiment(params: DeviceParams, cfg: AnnealConfig,
@@ -183,7 +182,7 @@ def relock_experiment(params: DeviceParams, cfg: AnnealConfig,
     trace = run_lock(objective, cfg, params.tps, rng)
 
     er = _smoothed_er_db(trace, recovery_window)
-    post = er[trace.iteration > model.jump_at]
+    post = er[model.jump_at:]  # iterations after jump_at
     if post.size == 0 or np.all(post >= recovery_db):
         return trace, 0
     hits = np.nonzero(post >= recovery_db)[0]

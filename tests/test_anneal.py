@@ -96,6 +96,10 @@ def test_propose_upper_boundary_moves_down():
     rng = FakeRng([1.0, 0.9] * 4)
     out = propose(PhaseQuad.uniform(SPAN), 0.16, rng)
     assert out == pytest.approx((SPAN - 0.16,) * 4)
+    # the move is down whatever the sign draw
+    rng = FakeRng([1.0, 0.1] * 4)
+    out = propose(PhaseQuad.uniform(SPAN), 0.16, rng)
+    assert out == pytest.approx((SPAN - 0.16,) * 4)
 
 
 def test_propose_interior_signed_moves():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from polarlock import (DeviceParams, JonesVector, PhaseQuad,
+from polarlock import (AnnealConfig, DeviceParams, JonesVector, PhaseQuad,
                        TpsParams, dpc_transform, measure, oracle_best,
                        phase_step_to_voltage_step, power_to_phase,
                        random_sop, thermal_step_response, voltage_to_phase,
@@ -287,3 +287,32 @@ def test_tps_validation(kwargs):
 def test_device_validation(kwargs):
     with pytest.raises(ValueError):
         DeviceParams(**kwargs)
+
+
+@pytest.mark.parametrize("make, field, value", [
+    (TpsParams, "resistance", math.nan),
+    (TpsParams, "c_slope", math.inf),
+    (TpsParams, "theta_bias", math.nan),
+    (TpsParams, "v_max", math.inf),
+    (TpsParams, "phase_max", math.nan),
+    (TpsParams, "tau_rise", math.inf),
+    (TpsParams, "tau_fall", math.nan),
+    (DeviceParams, "static_er_db", math.nan),
+    (DeviceParams, "static_er_db", math.inf),
+    (DeviceParams, "noise_sigma", math.nan),
+    (DeviceParams, "noise_sigma", math.inf),
+    (DeviceParams, "coupling_loss_db", math.nan),
+    (DeviceParams, "on_chip_loss_db", math.inf),
+    (DeviceParams, "detector_saturation", math.nan),
+    (DeviceParams, "detector_saturation", math.inf),
+    (AnnealConfig, "t0", math.inf),
+    (AnnealConfig, "t0", math.nan),
+    (AnnealConfig, "cooling_p", math.nan),
+    (AnnealConfig, "init_phase", math.nan),
+    (AnnealConfig, "init_phase", math.inf),
+])
+def test_non_finite_parameter_raises_naming_field(make, field, value):
+    # the config file's parser rejects these too; a library caller must not
+    # get a device or loop that silently drops a floor, noise or saturation
+    with pytest.raises(ValueError, match=field):
+        make(**{field: value})

@@ -1,15 +1,22 @@
 """Property tests of the lock kernel's invariants and of the numpy stream
 identities its rng draw order relies on."""
 
+import dataclasses
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from polarlock import (DeviceParams, JonesVector, PhaseQuad, StepSchedule,
-                       dpc_transform, load_experiment_config, measure,
-                       port_intensity, propose, step_for_gap)
+from polarlock import (AnnealConfig, DeviceParams, DisturbanceModel,
+                       DisturbedObjective, ExperimentConfig, JonesVector,
+                       PhaseQuad, StepSchedule, TpsParams, Variant,
+                       bind_objective, dpc_transform, load_experiment_config,
+                       measure, phase_to_voltage, port_intensity, propose,
+                       random_sop, run_lock, step_for_gap, voltage_to_phase)
+from polarlock.anneal import _er_db, _er_db_array
 from polarlock.config import KEYS
 from polarlock.device import _cascade
 
@@ -80,11 +87,11 @@ def test_cascade_rejects_nonfinite_phase(bad):
 
 
 @st.composite
-def _schedules(draw):
+def _schedules(draw, step_max=1e6):
     n = draw(st.integers(1, 5))
     finite = st.floats(allow_nan=False, allow_infinity=False)
     # a multi-entry table needs positive steps, a single entry one >= 0
-    step = st.floats(0.0, 1e6, exclude_min=n > 1)
+    step = st.floats(0.0, step_max, exclude_min=n > 1)
     thresholds = draw(st.sets(finite, min_size=n, max_size=n))
     steps = draw(st.sets(step, min_size=n, max_size=n))
     return StepSchedule(tuple(zip(sorted(thresholds, reverse=True),
@@ -143,3 +150,186 @@ def test_config_override_sets_field_exactly(key, data):
              "experiment": cfg}[section]
     got = getattr(owner, field)
     assert got == x and repr(got) == repr(x)
+
+
+# --- trace fields derived after the loop --------------------------------------
+
+# readings at the edges of the dB conversion: zero, the 1e-12 floor,
+# subnormals, and readings above 1 (noise on a fully lit port)
+_reading = st.one_of(
+    st.sampled_from([0.0, 1e-12, 5e-324, 2.2250738585072014e-308, 1.0, 1.5]),
+    st.floats(0.0, 1e-300), st.floats(0.0, 2.0), st.floats(0.0, 1e300))
+
+
+@given(st.lists(st.tuples(_reading, _reading), max_size=60))
+def test_er_db_array_equals_scalar_er_db(pairs):
+    px = np.array([a for a, _ in pairs], dtype=float)
+    py = np.array([b for _, b in pairs], dtype=float)
+    with np.errstate(over="ignore"):  # 1e300 / 1e-12 is inf, as in Python
+        got = _er_db_array(px, py).tolist()
+    assert got == [_er_db(a, b) for a, b in pairs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=_seed, mode=st.sampled_from(["phase", "voltage"]),
+       ideal=st.booleans(), kind=st.sampled_from(["static", "drift", "jump"]),
+       schedule=st.sampled_from([StepSchedule.default(),
+                                 StepSchedule.fixed(0.16),
+                                 StepSchedule.fixed(0.0)]),
+       m0=st.integers(1, 4), n0=st.integers(1, 40))
+def test_derived_trace_fields_equal_per_iteration_definitions(
+        seed, mode, ideal, kind, schedule, m0, n0):
+    device = DeviceParams.ideal() if ideal else DeviceParams()
+    tps = device.tps
+    cfg = AnnealConfig(m0=m0, n0=n0, mode=mode, schedule=schedule)
+    n = m0 * n0
+    rng = np.random.default_rng(seed)
+    sop = random_sop(rng)
+    if kind == "static":
+        objective = bind_objective(sop, device, rng)
+    else:
+        model = (DisturbanceModel("drift", drift_rate=0.05) if kind == "drift"
+                 else DisturbanceModel("jump", jump_at=n // 2,
+                                       jump_magnitude=math.pi / 2))
+        objective = DisturbedObjective(sop, device, model, rng)
+    trace = run_lock(objective, cfg, tps, rng)
+
+    px, py = trace.i_px.tolist(), trace.i_py.tolist()
+    assert trace.er_db.tolist() == [_er_db(a, b) for a, b in zip(px, py)]
+    assert trace.iteration.tolist() == list(range(1, n + 1))
+    temperatures, t = [], cfg.t0
+    for _ in range(m0):
+        temperatures += [t] * n0
+        t *= cfg.cooling_p
+    assert trace.temperature.tolist() == temperatures
+
+    # the running best, tracked one iteration at a time from the initial
+    # reading at the initial phases
+    init = tps.phase_max / 2.0
+    if mode == "phase":
+        best_phases = (init,) * 4
+    else:
+        best_phases = (voltage_to_phase(phase_to_voltage(init, tps), tps),) * 4
+    best, best_iteration, i_max = trace.initial_sample.i_px, 0, []
+    for it, (x, phases) in enumerate(zip(px, trace.phases.tolist()), 1):
+        if x > best:
+            best, best_iteration, best_phases = x, it, tuple(phases)
+        i_max.append(best)
+    assert trace.i_max.tolist() == i_max
+    assert trace.best_intensity == best
+    assert type(trace.best_intensity) is float
+    assert trace.best_iteration == best_iteration
+    assert tuple(trace.best_phases) == best_phases
+
+
+# --- whole config files -------------------------------------------------------
+
+_DEFAULT_STEP = 0.16  # the largest step of the default variants and schedule
+
+
+def _text(value) -> str:
+    if value is None:
+        return "none"
+    if isinstance(value, StepSchedule):
+        return ",".join(f"{t!r}:{s!r}" for t, s in value.entries)
+    if isinstance(value, tuple):  # variants; repr keeps every digit
+        return ",".join("variable" if v.kind == "variable"
+                        else f"{v.kind}({v.value!r})" for v in value)
+    return value if isinstance(value, str) else repr(value)
+
+
+@st.composite
+def _config_files(draw):
+    """Key -> value for a random subset of KEYS, with values that are valid
+    together (and with the defaults of the keys left out)."""
+    m0, n0 = draw(st.integers(1, 20)), draw(st.integers(1, 50))
+    finite = dict(allow_nan=False, allow_infinity=False)
+    positive = st.floats(0.0, exclude_min=True, **finite)
+    non_negative = st.just(0.0) | st.floats(0.0, **finite)
+    variant = st.one_of(
+        st.just(Variant("variable")),
+        st.builds(Variant, st.just("fixed"), st.floats(0.0, _DEFAULT_STEP)),
+        st.builds(Variant, st.just("voltage-fixed"), st.floats(0.0, 0.01)))
+    values = {
+        "tps.resistance": st.floats(100.0, 1e4),
+        "tps.c_slope": st.floats(10.0, 500.0),
+        "tps.theta_bias": st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+        "tps.v_max": st.floats(1.0, 20.0),
+        "tps.phase_max": st.floats(_DEFAULT_STEP, 1e6),
+        "tps.tau_rise": positive,
+        "tps.tau_fall": positive,
+        "device.static_er_db": st.none() | positive,
+        "device.noise_sigma": non_negative,
+        "device.coupling_loss_db": non_negative,
+        "device.on_chip_loss_db": non_negative,
+        "device.detector_saturation": st.none() | positive,
+        "anneal.t0": st.floats(1e-200, 1e200),
+        "anneal.m0": st.just(m0),
+        "anneal.n0": st.just(n0),
+        "anneal.cooling_p": st.floats(1e-3, 1.0, exclude_max=True),
+        "anneal.init_phase": st.none() | non_negative,
+        "anneal.schedule": _schedules(step_max=_DEFAULT_STEP),
+        "anneal.mode": st.sampled_from(["phase", "voltage"]),
+        "disturbance.kind": st.sampled_from(["static", "drift", "jump"]),
+        "disturbance.drift_rate": non_negative,
+        # below the run length whether or not m0 and n0 are in the file
+        "disturbance.jump_at": st.integers(0, min(m0, 10) * min(n0, 50) - 1),
+        "disturbance.jump_magnitude": st.floats(0.0, math.pi),
+        "experiment.variants": st.lists(variant, min_size=1, max_size=4,
+                                        unique_by=lambda v: v.label
+                                        ).map(tuple),
+        "experiment.trials": st.integers(1, 10 ** 9),
+        "experiment.base_seed": st.integers(0, 2 ** 63),
+        "experiment.output": st.from_regex(r"[A-Za-z0-9_./-]{1,20}",
+                                           fullmatch=True),
+    }
+    assert set(values) == set(KEYS)
+    return {key: draw(values[key]) for key in sorted(KEYS)
+            if draw(st.booleans())}
+
+
+def _assert_fields_equal(got, want):
+    assert type(got) is type(want)
+    if dataclasses.is_dataclass(want):
+        for f in dataclasses.fields(want):
+            if f.compare:
+                _assert_fields_equal(getattr(got, f.name),
+                                     getattr(want, f.name))
+    elif isinstance(want, tuple):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            _assert_fields_equal(a, b)
+    else:
+        assert got == want and repr(got) == repr(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_config_files(), st.randoms())
+def test_config_file_round_trips(values, random):
+    sections = {"tps": {}, "device": {}, "anneal": {}, "disturbance": {},
+                "experiment": {}}
+    for key, value in values.items():
+        section, field, _ = KEYS[key]
+        sections[section][field] = value
+    try:
+        want = ExperimentConfig(
+            device=DeviceParams(tps=TpsParams(**sections["tps"]),
+                                **sections["device"]),
+            anneal=AnnealConfig(**sections["anneal"]),
+            disturbance=DisturbanceModel(**sections["disturbance"]),
+            **sections["experiment"])
+    except ValueError:
+        assume(False)  # e.g. a voltage-fixed step beyond the phase span
+
+    lines = ["# generated config", ""]
+    lines += [f"{key} = {_text(value)}" for key, value in values.items()]
+    random.shuffle(lines)
+    fd, path = tempfile.mkstemp(suffix=".cfg")
+    try:
+        with os.fdopen(fd, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        got = load_experiment_config(path)
+    finally:
+        os.remove(path)
+    assert got == want
+    _assert_fields_equal(got, want)
