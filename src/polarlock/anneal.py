@@ -21,8 +21,8 @@ from typing import Callable, Literal
 import numpy as np
 
 from .device import (PHASE_SPAN, DetectorSample, PhaseQuad, TpsParams,
-                     DeviceParams, measure, phase_step_to_voltage_step,
-                     voltage_to_phase, phase_to_voltage)
+                     DeviceParams, _check_field, measure, voltage_to_phase,
+                     phase_step_to_voltage_step, phase_to_voltage)
 
 #: objective protocol: a phase 4-tuple in, a noisy (i_px, i_py) reading out
 Objective = Callable[[tuple[float, float, float, float]], tuple[float, float]]
@@ -128,17 +128,13 @@ class AnnealConfig:
     mode: Literal["phase", "voltage"] = "phase"
 
     def __post_init__(self):
-        if not 0.0 < self.t0 < math.inf:
-            raise ValueError(f"t0 must be a finite number > 0, "
-                             f"got {self.t0!r}")
+        _check_field(self, "t0", positive=True)
         if self.m0 < 1 or self.n0 < 1:
             raise ValueError("m0 and n0 must be >= 1")
         if not 0.0 < self.cooling_p < 1.0:
             raise ValueError("cooling_p must lie in (0, 1)")
-        init = self.init_phase
-        if init is not None and not 0.0 <= init < math.inf:
-            raise ValueError(f"init_phase must be a finite number >= 0 (or "
-                             f"None), got {init!r}")
+        if self.init_phase is not None:
+            _check_field(self, "init_phase", positive=False)
         if self.mode not in ("phase", "voltage"):
             raise ValueError("mode must be 'phase' or 'voltage'")
         t = self.t0  # the last outer loop's temperature, as run_lock cools it
@@ -152,6 +148,13 @@ class AnnealConfig:
     @property
     def total_iterations(self) -> int:
         return self.m0 * self.n0
+
+    def check_phase_span(self, phase_max: float) -> None:
+        """Raise ValueError naming both keys if ``init_phase`` is set above
+        the heaters' span ``phase_max``."""
+        if self.init_phase is not None and self.init_phase > phase_max:
+            raise ValueError(f"anneal.init_phase = {self.init_phase:g} rad "
+                             f"exceeds tps.phase_max = {phase_max:g} rad")
 
 
 @dataclass(slots=True)
@@ -272,11 +275,12 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
     verdict; ``er_db`` and the lock point are derived from those once the
     loop ends, with the same values a per-iteration computation gives.
     """
+    cfg.check_phase_span(tps.phase_max)
     init_phase = cfg.init_phase if cfg.init_phase is not None else tps.phase_max / 2.0
     phase_mode = cfg.mode == "phase"
     if phase_mode:
         hi = tps.phase_max
-        state = (min(init_phase, hi),) * 4
+        state = (init_phase,) * 4
         thetas = state
     else:
         hi = tps.v_max
@@ -331,9 +335,3 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
                      table[:, 1:5].copy(), px, py, _er_db_array(px, py),
                      table[:, 7].astype(bool), PhaseQuad(*best_thetas),
                      best_i, best_iter, initial_sample)
-
-
-def voltage_step_to_phase_step(dv: float, tps: TpsParams) -> float:
-    """The phase step whose v_max quantization,
-    ``phase_step_to_voltage_step(st, tps.v_max, tps)``, is exactly ``dv``."""
-    return 2.0 * tps.c_slope * tps.v_max * dv / tps.resistance

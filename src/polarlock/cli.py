@@ -110,12 +110,12 @@ def _cmd_oracle(args) -> int:
             raise ConfigError("--sop needs four numbers: ex_re,ex_im,ey_re,ey_im")
         try:
             vals = [float(p) for p in parts]
+            if not all(math.isfinite(v) for v in vals):
+                raise ValueError("values must be finite")
             sop = JonesVector(complex(vals[0], vals[1]),
                               complex(vals[2], vals[3])).normalized()
         except ValueError as exc:
             raise ConfigError(f"bad --sop value {args.sop!r} ({exc})") from None
-        if not all(math.isfinite(v) for v in vals):
-            raise ConfigError(f"--sop values must be finite: {args.sop!r}")
     else:
         sop = random_sop(np.random.default_rng(args.seed))
     best, phases = oracle_best(sop, device)
@@ -128,6 +128,8 @@ def _cmd_oracle(args) -> int:
 def _cmd_sweep(args) -> int:
     workers = _workers()
     key = resolve_key(args.key)
+    if key == "experiment.output":
+        raise ConfigError("sweep cannot vary experiment.output; use --out")
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("--values must list at least one value")

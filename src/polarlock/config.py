@@ -71,8 +71,6 @@ KEYS = {
     "tps.tau_fall": ("tps", "tau_fall", _float),
     "device.static_er_db": ("device", "static_er_db", _float_or_none),
     "device.noise_sigma": ("device", "noise_sigma", _float),
-    "device.coupling_loss_db": ("device", "coupling_loss_db", _float),
-    "device.on_chip_loss_db": ("device", "on_chip_loss_db", _float),
     "device.detector_saturation": ("device", "detector_saturation",
                                    _float_or_none),
     "anneal.t0": ("anneal", "t0", _float),

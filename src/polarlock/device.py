@@ -1,6 +1,6 @@
 """Chip model: thermo-optic phase shifters, the four-stage retarder cascade,
 the grating-coupler polarization splitter with a finite static extinction
-ratio, insertion losses, and noisy detectors.
+ratio, and noisy detectors.
 
 The electrical model of one heater is P = V^2 / R and theta = c P +
 theta_bias, i.e. the phase is linear in dissipated power and quadratic in
@@ -86,17 +86,13 @@ class DeviceParams:
     ``static_er_db`` is the hardware extinction-ratio ceiling of the
     polarization splitter (None disables the floor entirely);
     ``noise_sigma`` lumps detector electronics and source power fluctuation
-    into one additive Gaussian deviation per reading.  The loss budget (dB
-    per grating coupler plus on-chip transmission loss) only enters the
-    optional absolute-power reporting mode; the control loop always sees
-    intensities normalized to unit input.
+    into one additive Gaussian deviation per reading.  Intensities are
+    normalized to unit input power.
     """
 
     tps: TpsParams = TpsParams()
     static_er_db: float | None = 28.0
     noise_sigma: float = 5e-4
-    coupling_loss_db: float = 7.0
-    on_chip_loss_db: float = 3.0
     detector_saturation: float | None = None
     # 10^(-static_er_db/10), the splitter's floor on i_py / i_px, or None
     _py_floor: float | None = field(init=False, repr=False, compare=False)
@@ -105,8 +101,7 @@ class DeviceParams:
         for name in ("static_er_db", "detector_saturation"):
             if getattr(self, name) is not None:
                 _check_field(self, name, positive=True)
-        for name in ("noise_sigma", "coupling_loss_db", "on_chip_loss_db"):
-            _check_field(self, name, positive=False)
+        _check_field(self, "noise_sigma", positive=False)
         object.__setattr__(self, "_py_floor", None if self.static_er_db is None
                            else 10.0 ** (-self.static_er_db / 10.0))
 
@@ -114,11 +109,6 @@ class DeviceParams:
     def ideal(cls, tps: TpsParams = TpsParams()) -> "DeviceParams":
         """Noise-free device with no extinction-ratio floor."""
         return cls(tps=tps, static_er_db=None, noise_sigma=0.0)
-
-    @property
-    def insertion_loss_db(self) -> float:
-        """Fiber-to-fiber loss: two grating couplers plus on-chip loss."""
-        return 2.0 * self.coupling_loss_db + self.on_chip_loss_db
 
 
 class DetectorSample(NamedTuple):
@@ -217,7 +207,7 @@ def _cascade(sop: JonesVector, phases: PhaseQuad) -> tuple[complex, complex]:
 
 
 def measure(input_sop: JonesVector, phases: PhaseQuad, params: DeviceParams,
-            rng, absolute: bool = False) -> DetectorSample:
+            rng) -> DetectorSample:
     """Simulate one detector reading pair for a given input SOP and phase
     setting.
 
@@ -225,8 +215,7 @@ def measure(input_sop: JonesVector, phases: PhaseQuad, params: DeviceParams,
     port is then floored at i_px * 10^(-static_er_db/10) (finite splitter
     extinction), independent Gaussian noise of deviation ``noise_sigma`` is
     added per detector, and the readings are clamped at zero and, if
-    configured, at ``detector_saturation``.  With ``absolute=True`` both
-    ideal powers are scaled by the insertion loss before noise is applied.
+    configured, at ``detector_saturation``.
 
     A noisy reading draws exactly two normals from ``rng``, i_px's first,
     in one ``rng.normal(0.0, noise_sigma, 2)`` (the same stream and bits as
@@ -240,11 +229,6 @@ def measure(input_sop: JonesVector, phases: PhaseQuad, params: DeviceParams,
     floor = params._py_floor
     if floor is not None:
         i_py = max(i_py, i_px * floor)
-
-    if absolute:
-        scale = 10.0 ** (-params.insertion_loss_db / 10.0)
-        i_px *= scale
-        i_py *= scale
 
     sigma = params.noise_sigma
     if sigma > 0.0:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anneal import AnnealConfig, LockTrace, _er_db_array, run_lock
-from .device import DetectorSample, DeviceParams, measure
+from .device import DetectorSample, DeviceParams, _check_field, measure
 from .jones import JonesVector, random_sop
 
 
@@ -37,9 +37,7 @@ class DisturbanceModel:
     def __post_init__(self):
         if self.kind not in ("static", "drift", "jump"):
             raise ValueError(f"unknown disturbance kind {self.kind!r}")
-        if not 0.0 <= self.drift_rate < math.inf:
-            raise ValueError(f"drift_rate must be a finite number >= 0, "
-                             f"got {self.drift_rate!r}")
+        _check_field(self, "drift_rate", positive=False)
         if not 0.0 <= self.jump_magnitude <= math.pi:
             raise ValueError("jump_magnitude must lie in [0, pi]")
         if self.jump_at < 0:
@@ -159,15 +157,14 @@ def _smoothed_er_db(trace: LockTrace, window: int) -> np.ndarray:
 def relock_experiment(params: DeviceParams, cfg: AnnealConfig,
                       model: DisturbanceModel, rng,
                       recovery_db: float = 20.0,
-                      recovery_window: int = 5,
                       input_sop: JonesVector | None = None,
                       ) -> tuple[LockTrace, int | None]:
     """Lock against a jumping channel and report how long re-locking took.
 
     Runs a full lock with the SOP jumping per ``model`` (a random input SOP
     is drawn from ``rng`` unless one is given).  Recovery is judged on the
-    ER of ``recovery_window``-sample trailing-mean intensities, so isolated
-    noise spikes neither signal nor veto a re-lock.  The returned count is
+    ER of 5-sample trailing-mean intensities, so isolated noise spikes
+    neither signal nor veto a re-lock.  The returned count is
     the number of iterations past ``jump_at`` until that ER is back at or
     above ``recovery_db``: 0 if it never fell below the threshold after the
     jump (never unlocked), None if it never got back.  ``jump_at`` must lie
@@ -181,7 +178,7 @@ def relock_experiment(params: DeviceParams, cfg: AnnealConfig,
     objective = DisturbedObjective(input_sop, params, model, rng)
     trace = run_lock(objective, cfg, params.tps, rng)
 
-    er = _smoothed_er_db(trace, recovery_window)
+    er = _smoothed_er_db(trace, 5)
     post = er[model.jump_at:]  # iterations after jump_at
     if post.size == 0 or np.all(post >= recovery_db):
         return trace, 0

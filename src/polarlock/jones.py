@@ -51,10 +51,14 @@ class JonesVector:
         return math.sqrt(self.norm_sq())
 
     def normalized(self) -> "JonesVector":
-        n = self.norm()
-        if n == 0.0:
+        """Unit-norm copy; scaling by the largest component magnitude first
+        keeps the norm from overflowing or underflowing (1e308, 1e-320)."""
+        m = max(abs(x) for z in (self.ex, self.ey) for x in (z.real, z.imag))
+        if m == 0.0:
             raise ValueError("cannot normalize a zero Jones vector")
-        return JonesVector(self.ex / n, self.ey / n)
+        v = JonesVector(self.ex / m, self.ey / m)
+        n = v.norm()
+        return JonesVector(v.ex / n, v.ey / n)
 
     def same_sop(self, other: "JonesVector", tol: float = 1e-9) -> bool:
         """True if both vectors describe the same SOP up to global phase."""

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from polarlock import (AnnealConfig, DeviceParams, JonesVector, PhaseQuad,
-                       StepSchedule, TpsParams, accept, bind_objective,
-                       dpc_transform, phase_step_to_voltage_step,
-                       port_intensity, propose, random_sop, run_lock,
-                       step_for_gap, voltage_step_to_phase_step,
-                       voltage_to_phase)
+                       StepSchedule, TpsParams, Variant, accept,
+                       bind_objective, dpc_transform,
+                       phase_step_to_voltage_step, port_intensity, propose,
+                       random_sop, run_lock, step_for_gap, voltage_to_phase)
 
 TPS = TpsParams()
 SPAN = TPS.phase_max
@@ -265,7 +264,8 @@ def test_voltage_domain_step_values():
 
 def test_voltage_step_round_trip():
     for dv in (0.1, 0.005):
-        st = voltage_step_to_phase_step(dv, TPS)
+        cfg = Variant("voltage-fixed", dv).anneal_config(AnnealConfig(), TPS)
+        st = cfg.schedule.entries[0][1]
         assert phase_step_to_voltage_step(st, TPS.v_max, TPS) == pytest.approx(
             dv, rel=1e-12)
 
@@ -297,3 +297,11 @@ def test_anneal_config_default_init_phase_is_half_span():
     _, objective2, rng2 = _noiseless_objective(19)
     trace2 = run_lock(objective2, explicit, TPS, rng2)
     assert trace.initial_sample == trace2.initial_sample
+
+
+def test_run_lock_rejects_init_phase_beyond_span():
+    # a start beyond the heaters' span is an error, not a clamp to it
+    _, objective, rng = _noiseless_objective(19)
+    cfg = AnnealConfig(m0=1, n0=1, init_phase=50.0)
+    with pytest.raises(ValueError, match="init_phase = 50 rad exceeds"):
+        run_lock(objective, cfg, TPS, rng)

@@ -215,17 +215,6 @@ def test_measure_saturation_clamp():
     assert sample.i_px == 0.8
 
 
-def test_measure_absolute_mode_applies_insertion_loss():
-    dev = DeviceParams(noise_sigma=0.0)
-    assert dev.insertion_loss_db == 17.0
-    rel = measure(JonesVector(1.0, 0.0), PhaseQuad(0, 0, 0, 0), dev, rng=None)
-    absm = measure(JonesVector(1.0, 0.0), PhaseQuad(0, 0, 0, 0), dev,
-                   rng=None, absolute=True)
-    scale = 10.0 ** -1.7
-    assert absm.i_px == pytest.approx(rel.i_px * scale, rel=1e-12)
-    assert absm.i_py == pytest.approx(rel.i_py * scale, rel=1e-12)
-
-
 # --- thermal step response ---------------------------------------------------
 
 def _crossing_time(v_from, v_to, frac, t_hi=200e-6):
@@ -282,7 +271,7 @@ def test_tps_validation(kwargs):
 
 @pytest.mark.parametrize("kwargs", [
     {"static_er_db": 0.0}, {"noise_sigma": -1e-4},
-    {"coupling_loss_db": -1.0}, {"detector_saturation": 0.0},
+    {"detector_saturation": 0.0},
 ])
 def test_device_validation(kwargs):
     with pytest.raises(ValueError):
@@ -301,8 +290,6 @@ def test_device_validation(kwargs):
     (DeviceParams, "static_er_db", math.inf),
     (DeviceParams, "noise_sigma", math.nan),
     (DeviceParams, "noise_sigma", math.inf),
-    (DeviceParams, "coupling_loss_db", math.nan),
-    (DeviceParams, "on_chip_loss_db", math.inf),
     (DeviceParams, "detector_saturation", math.nan),
     (DeviceParams, "detector_saturation", math.inf),
     (AnnealConfig, "t0", math.inf),

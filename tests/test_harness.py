@@ -386,6 +386,13 @@ def test_cli_oracle_aligned(capsys):
     assert float(line.split(": ")[1]) >= 1.0 - 1e-9
 
 
+@pytest.mark.parametrize("sop", ["1e308,0,1e308,0", "1e-320,0,0,1e-320"])
+def test_cli_oracle_extreme_sop_magnitudes(sop, capsys):
+    # the norm of these would overflow or underflow without rescaling
+    assert cli_main(["oracle", "--sop", sop]) == 0
+    assert "best_intensity: 1\n" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("sop", ["0,0,0,0", "nan,0,1,0", "1,0,x,0"])
 def test_cli_oracle_rejects_bad_sop(sop, capsys):
     assert cli_main(["oracle", "--sop", sop]) == 1
@@ -424,6 +431,12 @@ def test_cli_sweep_noise_monotone(tmp_path, capsys):
      "voltage-fixed(1e+300)"),
     (["sweep", "--key", "variants", "--values", "fixed(10)"], "fixed(10)"),
     (["sweep", "--key", "cooling_p", "--values", "1e-200"], "cooling_p"),
+    (["sweep", "--key", "coupling_loss_db", "--values", "0,7,40"],
+     "coupling_loss_db"),
+    (["sweep", "--key", "output", "--values", "a.csv,b.csv"],
+     "experiment.output"),
+    (["sweep", "--key", "init_phase", "--values", "50"],
+     "anneal.init_phase = 50 rad exceeds tps.phase_max"),
 ])
 def test_cli_bad_input_exits_one(argv, named, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

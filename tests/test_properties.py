@@ -109,7 +109,8 @@ _NON_NEGATIVE = st.floats(0.0, allow_infinity=False)
 
 # valid values of every float and int key, given defaults for the rest: the
 # temperature bounds keep the last outer loop's temperature above 0 at the
-# default cooling and m0, and phase_max holds the largest default step
+# default cooling and m0, phase_max holds the largest default step, and
+# init_phase stays within the default phase_max
 _VALID = {
     "tps.resistance": _POSITIVE,
     "tps.c_slope": _POSITIVE,
@@ -120,14 +121,12 @@ _VALID = {
     "tps.tau_fall": _POSITIVE,
     "device.static_er_db": _POSITIVE,
     "device.noise_sigma": _NON_NEGATIVE,
-    "device.coupling_loss_db": _NON_NEGATIVE,
-    "device.on_chip_loss_db": _NON_NEGATIVE,
     "device.detector_saturation": _POSITIVE,
     "anneal.t0": st.floats(1e-300, allow_infinity=False),
     "anneal.m0": st.integers(1, 1000),
     "anneal.n0": st.integers(1, 10 ** 9),
     "anneal.cooling_p": st.floats(1e-30, 1.0, exclude_max=True),
-    "anneal.init_phase": _NON_NEGATIVE,
+    "anneal.init_phase": st.floats(0.0, TpsParams().phase_max),
     "disturbance.drift_rate": _NON_NEGATIVE,
     "disturbance.jump_at": st.integers(0, 10 ** 9),
     "disturbance.jump_magnitude": st.floats(0.0, math.pi),
@@ -243,6 +242,7 @@ def _config_files(draw):
     """Key -> value for a random subset of KEYS, with values that are valid
     together (and with the defaults of the keys left out)."""
     m0, n0 = draw(st.integers(1, 20)), draw(st.integers(1, 50))
+    phase_max = draw(st.floats(_DEFAULT_STEP, 1e6))
     finite = dict(allow_nan=False, allow_infinity=False)
     positive = st.floats(0.0, exclude_min=True, **finite)
     non_negative = st.just(0.0) | st.floats(0.0, **finite)
@@ -255,19 +255,19 @@ def _config_files(draw):
         "tps.c_slope": st.floats(10.0, 500.0),
         "tps.theta_bias": st.floats(0.0, 2.0 * math.pi, exclude_max=True),
         "tps.v_max": st.floats(1.0, 20.0),
-        "tps.phase_max": st.floats(_DEFAULT_STEP, 1e6),
+        "tps.phase_max": st.just(phase_max),
         "tps.tau_rise": positive,
         "tps.tau_fall": positive,
         "device.static_er_db": st.none() | positive,
         "device.noise_sigma": non_negative,
-        "device.coupling_loss_db": non_negative,
-        "device.on_chip_loss_db": non_negative,
         "device.detector_saturation": st.none() | positive,
         "anneal.t0": st.floats(1e-200, 1e200),
         "anneal.m0": st.just(m0),
         "anneal.n0": st.just(n0),
         "anneal.cooling_p": st.floats(1e-3, 1.0, exclude_max=True),
-        "anneal.init_phase": st.none() | non_negative,
+        # within phase_max whether or not it is in the file
+        "anneal.init_phase": st.none() | st.floats(
+            0.0, min(phase_max, TpsParams().phase_max)),
         "anneal.schedule": _schedules(step_max=_DEFAULT_STEP),
         "anneal.mode": st.sampled_from(["phase", "voltage"]),
         "disturbance.kind": st.sampled_from(["static", "drift", "jump"]),
