@@ -271,7 +271,7 @@ def test_tps_validation(kwargs):
 
 @pytest.mark.parametrize("kwargs", [
     {"static_er_db": 0.0}, {"noise_sigma": -1e-4},
-    {"detector_saturation": 0.0},
+    {"static_er_db": -3.0}, {"detector_saturation": 0.0},
 ])
 def test_device_validation(kwargs):
     with pytest.raises(ValueError):
