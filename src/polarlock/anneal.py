@@ -114,16 +114,15 @@ class AnnealConfig:
     """Annealing loop parameters.
 
     Defaults: initial temperature 1e-5, 10 outer loops of 50 inner
-    iterations, halving cooling, all four phases initialized to half the
-    controllable span, variable-step schedule, phase-domain stepping.
-    ``init_phase=None`` resolves to phase_max/2 at run time.
+    iterations, halving cooling, variable-step schedule, phase-domain
+    stepping.  The start point is not a setting: ``run_lock`` always starts
+    all four phases at half the controllable span.
     """
 
     t0: float = 1e-5
     m0: int = 10
     n0: int = 50
     cooling_p: float = 0.5
-    init_phase: float | None = None
     schedule: StepSchedule = DEFAULT_SCHEDULE
     mode: Literal["phase", "voltage"] = "phase"
 
@@ -133,8 +132,6 @@ class AnnealConfig:
             raise ValueError("m0 and n0 must be >= 1")
         if not 0.0 < self.cooling_p < 1.0:
             raise ValueError("cooling_p must lie in (0, 1)")
-        if self.init_phase is not None:
-            _check_field(self, "init_phase", positive=False)
         if self.mode not in ("phase", "voltage"):
             raise ValueError("mode must be 'phase' or 'voltage'")
         t = self.t0  # the last outer loop's temperature, as run_lock cools it
@@ -148,13 +145,6 @@ class AnnealConfig:
     @property
     def total_iterations(self) -> int:
         return self.m0 * self.n0
-
-    def check_phase_span(self, phase_max: float) -> None:
-        """Raise ValueError naming both keys if ``init_phase`` is set above
-        the heaters' span ``phase_max``."""
-        if self.init_phase is not None and self.init_phase > phase_max:
-            raise ValueError(f"anneal.init_phase = {self.init_phase:g} rad "
-                             f"exceeds tps.phase_max = {phase_max:g} rad")
 
 
 @dataclass(slots=True)
@@ -246,16 +236,17 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
              rng) -> LockTrace:
     """Run the annealing lock and return its full trace.
 
-    The search point starts with all four phases at ``cfg.init_phase``
-    (half the span by default) and is evaluated once; then ``m0`` outer
-    loops of ``n0`` inner iterations run.  Each inner iteration looks up the
-    step from the gap 1 - (latest reading), moves all four components with
-    ``propose``, evaluates the phases (a plain 4-tuple), and applies the
-    Metropolis rule against the latest reading; the temperature is
-    multiplied by ``cooling_p`` after each outer loop.  In voltage mode the
-    search point lives in drive volts, each phase step is quantized to its
-    voltage equivalent at v_max, and phases follow from the quadratic +
-    linear heater calibration.
+    The search point starts with all four phases at half the span,
+    ``tps.phase_max / 2`` (in voltage mode, at the drive voltage nearest to
+    that phase, ``phase_to_voltage``), and is evaluated once; then ``m0``
+    outer loops of ``n0`` inner iterations run.  Each inner iteration looks
+    up the step from the gap 1 - (latest reading), moves all four
+    components with ``propose``, evaluates the phases (a plain 4-tuple),
+    and applies the Metropolis rule against the latest reading; the
+    temperature is multiplied by ``cooling_p`` after each outer loop.  In
+    voltage mode the search point lives in drive volts, each phase step is
+    quantized to its voltage equivalent at v_max, and phases follow from
+    the quadratic + linear heater calibration.
 
     Deterministic given the rng states of the controller and the objective.
     When both share one generator, as in the harness, each iteration draws
@@ -275,16 +266,14 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
     verdict; ``er_db`` and the lock point are derived from those once the
     loop ends, with the same values a per-iteration computation gives.
     """
-    cfg.check_phase_span(tps.phase_max)
-    init_phase = cfg.init_phase if cfg.init_phase is not None else tps.phase_max / 2.0
     phase_mode = cfg.mode == "phase"
     if phase_mode:
         hi = tps.phase_max
-        state = (init_phase,) * 4
+        state = (tps.phase_max / 2.0,) * 4
         thetas = state
     else:
         hi = tps.v_max
-        state = (phase_to_voltage(init_phase, tps),) * 4
+        state = (phase_to_voltage(tps.phase_max / 2.0, tps),) * 4
         thetas = tuple(voltage_to_phase(v, tps) for v in state)
     initial_thetas = thetas
 

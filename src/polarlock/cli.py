@@ -133,16 +133,21 @@ def _cmd_sweep(args) -> int:
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("--values must list at least one value")
+    if key == "anneal.schedule" and ":" in args.values:
+        raise ConfigError("sweep splits --values at commas, so it varies "
+                          "anneal.schedule over plain steps only; put a "
+                          "threshold:step table in a config file")
     base_over = _overrides(args)
     base_cfg = load_experiment_config(args.config, base_over)
     stem, ext = os.path.splitext(base_cfg.output_path)
     ext = ext or ".csv"
     leaf = key.rsplit(".", 1)[1]
-    for value in values:
-        over = dict(base_over)
-        over[key] = value
-        over["experiment.output"] = f"{stem}_{leaf}_{value}{ext}"
-        cfg = load_experiment_config(args.config, over)
+    # every value is checked before the first run writes anything
+    cfgs = [load_experiment_config(args.config, {
+        **base_over, key: value,
+        "experiment.output": f"{stem}_{leaf}_{value}{ext}"})
+        for value in values]
+    for value, cfg in zip(values, cfgs):
         table = run_experiment(cfg, max_workers=workers)
         _write_outputs(cfg, table)
         finals = ", ".join(f"{lab}={table.median_final_er(lab):.2f}dB"

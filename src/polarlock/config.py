@@ -71,13 +71,10 @@ KEYS = {
     "tps.tau_fall": ("tps", "tau_fall", _float),
     "device.static_er_db": ("device", "static_er_db", _float_or_none),
     "device.noise_sigma": ("device", "noise_sigma", _float),
-    "device.detector_saturation": ("device", "detector_saturation",
-                                   _float_or_none),
     "anneal.t0": ("anneal", "t0", _float),
     "anneal.m0": ("anneal", "m0", _int),
     "anneal.n0": ("anneal", "n0", _int),
     "anneal.cooling_p": ("anneal", "cooling_p", _float),
-    "anneal.init_phase": ("anneal", "init_phase", _float_or_none),
     "anneal.schedule": ("anneal", "schedule", _schedule),
     "anneal.mode": ("anneal", "mode", _str),
     "disturbance.kind": ("disturbance", "kind", _str),

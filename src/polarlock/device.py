@@ -93,14 +93,12 @@ class DeviceParams:
     tps: TpsParams = TpsParams()
     static_er_db: float | None = 28.0
     noise_sigma: float = 5e-4
-    detector_saturation: float | None = None
     # 10^(-static_er_db/10), the splitter's floor on i_py / i_px, or None
     _py_floor: float | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("static_er_db", "detector_saturation"):
-            if getattr(self, name) is not None:
-                _check_field(self, name, positive=True)
+        if self.static_er_db is not None:
+            _check_field(self, "static_er_db", positive=True)
         _check_field(self, "noise_sigma", positive=False)
         object.__setattr__(self, "_py_floor", None if self.static_er_db is None
                            else 10.0 ** (-self.static_er_db / 10.0))
@@ -214,8 +212,7 @@ def measure(input_sop: JonesVector, phases: PhaseQuad, params: DeviceParams,
     The ideal port powers come from the cascade transform; the minimized
     port is then floored at i_px * 10^(-static_er_db/10) (finite splitter
     extinction), independent Gaussian noise of deviation ``noise_sigma`` is
-    added per detector, and the readings are clamped at zero and, if
-    configured, at ``detector_saturation``.
+    added per detector, and the readings are clamped at zero.
 
     A noisy reading draws exactly two normals from ``rng``, i_px's first,
     in one ``rng.normal(0.0, noise_sigma, 2)`` (the same stream and bits as
@@ -242,10 +239,6 @@ def measure(input_sop: JonesVector, phases: PhaseQuad, params: DeviceParams,
         i_px = 0.0
     if i_py < 0.0:
         i_py = 0.0
-    sat = params.detector_saturation
-    if sat is not None:
-        i_px = min(i_px, sat)
-        i_py = min(i_py, sat)
     return DetectorSample(i_px, i_py)
 
 

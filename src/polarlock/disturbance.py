@@ -26,7 +26,7 @@ class DisturbanceModel:
     ``drift`` rotates the Stokes vector by ``drift_rate`` radians per
     iteration about a slowly wandering axis; ``jump`` applies one rotation
     of ``jump_magnitude`` at iteration ``jump_at``; ``static`` leaves the
-    input untouched.
+    input untouched.  A parameter that the kind does not read must be 0.
     """
 
     kind: str = "static"   # static | drift | jump
@@ -42,6 +42,11 @@ class DisturbanceModel:
             raise ValueError("jump_magnitude must lie in [0, pi]")
         if self.jump_at < 0:
             raise ValueError("jump_at must be >= 0")
+        for name, kind in (("drift_rate", "drift"), ("jump_at", "jump"),
+                           ("jump_magnitude", "jump")):
+            if getattr(self, name) and self.kind != kind:
+                raise ValueError(f"disturbance.{name} is read only when "
+                                 f"disturbance.kind = {kind}, not {self.kind}")
 
     def check_run_length(self, n_iter: int) -> None:
         """Raise ValueError if a jump model would jump at or after the last

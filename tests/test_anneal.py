@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -280,7 +279,7 @@ def test_step_reopens_after_intensity_collapse():
 
 @pytest.mark.parametrize("kwargs", [
     {"t0": 0.0}, {"m0": 0}, {"n0": 0}, {"cooling_p": 0.0},
-    {"cooling_p": 1.0}, {"init_phase": -1.0}, {"mode": "current"},
+    {"cooling_p": 1.0}, {"t0": -1e-5}, {"mode": "current"},
     {"cooling_p": 1e-200}, {"m0": 1100, "n0": 1},  # temperature underflows
 ])
 def test_anneal_config_validation(kwargs):
@@ -289,19 +288,8 @@ def test_anneal_config_validation(kwargs):
 
 
 def test_anneal_config_default_init_phase_is_half_span():
-    _, objective, rng = _noiseless_objective(19)
-    cfg = AnnealConfig(m0=1, n0=1)
-    trace = run_lock(objective, cfg, TPS, rng)
+    sop, objective, rng = _noiseless_objective(19)
+    trace = run_lock(objective, AnnealConfig(m0=1, n0=1), TPS, rng)
     # the initial evaluation happens at half the span on every stage
-    explicit = replace(cfg, init_phase=SPAN / 2.0)
-    _, objective2, rng2 = _noiseless_objective(19)
-    trace2 = run_lock(objective2, explicit, TPS, rng2)
-    assert trace.initial_sample == trace2.initial_sample
-
-
-def test_run_lock_rejects_init_phase_beyond_span():
-    # a start beyond the heaters' span is an error, not a clamp to it
-    _, objective, rng = _noiseless_objective(19)
-    cfg = AnnealConfig(m0=1, n0=1, init_phase=50.0)
-    with pytest.raises(ValueError, match="init_phase = 50 rad exceeds"):
-        run_lock(objective, cfg, TPS, rng)
+    start = bind_objective(sop, DeviceParams.ideal(), None)((SPAN / 2.0,) * 4)
+    assert trace.initial_sample == start

@@ -208,13 +208,6 @@ def test_measure_noisy_reading_draws_one_normal_pair():
     assert rng.random() == ref.random()
 
 
-def test_measure_saturation_clamp():
-    dev = DeviceParams(noise_sigma=0.0, detector_saturation=0.8)
-    sample = measure(JonesVector(1.0, 0.0), PhaseQuad(0, 0, 0, 0), dev,
-                     rng=None)
-    assert sample.i_px == 0.8
-
-
 # --- thermal step response ---------------------------------------------------
 
 def _crossing_time(v_from, v_to, frac, t_hi=200e-6):
@@ -271,7 +264,7 @@ def test_tps_validation(kwargs):
 
 @pytest.mark.parametrize("kwargs", [
     {"static_er_db": 0.0}, {"noise_sigma": -1e-4},
-    {"static_er_db": -3.0}, {"detector_saturation": 0.0},
+    {"static_er_db": -3.0}, {"noise_sigma": -math.inf},
 ])
 def test_device_validation(kwargs):
     with pytest.raises(ValueError):
@@ -290,16 +283,12 @@ def test_device_validation(kwargs):
     (DeviceParams, "static_er_db", math.inf),
     (DeviceParams, "noise_sigma", math.nan),
     (DeviceParams, "noise_sigma", math.inf),
-    (DeviceParams, "detector_saturation", math.nan),
-    (DeviceParams, "detector_saturation", math.inf),
     (AnnealConfig, "t0", math.inf),
     (AnnealConfig, "t0", math.nan),
     (AnnealConfig, "cooling_p", math.nan),
-    (AnnealConfig, "init_phase", math.nan),
-    (AnnealConfig, "init_phase", math.inf),
 ])
 def test_non_finite_parameter_raises_naming_field(make, field, value):
     # the config file's parser rejects these too; a library caller must not
-    # get a device or loop that silently drops a floor, noise or saturation
+    # get a device or loop that silently drops a floor or noise
     with pytest.raises(ValueError, match=field):
         make(**{field: value})

@@ -50,6 +50,9 @@ def test_rotate_sop_preserves_norm():
 @pytest.mark.parametrize("kwargs", [
     {"kind": "wobble"}, {"drift_rate": -0.1},
     {"jump_magnitude": -0.1}, {"jump_magnitude": 3.2}, {"jump_at": -1},
+    # a parameter that its kind does not read
+    {"drift_rate": 0.04}, {"kind": "jump", "drift_rate": 0.01},
+    {"jump_at": 5}, {"kind": "drift", "jump_magnitude": 1.0},
 ])
 def test_model_validation(kwargs):
     with pytest.raises(ValueError):

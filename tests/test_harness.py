@@ -8,6 +8,7 @@ from polarlock import (AnnealConfig, ConfigError, DeviceParams,
                        StepSchedule, Variant, load_experiment_config,
                        oracle_best, parse_variant, port_intensity, random_sop,
                        run_experiment, run_identity_checks, summarize)
+from polarlock import harness
 from polarlock.cli import main as cli_main
 from polarlock.harness import _run_trial
 
@@ -105,6 +106,38 @@ def test_run_experiment_parallel_matches_serial(tmp_path):
     run_experiment(SMALL, max_workers=1).write_csv(serial)
     run_experiment(SMALL, max_workers=3).write_csv(parallel)
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+def test_run_experiment_caps_pool_at_job_count(tmp_path, monkeypatch):
+    # the pool forks every worker it is given at the first submit, so a
+    # large worker count must not outnumber the jobs; no real pool starts
+    requested = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    cfg = replace(SMALL, trials=1)
+    serial, capped = tmp_path / "serial.csv", tmp_path / "capped.csv"
+    run_experiment(cfg, max_workers=1).write_csv(serial)
+    run_experiment(cfg, max_workers=5000).write_csv(capped)
+    assert requested == [len(cfg.variants)]
+    assert serial.read_bytes() == capped.read_bytes()
+
+    requested.clear()  # one job runs serially, with no pool at all
+    run_experiment(replace(cfg, variants=cfg.variants[:1], trials=1),
+                   max_workers=5000)
+    assert requested == []
 
 
 def test_run_experiment_honors_threads_env(tmp_path, monkeypatch):
@@ -323,6 +356,15 @@ def _write_small_cfg(tmp_path, extra=""):
     return path
 
 
+def test_cli_sweep_schedule_plain_steps(tmp_path, capsys):
+    # plain steps still sweep; each run is a fixed-step schedule
+    cfg = _write_small_cfg(tmp_path)
+    assert cli_main(["sweep", "--key", "schedule", "--values", "0.16,0.08",
+                     "--config", str(cfg)]) == 0
+    for value in ("0.16", "0.08"):
+        assert (tmp_path / f"out_schedule_{value}.csv").exists()
+
+
 def test_cli_validate_exit_zero(capsys):
     assert cli_main(["validate"]) == 0
     out = capsys.readouterr().out
@@ -436,7 +478,13 @@ def test_cli_sweep_noise_monotone(tmp_path, capsys):
     (["sweep", "--key", "output", "--values", "a.csv,b.csv"],
      "experiment.output"),
     (["sweep", "--key", "init_phase", "--values", "50"],
-     "anneal.init_phase = 50 rad exceeds tps.phase_max"),
+     "unknown config key 'init_phase'"),
+    (["sweep", "--key", "schedule",
+      "--values", "1:0.16,0.1:0.08,0.01:0.03,0.001:0.008"], "anneal.schedule"),
+    (["sweep", "--key", "drift_rate", "--values", "0,0.04", "--trials", "3"],
+     "disturbance.drift_rate is read only when disturbance.kind = drift"),
+    (["sweep", "--key", "jump_magnitude", "--values", "1.5"],
+     "disturbance.jump_magnitude is read only when disturbance.kind = jump"),
 ])
 def test_cli_bad_input_exits_one(argv, named, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

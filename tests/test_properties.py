@@ -107,10 +107,11 @@ def test_step_for_gap_non_decreasing_in_gap(schedule, a, b):
 _POSITIVE = st.floats(0.0, exclude_min=True, allow_infinity=False)
 _NON_NEGATIVE = st.floats(0.0, allow_infinity=False)
 
-# valid values of every float and int key, given defaults for the rest: the
-# temperature bounds keep the last outer loop's temperature above 0 at the
-# default cooling and m0, phase_max holds the largest default step, and
-# init_phase stays within the default phase_max
+# valid values of every float and int key, given defaults for the rest and
+# the disturbance kind that reads the key (_KIND_OF): the temperature bounds
+# keep the last outer loop's temperature above 0 at the default cooling and
+# m0, phase_max holds the largest default step, and jump_at stays below the
+# default run length
 _VALID = {
     "tps.resistance": _POSITIVE,
     "tps.c_slope": _POSITIVE,
@@ -121,18 +122,18 @@ _VALID = {
     "tps.tau_fall": _POSITIVE,
     "device.static_er_db": _POSITIVE,
     "device.noise_sigma": _NON_NEGATIVE,
-    "device.detector_saturation": _POSITIVE,
     "anneal.t0": st.floats(1e-300, allow_infinity=False),
     "anneal.m0": st.integers(1, 1000),
     "anneal.n0": st.integers(1, 10 ** 9),
     "anneal.cooling_p": st.floats(1e-30, 1.0, exclude_max=True),
-    "anneal.init_phase": st.floats(0.0, TpsParams().phase_max),
     "disturbance.drift_rate": _NON_NEGATIVE,
-    "disturbance.jump_at": st.integers(0, 10 ** 9),
+    "disturbance.jump_at": st.integers(0, AnnealConfig().total_iterations - 1),
     "disturbance.jump_magnitude": st.floats(0.0, math.pi),
     "experiment.trials": st.integers(1, 10 ** 9),
     "experiment.base_seed": st.integers(0, 2 ** 63),
 }
+_KIND_OF = {"disturbance.drift_rate": "drift", "disturbance.jump_at": "jump",
+            "disturbance.jump_magnitude": "jump"}
 _NUMERIC_KEYS = sorted(key for key, (_, _, parse) in KEYS.items()
                        if parse.__name__ in ("_float", "_float_or_none",
                                              "_int"))
@@ -142,7 +143,10 @@ _NUMERIC_KEYS = sorted(key for key, (_, _, parse) in KEYS.items()
 @given(data=st.data())
 def test_config_override_sets_field_exactly(key, data):
     x = data.draw(_VALID[key])
-    cfg = load_experiment_config(overrides={key: repr(x)})
+    over = {key: repr(x)}
+    if key in _KIND_OF:
+        over["disturbance.kind"] = _KIND_OF[key]
+    cfg = load_experiment_config(overrides=over)
     section, field, _ = KEYS[key]
     owner = {"tps": cfg.device.tps, "device": cfg.device,
              "anneal": cfg.anneal, "disturbance": cfg.disturbance,
@@ -242,6 +246,7 @@ def _config_files(draw):
     """Key -> value for a random subset of KEYS, with values that are valid
     together (and with the defaults of the keys left out)."""
     m0, n0 = draw(st.integers(1, 20)), draw(st.integers(1, 50))
+    kind = draw(st.sampled_from(["static", "drift", "jump"]))
     phase_max = draw(st.floats(_DEFAULT_STEP, 1e6))
     finite = dict(allow_nan=False, allow_infinity=False)
     positive = st.floats(0.0, exclude_min=True, **finite)
@@ -260,21 +265,22 @@ def _config_files(draw):
         "tps.tau_fall": positive,
         "device.static_er_db": st.none() | positive,
         "device.noise_sigma": non_negative,
-        "device.detector_saturation": st.none() | positive,
         "anneal.t0": st.floats(1e-200, 1e200),
         "anneal.m0": st.just(m0),
         "anneal.n0": st.just(n0),
         "anneal.cooling_p": st.floats(1e-3, 1.0, exclude_max=True),
-        # within phase_max whether or not it is in the file
-        "anneal.init_phase": st.none() | st.floats(
-            0.0, min(phase_max, TpsParams().phase_max)),
         "anneal.schedule": _schedules(step_max=_DEFAULT_STEP),
         "anneal.mode": st.sampled_from(["phase", "voltage"]),
-        "disturbance.kind": st.sampled_from(["static", "drift", "jump"]),
-        "disturbance.drift_rate": non_negative,
+        # each parameter is nonzero only under the kind that reads it, and
+        # that kind is always in the file (below)
+        "disturbance.kind": st.just(kind),
+        "disturbance.drift_rate": non_negative if kind == "drift"
+        else st.just(0.0),
         # below the run length whether or not m0 and n0 are in the file
-        "disturbance.jump_at": st.integers(0, min(m0, 10) * min(n0, 50) - 1),
-        "disturbance.jump_magnitude": st.floats(0.0, math.pi),
+        "disturbance.jump_at": st.integers(0, min(m0, 10) * min(n0, 50) - 1)
+        if kind == "jump" else st.just(0),
+        "disturbance.jump_magnitude": st.floats(0.0, math.pi)
+        if kind == "jump" else st.just(0.0),
         "experiment.variants": st.lists(variant, min_size=1, max_size=4,
                                         unique_by=lambda v: v.label
                                         ).map(tuple),
@@ -284,8 +290,11 @@ def _config_files(draw):
                                            fullmatch=True),
     }
     assert set(values) == set(KEYS)
-    return {key: draw(values[key]) for key in sorted(KEYS)
-            if draw(st.booleans())}
+    chosen = {key: draw(values[key]) for key in sorted(KEYS)
+              if draw(st.booleans())}
+    if kind != "static":
+        chosen["disturbance.kind"] = kind
+    return chosen
 
 
 def _assert_fields_equal(got, want):
