@@ -5,9 +5,8 @@ from .jones import (ALGEBRA_TOL, COUPLER_IN, COUPLER_OUT, JonesMatrix,
                     JonesVector, extinction_ratio_db, make_m0, make_m45,
                     random_sop, to_stokes)
 from .device import (DeviceParams, PhaseQuad, TpsParams, dpc_transform,
-                     measure, phase_step_to_voltage_step, phase_to_voltage,
-                     power_to_phase, thermal_step_response, voltage_to_phase,
-                     voltage_to_power)
+                     measure, phase_step_to_voltage_step, power_to_phase,
+                     thermal_step_response, voltage_to_phase, voltage_to_power)
 from .anneal import (AnnealConfig, LockTrace, StepSchedule, accept,
                      bind_objective, propose, run_lock, step_for_gap)
 from .disturbance import (DisturbanceModel, DisturbedObjective,
@@ -23,8 +22,8 @@ __all__ = [
     "ALGEBRA_TOL", "COUPLER_IN", "COUPLER_OUT", "JonesMatrix", "JonesVector",
     "extinction_ratio_db", "make_m0", "make_m45", "random_sop", "to_stokes",
     "DeviceParams", "PhaseQuad", "TpsParams", "dpc_transform", "measure",
-    "phase_step_to_voltage_step", "phase_to_voltage", "power_to_phase",
-    "thermal_step_response", "voltage_to_phase", "voltage_to_power",
+    "phase_step_to_voltage_step", "power_to_phase", "thermal_step_response",
+    "voltage_to_phase", "voltage_to_power",
     "AnnealConfig", "LockTrace", "StepSchedule", "accept", "bind_objective",
     "propose", "run_lock", "step_for_gap",
     "DisturbanceModel", "DisturbedObjective", "relock_experiment",

@@ -1,6 +1,6 @@
 """Locking algorithm: simulated annealing over the four stage phases with a
 gap-driven variable step, boundary-reflecting proposals, proportional
-cooling, fixed-step baselines, and an optional voltage-domain stepping mode.
+cooling and fixed-step baselines.
 
 The loop keeps one live intensity reference: the most recent detector
 reading.  Both the Metropolis comparison and the step-size lookup use it,
@@ -16,13 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Literal
+from typing import Callable
 
 import numpy as np
 
 from .device import (PHASE_SPAN, DetectorSample, PhaseQuad, TpsParams,
-                     DeviceParams, _check_field, measure, voltage_to_phase,
-                     phase_step_to_voltage_step, phase_to_voltage)
+                     DeviceParams, _check_field, measure)
 
 #: objective protocol: a phase 4-tuple in, a noisy (i_px, i_py) reading out
 Objective = Callable[[tuple[float, float, float, float]], tuple[float, float]]
@@ -114,9 +113,9 @@ class AnnealConfig:
     """Annealing loop parameters.
 
     Defaults: initial temperature 1e-5, 10 outer loops of 50 inner
-    iterations, halving cooling, variable-step schedule, phase-domain
-    stepping.  The start point is not a setting: ``run_lock`` always starts
-    all four phases at half the controllable span.
+    iterations, halving cooling, variable-step schedule.  The start point is
+    not a setting: ``run_lock`` always starts all four phases at half the
+    controllable span.
     """
 
     t0: float = 1e-5
@@ -124,7 +123,6 @@ class AnnealConfig:
     n0: int = 50
     cooling_p: float = 0.5
     schedule: StepSchedule = DEFAULT_SCHEDULE
-    mode: Literal["phase", "voltage"] = "phase"
 
     def __post_init__(self):
         _check_field(self, "t0", positive=True)
@@ -132,8 +130,6 @@ class AnnealConfig:
             raise ValueError("m0 and n0 must be >= 1")
         if not 0.0 < self.cooling_p < 1.0:
             raise ValueError("cooling_p must lie in (0, 1)")
-        if self.mode not in ("phase", "voltage"):
-            raise ValueError("mode must be 'phase' or 'voltage'")
         t = self.t0  # the last outer loop's temperature, as run_lock cools it
         for _ in range(self.m0 - 1):
             t *= self.cooling_p
@@ -198,12 +194,11 @@ def propose(s_p, st: float, rng, hi: float = PHASE_SPAN
             ) -> tuple[float, float, float, float]:
     """The lock loop's boundary-reflecting random move of the 4-tuple s_p.
 
-    ``hi`` is the upper edge of the searched coordinate: phase_max radians
-    in phase mode, v_max volts in voltage mode.  Per component, with draws
-    r, u ~ U[0, 1]: move by +st*r at or below 0, by -st*r at or above
-    ``hi``, and in the interior by +st*r if u < 0.5, else by -st*r; then
-    clamp into [0, hi].  Draws eight uniforms in one ``rng.random(8)``, r
-    then u per component, and returns a plain 4-tuple.
+    ``hi`` is the upper edge of the phase span, phase_max radians.  Per
+    component, with draws r, u ~ U[0, 1]: move by +st*r at or below 0, by
+    -st*r at or above ``hi``, and in the interior by +st*r if u < 0.5,
+    else by -st*r; then clamp into [0, hi].  Draws eight uniforms in one
+    ``rng.random(8)``, r then u per component, and returns a plain 4-tuple.
     """
     if st < 0:
         raise ValueError("step must be >= 0")
@@ -237,16 +232,12 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
     """Run the annealing lock and return its full trace.
 
     The search point starts with all four phases at half the span,
-    ``tps.phase_max / 2`` (in voltage mode, at the drive voltage nearest to
-    that phase, ``phase_to_voltage``), and is evaluated once; then ``m0``
-    outer loops of ``n0`` inner iterations run.  Each inner iteration looks
-    up the step from the gap 1 - (latest reading), moves all four
-    components with ``propose``, evaluates the phases (a plain 4-tuple),
-    and applies the Metropolis rule against the latest reading; the
-    temperature is multiplied by ``cooling_p`` after each outer loop.  In
-    voltage mode the search point lives in drive volts, each phase step is
-    quantized to its voltage equivalent at v_max, and phases follow from
-    the quadratic + linear heater calibration.
+    ``tps.phase_max / 2``, and is evaluated once; then ``m0`` outer loops of
+    ``n0`` inner iterations run.  Each inner iteration looks up the step
+    from the gap 1 - (latest reading), moves all four phases within
+    [0, phase_max] with ``propose``, evaluates them (a plain 4-tuple), and
+    applies the Metropolis rule against the latest reading; the
+    temperature is multiplied by ``cooling_p`` after each outer loop.
 
     Deterministic given the rng states of the controller and the objective.
     When both share one generator, as in the harness, each iteration draws
@@ -266,26 +257,15 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
     verdict; ``er_db`` and the lock point are derived from those once the
     loop ends, with the same values a per-iteration computation gives.
     """
-    phase_mode = cfg.mode == "phase"
-    if phase_mode:
-        hi = tps.phase_max
-        state = (tps.phase_max / 2.0,) * 4
-        thetas = state
-    else:
-        hi = tps.v_max
-        state = (phase_to_voltage(tps.phase_max / 2.0, tps),) * 4
-        thetas = tuple(voltage_to_phase(v, tps) for v in state)
-    initial_thetas = thetas
+    hi = tps.phase_max
+    state = initial_thetas = (hi / 2.0,) * 4
 
-    i_px, i_py = objective(thetas)
+    i_px, i_py = objective(state)
     initial_sample = DetectorSample(i_px, i_py)
     i_ref = i_px
 
-    # each schedule entry's step, and the step the search point moves by
     lower = cfg.schedule._lower
     steps = [st for _, st in cfg.schedule.entries]
-    moves = steps if phase_mode else [
-        phase_step_to_voltage_step(st, tps.v_max, tps) for st in steps]
 
     rows = []
     temperatures = []
@@ -294,17 +274,13 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
         temperatures.append(temperature)
         for _ in range(cfg.n0):
             k = _bracket(1.0 - i_ref, lower)
-            cand = propose(state, moves[k], rng, hi)
-            if phase_mode:
-                thetas = cand
-            else:
-                thetas = tuple(voltage_to_phase(v, tps) for v in cand)
-            i_px, i_py = objective(thetas)
+            cand = propose(state, steps[k], rng, hi)
+            i_px, i_py = objective(cand)
             ok = accept(i_px, i_ref, temperature, rng)
             if ok:
                 state = cand
             i_ref = i_px
-            rows.append((steps[k], *thetas, i_px, i_py, ok))
+            rows.append((steps[k], *cand, i_px, i_py, ok))
         temperature *= cfg.cooling_p
 
     n = len(rows)

@@ -70,7 +70,7 @@ def _overrides(args) -> dict[str, str]:
         over["experiment.trials"] = str(args.trials)
     if getattr(args, "seed", None) is not None:
         over["experiment.base_seed"] = str(args.seed)
-    if getattr(args, "out", None):
+    if getattr(args, "out", None) is not None:
         over["experiment.output"] = args.out
     return over
 
@@ -80,6 +80,16 @@ def _workers() -> int:
         return threads_from_env()
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+
+
+def _check_output(path: str) -> None:
+    """Fail before the first lock if the output files cannot be created."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.basename(path) or os.path.isdir(path):
+        raise ConfigError(f"output path {path!r} names no file")
+    if not os.path.isdir(folder) or not os.access(folder, os.W_OK):
+        raise ConfigError(f"output path {path!r}: directory {folder!r} "
+                          "does not exist or is not writable")
 
 
 def _write_outputs(cfg, table) -> str:
@@ -95,6 +105,7 @@ def _write_outputs(cfg, table) -> str:
 def _cmd_run(args) -> int:
     workers = _workers()
     cfg = load_experiment_config(args.config, _overrides(args))
+    _check_output(cfg.output_path)
     table = run_experiment(cfg, max_workers=workers)
     text = _write_outputs(cfg, table)
     sys.stdout.write(text)
@@ -139,6 +150,7 @@ def _cmd_sweep(args) -> int:
                           "threshold:step table in a config file")
     base_over = _overrides(args)
     base_cfg = load_experiment_config(args.config, base_over)
+    _check_output(base_cfg.output_path)
     stem, ext = os.path.splitext(base_cfg.output_path)
     ext = ext or ".csv"
     leaf = key.rsplit(".", 1)[1]

@@ -76,7 +76,6 @@ KEYS = {
     "anneal.n0": ("anneal", "n0", _int),
     "anneal.cooling_p": ("anneal", "cooling_p", _float),
     "anneal.schedule": ("anneal", "schedule", _schedule),
-    "anneal.mode": ("anneal", "mode", _str),
     "disturbance.kind": ("disturbance", "kind", _str),
     "disturbance.drift_rate": ("disturbance", "drift_rate", _float),
     "disturbance.jump_at": ("disturbance", "jump_at", _int),

@@ -136,15 +136,6 @@ def voltage_to_phase(v: float, tps: TpsParams) -> float:
     return power_to_phase(voltage_to_power(v, tps), tps)
 
 
-def phase_to_voltage(theta: float, tps: TpsParams) -> float:
-    """Best-effort inverse of ``voltage_to_phase``, clamped to the drive
-    range (phases below theta_bias map to 0 V)."""
-    if theta <= tps.theta_bias:
-        return 0.0
-    v = math.sqrt(tps.resistance * (theta - tps.theta_bias) / tps.c_slope)
-    return min(v, tps.v_max)
-
-
 def phase_step_to_voltage_step(dtheta: float, v: float, tps: TpsParams) -> float:
     """Voltage increment realizing phase increment ``dtheta`` at operating
     point ``v``: R dtheta / (2 c V).  Singular at v = 0 (use the minimum

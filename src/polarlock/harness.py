@@ -20,7 +20,7 @@ from itertools import repeat
 import numpy as np
 
 from .anneal import AnnealConfig, StepSchedule, bind_objective, run_lock
-from .device import DeviceParams, TpsParams, dpc_transform
+from .device import DeviceParams, dpc_transform
 from .disturbance import DisturbanceModel, DisturbedObjective
 from .jones import (ALGEBRA_TOL, COUPLER_IN, COUPLER_OUT, JonesVector,
                     make_m0, make_m45, random_sop, to_stokes)
@@ -38,7 +38,7 @@ _CSV_ROW = "%s,%d,%d,%.9g,%.9g,%.9g,%.9g,%.9g,%d\n"
 # the per-iteration fields kept from each trial, in CSV column order
 _FIELDS = ("temperature", "step_rad", "i_px", "i_py", "er_db", "accepted")
 
-_VARIANT_RE = re.compile(r"^(fixed|voltage-fixed)\(([^)]+)\)$")
+_VARIANT_RE = re.compile(r"^fixed\(([^)]+)\)$")
 
 
 def _fmt(x: float) -> str:
@@ -50,15 +50,14 @@ class Variant:
     """One controller configuration in an ensemble.
 
     ``variable`` runs the gap-driven schedule; ``fixed`` runs a constant
-    phase step (radians); ``voltage-fixed`` runs a constant drive-voltage
-    step (volts) in voltage mode.
+    phase step (radians).
     """
 
-    kind: str               # variable | fixed | voltage-fixed
+    kind: str               # variable | fixed
     value: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("variable", "fixed", "voltage-fixed"):
+        if self.kind not in ("variable", "fixed"):
             raise ValueError(f"unknown variant kind {self.kind!r}")
         if self.kind == "variable":
             if self.value is not None:
@@ -73,15 +72,10 @@ class Variant:
             return "variable"
         return f"{self.kind}({self.value:g})"
 
-    def anneal_config(self, base: AnnealConfig, tps: TpsParams) -> AnnealConfig:
+    def anneal_config(self, base: AnnealConfig) -> AnnealConfig:
         if self.kind == "variable":
             return base
-        if self.kind == "fixed":
-            return replace(base, schedule=StepSchedule.fixed(self.value),
-                           mode="phase")
-        # the phase step that run_lock quantizes at v_max to this value
-        st = 2.0 * tps.c_slope * tps.v_max * self.value / tps.resistance
-        return replace(base, schedule=StepSchedule.fixed(st), mode="voltage")
+        return replace(base, schedule=StepSchedule.fixed(self.value))
 
 
 def parse_variant(token: str) -> Variant:
@@ -91,13 +85,12 @@ def parse_variant(token: str) -> Variant:
     m = _VARIANT_RE.match(token)
     if not m:
         raise ValueError(
-            f"bad variant {token!r}; expected 'variable', 'fixed(ST)' "
-            "or 'voltage-fixed(DV)'")
+            f"bad variant {token!r}; expected 'variable' or 'fixed(ST)'")
     try:
-        value = float(m.group(2))
+        value = float(m.group(1))
     except ValueError:
         raise ValueError(f"bad step value in variant {token!r}") from None
-    return Variant(m.group(1), value)
+    return Variant("fixed", value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,11 +120,8 @@ class ExperimentConfig:
         self.disturbance.check_run_length(self.anneal.total_iterations)
         phase_max = self.device.tps.phase_max
         for v in self.variants:
-            try:
-                acfg = v.anneal_config(self.anneal, self.device.tps)
-            except ValueError as exc:
-                raise ValueError(f"variant {v.label}: {exc}") from None
-            top = max(st for _, st in acfg.schedule.entries)
+            top = max(st for _, st in v.anneal_config(self.anneal)
+                      .schedule.entries)
             if top > phase_max:
                 raise ValueError(
                     f"variant {v.label}: phase step {top:g} rad exceeds the "
@@ -224,8 +214,8 @@ def _run_trial(cfg: ExperimentConfig, variant: Variant, trial: int):
         objective = bind_objective(sop, cfg.device, rng)
     else:
         objective = DisturbedObjective(sop, cfg.device, cfg.disturbance, rng)
-    acfg = variant.anneal_config(cfg.anneal, cfg.device.tps)
-    return run_lock(objective, acfg, cfg.device.tps, rng)
+    return run_lock(objective, variant.anneal_config(cfg.anneal),
+                    cfg.device.tps, rng)
 
 
 def _run_job(args):

@@ -51,12 +51,6 @@ def test_golden_noisy_phase_mode():
         "b0f4f7171728d6c9ff1c7962aba19707157efde8a2a77e7870aa455f75f11043")
 
 
-def test_golden_voltage_mode():
-    trace = _bound_run(12, AnnealConfig(mode="voltage"))
-    assert trace_digest(trace) == (
-        "5cc3f11c378d58b7bb507f66a92588fc0378fc7e1196dfc6b7ccf388efdbec8b")
-
-
 def test_golden_drift_objective():
     device = DeviceParams()
     rng = np.random.default_rng(13)
@@ -82,8 +76,7 @@ def test_golden_relock_jump():
 def small_table():
     cfg = ExperimentConfig(
         anneal=AnnealConfig(m0=3, n0=20),
-        variants=(Variant("variable"), Variant("fixed", 0.16),
-                  Variant("voltage-fixed", 0.05)),
+        variants=(Variant("variable"), Variant("fixed", 0.16)),
         trials=4, base_seed=21)
     return run_experiment(cfg, max_workers=1)
 
@@ -96,11 +89,11 @@ def test_golden_rows_csv(small_table, tmp_path):
     path = tmp_path / "rows.csv"
     small_table.write_csv(str(path))
     assert _file_digest(path) == (
-        "bd237bf1d8a1312e2e7144478225ebac61ed718da4a25b8279643e25af40a5fd")
+        "313261c95f2c74b33d38ed1f7cd0411db6b380ed3e22274a74cbe740295ed898")
 
 
 def test_golden_aggregate_csv(small_table, tmp_path):
     path = tmp_path / "aggregate.csv"
     small_table.write_aggregate_csv(str(path))
     assert _file_digest(path) == (
-        "f32940bec215e419e136b3a104d200718edb20da51acc725462c523da8ed45e3")
+        "babb090e9d3493c24f600936b1a2907bc88e4834bd0f8f4dfd7ccd6d3be80ff0")

@@ -23,34 +23,29 @@ SMALL = ExperimentConfig(
 
 def test_parse_variant_forms():
     assert parse_variant("variable") == Variant("variable")
-    assert parse_variant("fixed(0.16)") == Variant("fixed", 0.16)
-    assert parse_variant(" voltage-fixed(0.1) ") == Variant("voltage-fixed", 0.1)
+    assert parse_variant(" fixed(0.16) ") == Variant("fixed", 0.16)
 
 
 @pytest.mark.parametrize("token", ["", "fixed", "fixed()", "fixed(x)",
                                    "variable(0.1)", "random(0.1)",
                                    "fixed(nan)", "fixed(inf)",
-                                   "voltage-fixed(nan)"])
+                                   "voltage-fixed(0.1)"])
 def test_parse_variant_rejects_garbage(token):
     with pytest.raises(ValueError):
         parse_variant(token)
 
 
 def test_variant_labels_round_trip():
-    for token in ("variable", "fixed(0.16)", "voltage-fixed(0.005)"):
+    for token in ("variable", "fixed(0.16)", "fixed(0.005)"):
         assert parse_variant(token).label == token
 
 
 def test_variant_anneal_config_mapping():
     base = AnnealConfig()
-    tps = DeviceParams().tps
-    assert Variant("variable").anneal_config(base, tps) is base
-    fixed = Variant("fixed", 0.16).anneal_config(base, tps)
+    assert Variant("variable").anneal_config(base) is base
+    fixed = Variant("fixed", 0.16).anneal_config(base)
     assert fixed.schedule.entries == ((1.0, 0.16),)
-    assert fixed.mode == "phase"
-    vf = Variant("voltage-fixed", 0.1).anneal_config(base, tps)
-    assert vf.mode == "voltage"
-    assert vf.schedule.entries[0][1] == pytest.approx(0.1673604060913706)
+    assert replace(fixed, schedule=base.schedule) == base
 
 
 def test_experiment_config_validation():
@@ -277,7 +272,6 @@ def test_config_round_trip(tmp_path):
         "anneal.m0 = 5\n"
         "anneal.n0 = 20\n"
         "anneal.schedule = 1:0.2, 0.1:0.05\n"
-        "anneal.mode = voltage\n"
         "disturbance.kind = jump\n"
         "disturbance.jump_at = 40\n"
         "disturbance.jump_magnitude = 1.0\n"
@@ -292,7 +286,6 @@ def test_config_round_trip(tmp_path):
     assert cfg.device.tps.resistance == 2000
     assert cfg.anneal.m0 == 5 and cfg.anneal.n0 == 20
     assert cfg.anneal.schedule.entries == ((1.0, 0.2), (0.1, 0.05))
-    assert cfg.anneal.mode == "voltage"
     assert cfg.disturbance.kind == "jump" and cfg.disturbance.jump_at == 40
     assert cfg.variants == (Variant("variable"), Variant("fixed", 0.02))
     assert cfg.trials == 7 and cfg.base_seed == 3
@@ -396,6 +389,28 @@ def test_cli_run_unwritable_output(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("output", ["", "no-such-dir/out.csv", "."])
+@pytest.mark.parametrize("via_file", [True, False])
+def test_cli_bad_output_fails_before_any_lock(command, output, via_file,
+                                              tmp_path, monkeypatch, capsys):
+    def no_lock(*args, **kwargs):
+        raise AssertionError("locked before checking the output path")
+    monkeypatch.setattr("polarlock.cli.run_experiment", no_lock)
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "bad.cfg"
+    if via_file:
+        cfg.write_text(f"experiment.output = {output}\n")
+        argv = [command, "--config", str(cfg)]
+    else:
+        argv = [command, "--out", output]
+    if command == "sweep":
+        argv += ["--key", "trials", "--values", "1"]
+    assert cli_main(argv) == 1
+    assert f"output path {output!r}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == ([cfg] if via_file else [])
+
+
 @pytest.mark.parametrize("threads", ["abc", "0", "-2"])
 def test_cli_run_bad_threads_env(threads, tmp_path, monkeypatch, capsys):
     cfg = _write_small_cfg(tmp_path)
@@ -469,8 +484,8 @@ def test_cli_sweep_noise_monotone(tmp_path, capsys):
     (["validate", "--seed", "-1"], "--seed"),
     (["validate", "--samples", "0"], "--samples"),
     (["validate", "--samples", "-1"], "--samples"),
-    (["sweep", "--key", "variants", "--values", "voltage-fixed(1e300)"],
-     "voltage-fixed(1e+300)"),
+    (["sweep", "--key", "mode", "--values", "voltage"],
+     "unknown config key 'mode'"),
     (["sweep", "--key", "variants", "--values", "fixed(10)"], "fixed(10)"),
     (["sweep", "--key", "cooling_p", "--values", "1e-200"], "cooling_p"),
     (["sweep", "--key", "coupling_loss_db", "--values", "0,7,40"],

@@ -14,8 +14,8 @@ from polarlock import (AnnealConfig, DeviceParams, DisturbanceModel,
                        DisturbedObjective, ExperimentConfig, JonesVector,
                        PhaseQuad, StepSchedule, TpsParams, Variant,
                        bind_objective, dpc_transform, load_experiment_config,
-                       measure, phase_to_voltage, port_intensity, propose,
-                       random_sop, run_lock, step_for_gap, voltage_to_phase)
+                       measure, port_intensity, propose, random_sop, run_lock,
+                       step_for_gap)
 from polarlock.anneal import _er_db, _er_db_array
 from polarlock.config import KEYS
 from polarlock.device import _cascade
@@ -174,17 +174,17 @@ def test_er_db_array_equals_scalar_er_db(pairs):
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=_seed, mode=st.sampled_from(["phase", "voltage"]),
+@given(seed=_seed, phase_max=st.floats(1.0, 3.0 * math.pi),
        ideal=st.booleans(), kind=st.sampled_from(["static", "drift", "jump"]),
        schedule=st.sampled_from([StepSchedule.default(),
                                  StepSchedule.fixed(0.16),
                                  StepSchedule.fixed(0.0)]),
        m0=st.integers(1, 4), n0=st.integers(1, 40))
 def test_derived_trace_fields_equal_per_iteration_definitions(
-        seed, mode, ideal, kind, schedule, m0, n0):
-    device = DeviceParams.ideal() if ideal else DeviceParams()
-    tps = device.tps
-    cfg = AnnealConfig(m0=m0, n0=n0, mode=mode, schedule=schedule)
+        seed, phase_max, ideal, kind, schedule, m0, n0):
+    tps = TpsParams(phase_max=phase_max)
+    device = DeviceParams.ideal(tps) if ideal else DeviceParams(tps=tps)
+    cfg = AnnealConfig(m0=m0, n0=n0, schedule=schedule)
     n = m0 * n0
     rng = np.random.default_rng(seed)
     sop = random_sop(rng)
@@ -195,7 +195,18 @@ def test_derived_trace_fields_equal_per_iteration_definitions(
                  else DisturbanceModel("jump", jump_at=n // 2,
                                        jump_magnitude=math.pi / 2))
         objective = DisturbedObjective(sop, device, model, rng)
-    trace = run_lock(objective, cfg, tps, rng)
+    evaluated = []
+
+    def spy(phases):
+        evaluated.append(tuple(phases))
+        return objective(phases)
+    trace = run_lock(spy, cfg, tps, rng)
+
+    # every evaluated point lies in the span, starting from its middle
+    init = phase_max / 2.0
+    assert evaluated[0] == (init,) * 4
+    assert evaluated[1:] == [tuple(p) for p in trace.phases.tolist()]
+    assert trace.phases.min() >= 0.0 and trace.phases.max() <= phase_max
 
     px, py = trace.i_px.tolist(), trace.i_py.tolist()
     assert trace.er_db.tolist() == [_er_db(a, b) for a, b in zip(px, py)]
@@ -208,11 +219,7 @@ def test_derived_trace_fields_equal_per_iteration_definitions(
 
     # the running best, tracked one iteration at a time from the initial
     # reading at the initial phases
-    init = tps.phase_max / 2.0
-    if mode == "phase":
-        best_phases = (init,) * 4
-    else:
-        best_phases = (voltage_to_phase(phase_to_voltage(init, tps), tps),) * 4
+    best_phases = (init,) * 4
     best, best_iteration, i_max = trace.initial_sample.i_px, 0, []
     for it, (x, phases) in enumerate(zip(px, trace.phases.tolist()), 1):
         if x > best:
@@ -253,8 +260,7 @@ def _config_files(draw):
     non_negative = st.just(0.0) | st.floats(0.0, **finite)
     variant = st.one_of(
         st.just(Variant("variable")),
-        st.builds(Variant, st.just("fixed"), st.floats(0.0, _DEFAULT_STEP)),
-        st.builds(Variant, st.just("voltage-fixed"), st.floats(0.0, 0.01)))
+        st.builds(Variant, st.just("fixed"), st.floats(0.0, _DEFAULT_STEP)))
     values = {
         "tps.resistance": st.floats(100.0, 1e4),
         "tps.c_slope": st.floats(10.0, 500.0),
@@ -270,7 +276,6 @@ def _config_files(draw):
         "anneal.n0": st.just(n0),
         "anneal.cooling_p": st.floats(1e-3, 1.0, exclude_max=True),
         "anneal.schedule": _schedules(step_max=_DEFAULT_STEP),
-        "anneal.mode": st.sampled_from(["phase", "voltage"]),
         # each parameter is nonzero only under the kind that reads it, and
         # that kind is always in the file (below)
         "disturbance.kind": st.just(kind),
@@ -328,7 +333,7 @@ def test_config_file_round_trips(values, random):
             disturbance=DisturbanceModel(**sections["disturbance"]),
             **sections["experiment"])
     except ValueError:
-        assume(False)  # e.g. a voltage-fixed step beyond the phase span
+        assume(False)  # e.g. a t0, cooling_p and m0 that cool to 0
 
     lines = ["# generated config", ""]
     lines += [f"{key} = {_text(value)}" for key, value in values.items()]
