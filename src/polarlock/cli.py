@@ -144,10 +144,9 @@ def _cmd_sweep(args) -> int:
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("--values must list at least one value")
-    if key == "anneal.schedule" and ":" in args.values:
-        raise ConfigError("sweep splits --values at commas, so it varies "
-                          "anneal.schedule over plain steps only; put a "
-                          "threshold:step table in a config file")
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise ConfigError(f"--values repeats {', '.join(repeated)}")
     base_over = _overrides(args)
     base_cfg = load_experiment_config(args.config, base_over)
     _check_output(base_cfg.output_path)

@@ -8,9 +8,8 @@ key set is in ``KEYS`` and the README.
 from __future__ import annotations
 
 import math
-import os
 
-from .anneal import AnnealConfig, StepSchedule
+from .anneal import AnnealConfig
 from .device import DeviceParams, TpsParams
 from .disturbance import DisturbanceModel
 from .harness import ExperimentConfig, parse_variant
@@ -28,7 +27,7 @@ def _float(s: str) -> float:
 
 
 def _float_or_none(s: str):
-    return None if s.strip().lower() in ("none", "off") else _float(s)
+    return None if s.strip() == "none" else _float(s)
 
 
 def _int(s: str) -> int:
@@ -39,43 +38,19 @@ def _str(s: str) -> str:
     return s.strip()
 
 
-def _schedule(s: str) -> StepSchedule:
-    """Either a single step ('0.16') or 'threshold:step' pairs separated by
-    commas ('1:0.16,0.1:0.08,...')."""
-    tokens = [t.strip() for t in s.split(",") if t.strip()]
-    if not tokens:
-        raise ValueError("empty schedule")
-    if ":" not in s:
-        if len(tokens) != 1:
-            raise ValueError("fixed schedule takes a single step value")
-        return StepSchedule.fixed(_float(tokens[0]))
-    entries = []
-    for t in tokens:
-        thr, _, st = t.partition(":")
-        entries.append((_float(thr), _float(st)))
-    return StepSchedule(tuple(entries))
-
-
 def _variants(s: str):
     return tuple(parse_variant(t) for t in s.split(",") if t.strip())
 
 
 # key -> (section, field, parser)
 KEYS = {
-    "tps.resistance": ("tps", "resistance", _float),
-    "tps.c_slope": ("tps", "c_slope", _float),
-    "tps.theta_bias": ("tps", "theta_bias", _float),
-    "tps.v_max": ("tps", "v_max", _float),
     "tps.phase_max": ("tps", "phase_max", _float),
-    "tps.tau_rise": ("tps", "tau_rise", _float),
-    "tps.tau_fall": ("tps", "tau_fall", _float),
     "device.static_er_db": ("device", "static_er_db", _float_or_none),
     "device.noise_sigma": ("device", "noise_sigma", _float),
     "anneal.t0": ("anneal", "t0", _float),
     "anneal.m0": ("anneal", "m0", _int),
     "anneal.n0": ("anneal", "n0", _int),
     "anneal.cooling_p": ("anneal", "cooling_p", _float),
-    "anneal.schedule": ("anneal", "schedule", _schedule),
     "disturbance.kind": ("disturbance", "kind", _str),
     "disturbance.drift_rate": ("disturbance", "drift_rate", _float),
     "disturbance.jump_at": ("disturbance", "jump_at", _int),
@@ -88,19 +63,18 @@ KEYS = {
 
 
 def resolve_key(key: str) -> str:
-    """Accept either a full dotted key or an unambiguous field name."""
+    """Accept either a full dotted key or its field name, which is unique."""
     if key in KEYS:
         return key
-    matches = [k for k in KEYS if k.endswith("." + key)]
-    if len(matches) == 1:
-        return matches[0]
-    if not matches:
-        raise ConfigError(f"unknown config key '{key}'")
-    raise ConfigError(f"ambiguous config key '{key}' (matches {matches})")
+    for k in KEYS:
+        if k.endswith("." + key):
+            return k
+    raise ConfigError(f"unknown config key '{key}'")
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
     raw: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -112,7 +86,11 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
         key = key.strip()
         if key not in KEYS:
             raise ConfigError(f"{source}:{lineno}: unknown config key '{key}'")
+        if key in raw:
+            raise ConfigError(f"{source}: config key '{key}' is set twice, "
+                              f"on lines {line_of[key]} and {lineno}")
         raw[key] = value.strip()
+        line_of[key] = lineno
     return raw
 
 
@@ -121,16 +99,19 @@ def load_experiment_config(path: str | None = None,
                            ) -> ExperimentConfig:
     """Build an ExperimentConfig from an optional file plus overrides.
 
-    ``overrides`` maps dotted (or unambiguous bare) keys to value strings
-    and wins over the file.  Raises ConfigError naming the offending key or
-    path on any problem.
+    ``overrides`` maps dotted keys (or their bare field names) to value
+    strings and wins over the file.  Raises ConfigError naming the offending
+    key or path on any problem.
     """
     raw: dict[str, str] = {}
     if path is not None:
-        if not os.path.exists(path):
-            raise ConfigError(f"config file not found: {path}")
-        with open(path) as f:
-            raw = parse_config_text(f.read(), source=path)
+        try:
+            with open(path, encoding="utf-8") as f:
+                raw = parse_config_text(f.read(), source=path)
+        except FileNotFoundError:
+            raise ConfigError(f"config file not found: {path}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
     for key, value in (overrides or {}).items():
         raw[resolve_key(key)] = value
 

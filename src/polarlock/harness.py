@@ -70,7 +70,7 @@ class Variant:
     def label(self) -> str:
         if self.kind == "variable":
             return "variable"
-        return f"{self.kind}({self.value:g})"
+        return f"{self.kind}({_fmt(self.value)})"
 
     def anneal_config(self, base: AnnealConfig) -> AnnealConfig:
         if self.kind == "variable":

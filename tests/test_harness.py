@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from polarlock import (AnnealConfig, ConfigError, DeviceParams,
                        run_experiment, run_identity_checks, summarize)
 from polarlock import harness
 from polarlock.cli import main as cli_main
+from polarlock.config import KEYS, parse_config_text
 from polarlock.harness import _run_trial
 
 SMALL = ExperimentConfig(
@@ -36,7 +38,8 @@ def test_parse_variant_rejects_garbage(token):
 
 
 def test_variant_labels_round_trip():
-    for token in ("variable", "fixed(0.16)", "fixed(0.005)"):
+    for token in ("variable", "fixed(0.16)", "fixed(0.005)",
+                  "fixed(0.1234567)"):
         assert parse_variant(token).label == token
 
 
@@ -268,10 +271,9 @@ def test_config_round_trip(tmp_path):
         "# device under test\n"
         "device.noise_sigma = 1e-3\n"
         "device.static_er_db = none\n"
-        "tps.resistance = 2000\n"
+        "tps.phase_max = 7.0\n"
         "anneal.m0 = 5\n"
         "anneal.n0 = 20\n"
-        "anneal.schedule = 1:0.2, 0.1:0.05\n"
         "disturbance.kind = jump\n"
         "disturbance.jump_at = 40\n"
         "disturbance.jump_magnitude = 1.0\n"
@@ -283,13 +285,42 @@ def test_config_round_trip(tmp_path):
     cfg = load_experiment_config(str(path))
     assert cfg.device.noise_sigma == 1e-3
     assert cfg.device.static_er_db is None
-    assert cfg.device.tps.resistance == 2000
+    assert cfg.device.tps.phase_max == 7.0
     assert cfg.anneal.m0 == 5 and cfg.anneal.n0 == 20
-    assert cfg.anneal.schedule.entries == ((1.0, 0.2), (0.1, 0.05))
     assert cfg.disturbance.kind == "jump" and cfg.disturbance.jump_at == 40
     assert cfg.variants == (Variant("variable"), Variant("fixed", 0.02))
     assert cfg.trials == 7 and cfg.base_seed == 3
     assert cfg.output_path == "out.csv"
+
+
+def test_config_readme_block_is_the_defaults(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    assert set(parse_config_text(block)) == set(KEYS)
+    path = tmp_path / "readme.cfg"
+    path.write_text(block)
+    assert load_experiment_config(str(path)) == ExperimentConfig()
+
+
+def test_config_bare_field_names_are_unique():
+    fields = [key.rsplit(".", 1)[1] for key in KEYS]
+    assert len(set(fields)) == len(fields)
+
+
+def test_config_key_set_twice_names_both_lines(tmp_path):
+    path = tmp_path / "twice.cfg"
+    path.write_text("anneal.m0 = 5\nanneal.t0 = 1e-5\nanneal.m0 = 7\n")
+    with pytest.raises(ConfigError,
+                       match="'anneal.m0' is set twice, on lines 1 and 3"):
+        load_experiment_config(str(path))
+
+
+def test_cli_non_utf8_config_names_path(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"# caf\xff\nanneal.m0 = 4\n")
+    assert cli_main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err
 
 
 def test_config_unknown_key_named(tmp_path):
@@ -336,7 +367,7 @@ def test_config_overrides_and_bare_keys():
 
 # --- CLI -------------------------------------------------------------------------------
 
-def _write_small_cfg(tmp_path, extra=""):
+def _write_small_cfg(tmp_path):
     path = tmp_path / "small.cfg"
     path.write_text(
         "anneal.m0 = 4\n"
@@ -344,18 +375,8 @@ def _write_small_cfg(tmp_path, extra=""):
         "experiment.trials = 3\n"
         "experiment.variants = variable\n"
         f"experiment.output = {tmp_path / 'out.csv'}\n"
-        + extra
     )
     return path
-
-
-def test_cli_sweep_schedule_plain_steps(tmp_path, capsys):
-    # plain steps still sweep; each run is a fixed-step schedule
-    cfg = _write_small_cfg(tmp_path)
-    assert cli_main(["sweep", "--key", "schedule", "--values", "0.16,0.08",
-                     "--config", str(cfg)]) == 0
-    for value in ("0.16", "0.08"):
-        assert (tmp_path / f"out_schedule_{value}.csv").exists()
 
 
 def test_cli_validate_exit_zero(capsys):
@@ -457,9 +478,9 @@ def test_cli_oracle_rejects_bad_sop(sop, capsys):
 
 
 def test_cli_sweep_noise_monotone(tmp_path, capsys):
-    cfg = _write_small_cfg(tmp_path, extra="experiment.trials = 8\n")
+    cfg = _write_small_cfg(tmp_path)
     assert cli_main(["sweep", "--key", "noise_sigma",
-                     "--values", "0,5e-4,5e-3",
+                     "--values", "0,5e-4,5e-3", "--trials", "8",
                      "--config", str(cfg)]) == 0
     medians = []
     for value in ("0", "5e-4", "5e-3"):
@@ -494,12 +515,16 @@ def test_cli_sweep_noise_monotone(tmp_path, capsys):
      "experiment.output"),
     (["sweep", "--key", "init_phase", "--values", "50"],
      "unknown config key 'init_phase'"),
-    (["sweep", "--key", "schedule",
-      "--values", "1:0.16,0.1:0.08,0.01:0.03,0.001:0.008"], "anneal.schedule"),
+    (["sweep", "--key", "schedule", "--values", "0.16"],
+     "unknown config key 'schedule'"),
     (["sweep", "--key", "drift_rate", "--values", "0,0.04", "--trials", "3"],
      "disturbance.drift_rate is read only when disturbance.kind = drift"),
     (["sweep", "--key", "jump_magnitude", "--values", "1.5"],
      "disturbance.jump_magnitude is read only when disturbance.kind = jump"),
+    (["sweep", "--key", "resistance", "--values", "1000,3000"],
+     "unknown config key 'resistance'"),
+    (["sweep", "--key", "noise_sigma", "--values", "0,5e-4,0"],
+     "--values repeats 0"),
 ])
 def test_cli_bad_input_exits_one(argv, named, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

@@ -87,11 +87,11 @@ def test_cascade_rejects_nonfinite_phase(bad):
 
 
 @st.composite
-def _schedules(draw, step_max=1e6):
+def _schedules(draw):
     n = draw(st.integers(1, 5))
     finite = st.floats(allow_nan=False, allow_infinity=False)
     # a multi-entry table needs positive steps, a single entry one >= 0
-    step = st.floats(0.0, step_max, exclude_min=n > 1)
+    step = st.floats(0.0, 1e6, exclude_min=n > 1)
     thresholds = draw(st.sets(finite, min_size=n, max_size=n))
     steps = draw(st.sets(step, min_size=n, max_size=n))
     return StepSchedule(tuple(zip(sorted(thresholds, reverse=True),
@@ -113,13 +113,7 @@ _NON_NEGATIVE = st.floats(0.0, allow_infinity=False)
 # m0, phase_max holds the largest default step, and jump_at stays below the
 # default run length
 _VALID = {
-    "tps.resistance": _POSITIVE,
-    "tps.c_slope": _POSITIVE,
-    "tps.theta_bias": st.floats(0.0, 2.0 * math.pi, exclude_max=True),
-    "tps.v_max": _POSITIVE,
     "tps.phase_max": st.floats(0.16, allow_infinity=False),
-    "tps.tau_rise": _POSITIVE,
-    "tps.tau_fall": _POSITIVE,
     "device.static_er_db": _POSITIVE,
     "device.noise_sigma": _NON_NEGATIVE,
     "anneal.t0": st.floats(1e-300, allow_infinity=False),
@@ -234,14 +228,12 @@ def test_derived_trace_fields_equal_per_iteration_definitions(
 
 # --- whole config files -------------------------------------------------------
 
-_DEFAULT_STEP = 0.16  # the largest step of the default variants and schedule
+_DEFAULT_STEP = 0.16  # the largest step of the default variants
 
 
 def _text(value) -> str:
     if value is None:
         return "none"
-    if isinstance(value, StepSchedule):
-        return ",".join(f"{t!r}:{s!r}" for t, s in value.entries)
     if isinstance(value, tuple):  # variants; repr keeps every digit
         return ",".join("variable" if v.kind == "variable"
                         else f"{v.kind}({v.value!r})" for v in value)
@@ -262,20 +254,13 @@ def _config_files(draw):
         st.just(Variant("variable")),
         st.builds(Variant, st.just("fixed"), st.floats(0.0, _DEFAULT_STEP)))
     values = {
-        "tps.resistance": st.floats(100.0, 1e4),
-        "tps.c_slope": st.floats(10.0, 500.0),
-        "tps.theta_bias": st.floats(0.0, 2.0 * math.pi, exclude_max=True),
-        "tps.v_max": st.floats(1.0, 20.0),
         "tps.phase_max": st.just(phase_max),
-        "tps.tau_rise": positive,
-        "tps.tau_fall": positive,
         "device.static_er_db": st.none() | positive,
         "device.noise_sigma": non_negative,
         "anneal.t0": st.floats(1e-200, 1e200),
         "anneal.m0": st.just(m0),
         "anneal.n0": st.just(n0),
         "anneal.cooling_p": st.floats(1e-3, 1.0, exclude_max=True),
-        "anneal.schedule": _schedules(step_max=_DEFAULT_STEP),
         # each parameter is nonzero only under the kind that reads it, and
         # that kind is always in the file (below)
         "disturbance.kind": st.just(kind),
