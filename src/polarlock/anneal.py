@@ -31,6 +31,10 @@ Objective = Callable[[tuple[float, float, float, float]], tuple[float, float]]
 _DB_FLOOR = 1e-12
 
 
+def _fmt(x: float) -> str:
+    return f"{x:.9g}"
+
+
 def _er_db(i_px: float, i_py: float) -> float:
     return 10.0 * math.log10(max(i_px, _DB_FLOOR) / max(i_py, _DB_FLOOR))
 
@@ -87,6 +91,16 @@ class StepSchedule:
     def fixed(cls, st: float) -> "StepSchedule":
         return cls(((1.0, st),))
 
+    @property
+    def label(self) -> str:
+        """``variable`` for the default table, ``fixed(ST)`` for a one-entry
+        table, ST at 9 significant digits; any other table has no label."""
+        if self == DEFAULT_SCHEDULE:
+            return "variable"
+        if len(self.entries) == 1:
+            return f"fixed({_fmt(self.entries[0][1])})"
+        raise ValueError(f"step schedule {self.entries} has no variant label")
+
 
 DEFAULT_SCHEDULE = StepSchedule.default()
 
@@ -113,16 +127,15 @@ class AnnealConfig:
     """Annealing loop parameters.
 
     Defaults: initial temperature 1e-5, 10 outer loops of 50 inner
-    iterations, halving cooling, variable-step schedule.  The start point is
-    not a setting: ``run_lock`` always starts all four phases at half the
-    controllable span.
+    iterations, halving cooling.  The step schedule is ``run_lock``'s own
+    argument, and the start point is not a setting: ``run_lock`` always
+    starts all four phases at half the controllable span.
     """
 
     t0: float = 1e-5
     m0: int = 10
     n0: int = 50
     cooling_p: float = 0.5
-    schedule: StepSchedule = DEFAULT_SCHEDULE
 
     def __post_init__(self):
         _check_field(self, "t0", positive=True)
@@ -228,13 +241,14 @@ def bind_objective(input_sop, params: DeviceParams, rng) -> Objective:
 
 
 def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
-             rng) -> LockTrace:
+             rng, schedule: StepSchedule = DEFAULT_SCHEDULE) -> LockTrace:
     """Run the annealing lock and return its full trace.
 
     The search point starts with all four phases at half the span,
     ``tps.phase_max / 2``, and is evaluated once; then ``m0`` outer loops of
-    ``n0`` inner iterations run.  Each inner iteration looks up the step
-    from the gap 1 - (latest reading), moves all four phases within
+    ``n0`` inner iterations run.  Each inner iteration looks up the step in
+    ``schedule`` (the variable-step table unless given) from the gap
+    1 - (latest reading), moves all four phases within
     [0, phase_max] with ``propose``, evaluates them (a plain 4-tuple), and
     applies the Metropolis rule against the latest reading; the
     temperature is multiplied by ``cooling_p`` after each outer loop.
@@ -264,8 +278,8 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
     initial_sample = DetectorSample(i_px, i_py)
     i_ref = i_px
 
-    lower = cfg.schedule._lower
-    steps = [st for _, st in cfg.schedule.entries]
+    lower = schedule._lower
+    steps = [st for _, st in schedule.entries]
 
     rows = []
     temperatures = []

@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, load_experiment_config, resolve_key
+from .config import KEYS, ConfigError, load_experiment_config, resolve_key
 from .device import DeviceParams
 from .harness import (run_experiment, run_identity_checks, summarize,
                       threads_from_env)
@@ -144,9 +144,6 @@ def _cmd_sweep(args) -> int:
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("--values must list at least one value")
-    repeated = sorted({v for v in values if values.count(v) > 1})
-    if repeated:
-        raise ConfigError(f"--values repeats {', '.join(repeated)}")
     base_over = _overrides(args)
     base_cfg = load_experiment_config(args.config, base_over)
     _check_output(base_cfg.output_path)
@@ -158,6 +155,14 @@ def _cmd_sweep(args) -> int:
         **base_over, key: value,
         "experiment.output": f"{stem}_{leaf}_{value}{ext}"})
         for value in values]
+    seen: dict = {}  # two spellings of one value would run the same twice
+    for value in values:
+        parsed = KEYS[key][2](value)
+        if parsed in seen:
+            first = seen[parsed]
+            same = "" if first == value else f" as {value}"
+            raise ConfigError(f"--values repeats {first}{same}")
+        seen[parsed] = value
     for value, cfg in zip(values, cfgs):
         table = run_experiment(cfg, max_workers=workers)
         _write_outputs(cfg, table)

@@ -14,12 +14,13 @@ import math
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
-from .anneal import AnnealConfig, StepSchedule, bind_objective, run_lock
+from .anneal import (DEFAULT_SCHEDULE, AnnealConfig, StepSchedule, _fmt,
+                     bind_objective, run_lock)
 from .device import DeviceParams, dpc_transform
 from .disturbance import DisturbanceModel, DisturbedObjective
 from .jones import (ALGEBRA_TOL, COUPLER_IN, COUPLER_OUT, JonesVector,
@@ -41,47 +42,11 @@ _FIELDS = ("temperature", "step_rad", "i_px", "i_py", "er_db", "accepted")
 _VARIANT_RE = re.compile(r"^fixed\(([^)]+)\)$")
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.9g}"
-
-
-@dataclass(frozen=True, slots=True)
-class Variant:
-    """One controller configuration in an ensemble.
-
-    ``variable`` runs the gap-driven schedule; ``fixed`` runs a constant
-    phase step (radians).
-    """
-
-    kind: str               # variable | fixed
-    value: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("variable", "fixed"):
-            raise ValueError(f"unknown variant kind {self.kind!r}")
-        if self.kind == "variable":
-            if self.value is not None:
-                raise ValueError("variable variant takes no value")
-        elif self.value is None or not 0.0 <= self.value < math.inf:
-            raise ValueError(
-                f"{self.kind} variant needs a finite step value >= 0")
-
-    @property
-    def label(self) -> str:
-        if self.kind == "variable":
-            return "variable"
-        return f"{self.kind}({_fmt(self.value)})"
-
-    def anneal_config(self, base: AnnealConfig) -> AnnealConfig:
-        if self.kind == "variable":
-            return base
-        return replace(base, schedule=StepSchedule.fixed(self.value))
-
-
-def parse_variant(token: str) -> Variant:
+def parse_variant(token: str) -> StepSchedule:
+    """``variable`` (the default table) or ``fixed(ST)`` as a schedule."""
     token = token.strip()
     if token == "variable":
-        return Variant("variable")
+        return DEFAULT_SCHEDULE
     m = _VARIANT_RE.match(token)
     if not m:
         raise ValueError(
@@ -90,20 +55,21 @@ def parse_variant(token: str) -> Variant:
         value = float(m.group(1))
     except ValueError:
         raise ValueError(f"bad step value in variant {token!r}") from None
-    return Variant("fixed", value)
+    return StepSchedule.fixed(value + 0.0)  # fixed(-0) is fixed(0)
 
 
 @dataclass(frozen=True, slots=True)
 class ExperimentConfig:
     """Everything one ensemble run needs; defaults reproduce the reference
-    three-variant comparison at 200 trials."""
+    three-variant comparison at 200 trials.  Each variant is the step
+    schedule its trials lock with, named by its ``label``."""
 
     device: DeviceParams = DeviceParams()
     anneal: AnnealConfig = AnnealConfig()
     disturbance: DisturbanceModel = DisturbanceModel()
-    variants: tuple[Variant, ...] = (Variant("variable"),
-                                     Variant("fixed", 0.16),
-                                     Variant("fixed", 0.008))
+    variants: tuple[StepSchedule, ...] = (DEFAULT_SCHEDULE,
+                                          StepSchedule.fixed(0.16),
+                                          StepSchedule.fixed(0.008))
     trials: int = 200
     base_seed: int = 0
     output_path: str = "results.csv"
@@ -115,16 +81,18 @@ class ExperimentConfig:
             raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
         if not self.variants:
             raise ValueError("variant list must be non-empty")
-        if len({v.label for v in self.variants}) != len(self.variants):
-            raise ValueError("variant labels must be unique")
+        labels = [v.label for v in self.variants]
+        # fixed(0) and fixed(-0) are one schedule under two labels
+        if not len(labels) == len({*labels}) == len({*self.variants}):
+            raise ValueError("variant labels must be unique and name distinct "
+                             f"schedules, got {', '.join(labels)}")
         self.disturbance.check_run_length(self.anneal.total_iterations)
         phase_max = self.device.tps.phase_max
-        for v in self.variants:
-            top = max(st for _, st in v.anneal_config(self.anneal)
-                      .schedule.entries)
+        for label, v in zip(labels, self.variants):
+            top = max(st for _, st in v.entries)
             if top > phase_max:
                 raise ValueError(
-                    f"variant {v.label}: phase step {top:g} rad exceeds the "
+                    f"variant {label}: phase step {top:g} rad exceeds the "
                     f"phase span tps.phase_max = {phase_max:g} rad")
 
 
@@ -206,7 +174,7 @@ class ResultsTable:
                             f"{_fmt(p50[i])},{_fmt(p90[i])}\n")
 
 
-def _run_trial(cfg: ExperimentConfig, variant: Variant, trial: int):
+def _run_trial(cfg: ExperimentConfig, schedule: StepSchedule, trial: int):
     """One seeded trial; the rng stream depends only on base_seed + trial."""
     rng = np.random.default_rng(cfg.base_seed + trial)
     sop = random_sop(rng)
@@ -214,13 +182,11 @@ def _run_trial(cfg: ExperimentConfig, variant: Variant, trial: int):
         objective = bind_objective(sop, cfg.device, rng)
     else:
         objective = DisturbedObjective(sop, cfg.device, cfg.disturbance, rng)
-    return run_lock(objective, variant.anneal_config(cfg.anneal),
-                    cfg.device.tps, rng)
+    return run_lock(objective, cfg.anneal, cfg.device.tps, rng, schedule)
 
 
 def _run_job(args):
-    cfg, variant, trial = args
-    trace = _run_trial(cfg, variant, trial)
+    trace = _run_trial(*args)
     return [getattr(trace, name) for name in _FIELDS]
 
 
@@ -251,8 +217,8 @@ def run_experiment(cfg: ExperimentConfig,
     if max_workers is None:
         max_workers = threads_from_env()
     # built in (variant, trial) order, which both map paths keep
-    jobs = [(cfg, variant, trial)
-            for variant in cfg.variants
+    jobs = [(cfg, schedule, trial)
+            for schedule in cfg.variants
             for trial in range(cfg.trials)]
 
     # the pool forks all its workers at the first submit, so cap them

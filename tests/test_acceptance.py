@@ -13,7 +13,7 @@ import pytest
 
 from polarlock import (AnnealConfig, DeviceParams, DisturbanceModel,
                        ExperimentConfig, JonesVector, PhaseQuad, TpsParams,
-                       Variant, bind_objective, dpc_transform, measure,
+                       StepSchedule, bind_objective, dpc_transform, measure,
                        oracle_best, phase_step_to_voltage_step,
                        power_to_phase, random_sop, relock_experiment,
                        run_experiment, run_identity_checks, run_lock,
@@ -214,7 +214,7 @@ def test_c7_relock_after_quarter_turn_jump():
 def test_c8_end_to_end_determinism(tmp_path):
     cfg = ExperimentConfig(
         anneal=AnnealConfig(m0=4, n0=25),
-        variants=(Variant("variable"), Variant("fixed", 0.16)),
+        variants=(StepSchedule.default(), StepSchedule.fixed(0.16)),
         trials=4,
     )
     paths = [tmp_path / name for name in

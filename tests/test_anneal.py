@@ -77,6 +77,16 @@ def test_step_schedule_rejects_non_finite(entries):
         StepSchedule(entries)
 
 
+def test_step_schedule_label():
+    assert StepSchedule.default().label == "variable"
+    assert StepSchedule.fixed(0.16).label == "fixed(0.16)"
+    assert StepSchedule.fixed(0.1234567891).label == "fixed(0.123456789)"
+    # the default's first three brackets are a table, not the variable step
+    table = StepSchedule(StepSchedule.default().entries[:3])
+    with pytest.raises(ValueError, match="no variant label"):
+        table.label
+
+
 def test_fixed_schedule_allows_zero_step():
     assert StepSchedule.fixed(0.0).entries == ((1.0, 0.0),)
 
@@ -234,8 +244,8 @@ def test_run_lock_already_locked_input_stays_locked():
 
 def test_run_lock_fixed_zero_step_is_constant():
     _, objective, rng = _noiseless_objective(16)
-    cfg = AnnealConfig(schedule=StepSchedule.fixed(0.0))
-    trace = run_lock(objective, cfg, TPS, rng)
+    trace = run_lock(objective, AnnealConfig(), TPS, rng,
+                     StepSchedule.fixed(0.0))
     assert np.all(trace.i_px == trace.i_px[0])
     assert np.all(trace.i_max == trace.i_max[0])
 

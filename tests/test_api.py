@@ -10,3 +10,23 @@ def test_public_names_resolve_once():
     namespace = {}
     exec("from polarlock import *", namespace)
     assert set(names) <= set(namespace)
+
+
+def test_public_names_are_pinned():
+    # adding or removing a public name is a deliberate edit of this set
+    assert set(polarlock.__all__) == {
+        "ALGEBRA_TOL", "COUPLER_IN", "COUPLER_OUT", "JonesMatrix",
+        "JonesVector", "extinction_ratio_db", "make_m0", "make_m45",
+        "random_sop", "to_stokes",
+        "DeviceParams", "PhaseQuad", "TpsParams", "dpc_transform", "measure",
+        "phase_step_to_voltage_step", "power_to_phase",
+        "thermal_step_response", "voltage_to_phase", "voltage_to_power",
+        "AnnealConfig", "LockTrace", "StepSchedule", "accept",
+        "bind_objective", "propose", "run_lock", "step_for_gap",
+        "DisturbanceModel", "DisturbedObjective", "relock_experiment",
+        "rotate_sop",
+        "oracle_best", "port_intensity",
+        "ExperimentConfig", "ResultsTable", "parse_variant", "run_experiment",
+        "run_identity_checks", "summarize",
+        "ConfigError", "load_experiment_config",
+    }

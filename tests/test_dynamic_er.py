@@ -9,7 +9,7 @@ held-out seeds below. The rate, the share and the seeds are not retuned.
 
 import math
 
-from polarlock import (DisturbanceModel, ExperimentConfig, Variant,
+from polarlock import (DisturbanceModel, ExperimentConfig, StepSchedule,
                        run_experiment)
 
 DRIFT_RATE = 0.003            # rad of Stokes rotation per iteration
@@ -29,7 +29,7 @@ def _tail_er_db(i_px: list, i_py: list) -> float:
 def test_dynamic_er_under_drift_holds_25db():
     cfg = ExperimentConfig(
         disturbance=DisturbanceModel("drift", drift_rate=DRIFT_RATE),
-        variants=(Variant("variable"),), trials=len(HELD_OUT),
+        variants=(StepSchedule.default(),), trials=len(HELD_OUT),
         base_seed=HELD_OUT.start)
     assert cfg.anneal.total_iterations == 500
     table = run_experiment(cfg, max_workers=1)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from polarlock import (AnnealConfig, DeviceParams, DisturbanceModel,
-                       DisturbedObjective, ExperimentConfig, Variant,
+                       DisturbedObjective, ExperimentConfig, StepSchedule,
                        bind_objective, random_sop, relock_experiment,
                        run_experiment, run_lock)
 
@@ -76,7 +76,7 @@ def test_golden_relock_jump():
 def small_table():
     cfg = ExperimentConfig(
         anneal=AnnealConfig(m0=3, n0=20),
-        variants=(Variant("variable"), Variant("fixed", 0.16)),
+        variants=(StepSchedule.default(), StepSchedule.fixed(0.16)),
         trials=4, base_seed=21)
     return run_experiment(cfg, max_workers=1)
 

@@ -6,7 +6,7 @@ import pytest
 
 from polarlock import (AnnealConfig, ConfigError, DeviceParams,
                        DisturbanceModel, ExperimentConfig, JonesVector,
-                       StepSchedule, Variant, load_experiment_config,
+                       StepSchedule, load_experiment_config,
                        oracle_best, parse_variant, port_intensity, random_sop,
                        run_experiment, run_identity_checks, summarize)
 from polarlock import harness
@@ -16,7 +16,7 @@ from polarlock.harness import _run_trial
 
 SMALL = ExperimentConfig(
     anneal=AnnealConfig(m0=4, n0=25),
-    variants=(Variant("variable"), Variant("fixed", 0.16)),
+    variants=(StepSchedule.default(), StepSchedule.fixed(0.16)),
     trials=3,
 )
 
@@ -24,8 +24,8 @@ SMALL = ExperimentConfig(
 # --- variants ------------------------------------------------------------------
 
 def test_parse_variant_forms():
-    assert parse_variant("variable") == Variant("variable")
-    assert parse_variant(" fixed(0.16) ") == Variant("fixed", 0.16)
+    assert parse_variant("variable") == StepSchedule.default()
+    assert parse_variant(" fixed(0.16) ") == StepSchedule.fixed(0.16)
 
 
 @pytest.mark.parametrize("token", ["", "fixed", "fixed()", "fixed(x)",
@@ -43,12 +43,22 @@ def test_variant_labels_round_trip():
         assert parse_variant(token).label == token
 
 
-def test_variant_anneal_config_mapping():
-    base = AnnealConfig()
-    assert Variant("variable").anneal_config(base) is base
-    fixed = Variant("fixed", 0.16).anneal_config(base)
-    assert fixed.schedule.entries == ((1.0, 0.16),)
-    assert replace(fixed, schedule=base.schedule) == base
+def test_parse_variant_negative_zero_is_zero(tmp_path):
+    # fixed(-0) runs fixed(0), so listing both is a repeated label
+    step = parse_variant("fixed(-0)").entries[0][1]
+    assert step == 0.0 and str(step) == "0.0"
+    path = tmp_path / "zero.cfg"
+    path.write_text("experiment.variants = fixed(0), fixed(-0)\n")
+    with pytest.raises(ConfigError, match="variant labels must be unique"):
+        load_experiment_config(str(path))
+
+
+def test_experiment_config_rejects_unlabelled_schedule():
+    # no label names a table other than the default or a fixed step, so
+    # such a table cannot run as a variant under either name
+    table = StepSchedule(((0.5, 0.1), (0.05, 0.01)))
+    with pytest.raises(ValueError, match=r"\(0\.5, 0\.1\), \(0\.05, 0\.01\)"):
+        ExperimentConfig(variants=(StepSchedule.default(), table))
 
 
 def test_experiment_config_validation():
@@ -57,7 +67,11 @@ def test_experiment_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(variants=())
     with pytest.raises(ValueError):
-        ExperimentConfig(variants=(Variant("variable"), Variant("variable")))
+        ExperimentConfig(variants=(StepSchedule.default(),
+                                   StepSchedule.default()))
+    with pytest.raises(ValueError, match="fixed\\(0\\), fixed\\(-0\\)"):
+        ExperimentConfig(variants=(StepSchedule.fixed(0.0),
+                                   StepSchedule.fixed(-0.0)))
     with pytest.raises(ValueError, match="jump_at"):
         ExperimentConfig(disturbance=DisturbanceModel(kind="jump",
                                                       jump_at=500))
@@ -161,7 +175,7 @@ def test_aggregates_recomputable_from_rows(tmp_path):
 
 def test_csv_header_and_formatting(tmp_path):
     path = tmp_path / "rows.csv"
-    cfg = replace(SMALL, trials=1, variants=(Variant("variable"),))
+    cfg = replace(SMALL, trials=1, variants=(StepSchedule.default(),))
     run_experiment(cfg).write_csv(path)
     lines = path.read_text().splitlines()
     assert lines[0] == ("variant,trial,iteration,temperature,step_rad,"
@@ -214,7 +228,7 @@ def test_oracle_dominates_controller_traces():
 
 def test_summarize_keys_and_crossing():
     cfg = replace(SMALL, anneal=AnnealConfig(), trials=2,
-                  variants=(Variant("variable"),))
+                  variants=(StepSchedule.default(),))
     table = run_experiment(cfg)
     text = summarize(table)
     assert "trials: 2" in text
@@ -228,7 +242,7 @@ def test_summarize_keys_and_crossing():
 
 
 def test_summarize_names_missing_variant():
-    table = run_experiment(replace(SMALL, variants=(Variant("variable"),)))
+    table = run_experiment(replace(SMALL, variants=(StepSchedule.default(),)))
     table.variant_order = ("variable", "fixed(0.31)")
     with pytest.raises(ValueError, match="fixed\\(0.31\\)"):
         summarize(table)
@@ -251,9 +265,8 @@ def test_identity_checks_name_bad_arguments(kwargs, named):
 
 
 def test_experiment_config_rejects_base_step_beyond_phase_span():
-    anneal = AnnealConfig(schedule=StepSchedule.fixed(10.0))
-    with pytest.raises(ValueError, match="variant variable: .*phase_max"):
-        ExperimentConfig(anneal=anneal, variants=(Variant("variable"),))
+    with pytest.raises(ValueError, match=r"variant fixed\(10\): .*phase_max"):
+        ExperimentConfig(variants=(StepSchedule.fixed(10.0),))
 
 
 # --- config files --------------------------------------------------------------------
@@ -288,7 +301,7 @@ def test_config_round_trip(tmp_path):
     assert cfg.device.tps.phase_max == 7.0
     assert cfg.anneal.m0 == 5 and cfg.anneal.n0 == 20
     assert cfg.disturbance.kind == "jump" and cfg.disturbance.jump_at == 40
-    assert cfg.variants == (Variant("variable"), Variant("fixed", 0.02))
+    assert cfg.variants == (StepSchedule.default(), StepSchedule.fixed(0.02))
     assert cfg.trials == 7 and cfg.base_seed == 3
     assert cfg.output_path == "out.csv"
 
@@ -525,6 +538,8 @@ def test_cli_sweep_noise_monotone(tmp_path, capsys):
      "unknown config key 'resistance'"),
     (["sweep", "--key", "noise_sigma", "--values", "0,5e-4,0"],
      "--values repeats 0"),
+    (["sweep", "--key", "noise_sigma", "--values", "5e-4,0.0005",
+      "--trials", "2"], "--values repeats 5e-4 as 0.0005"),
 ])
 def test_cli_bad_input_exits_one(argv, named, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from polarlock import (AnnealConfig, DeviceParams, DisturbanceModel,
                        DisturbedObjective, ExperimentConfig, JonesVector,
-                       PhaseQuad, StepSchedule, TpsParams, Variant,
+                       PhaseQuad, StepSchedule, TpsParams,
                        bind_objective, dpc_transform, load_experiment_config,
                        measure, port_intensity, propose, random_sop, run_lock,
                        step_for_gap)
@@ -178,7 +178,7 @@ def test_derived_trace_fields_equal_per_iteration_definitions(
         seed, phase_max, ideal, kind, schedule, m0, n0):
     tps = TpsParams(phase_max=phase_max)
     device = DeviceParams.ideal(tps) if ideal else DeviceParams(tps=tps)
-    cfg = AnnealConfig(m0=m0, n0=n0, schedule=schedule)
+    cfg = AnnealConfig(m0=m0, n0=n0)
     n = m0 * n0
     rng = np.random.default_rng(seed)
     sop = random_sop(rng)
@@ -194,7 +194,7 @@ def test_derived_trace_fields_equal_per_iteration_definitions(
     def spy(phases):
         evaluated.append(tuple(phases))
         return objective(phases)
-    trace = run_lock(spy, cfg, tps, rng)
+    trace = run_lock(spy, cfg, tps, rng, schedule)
 
     # every evaluated point lies in the span, starting from its middle
     init = phase_max / 2.0
@@ -235,8 +235,8 @@ def _text(value) -> str:
     if value is None:
         return "none"
     if isinstance(value, tuple):  # variants; repr keeps every digit
-        return ",".join("variable" if v.kind == "variable"
-                        else f"{v.kind}({v.value!r})" for v in value)
+        return ",".join("variable" if v == StepSchedule.default()
+                        else f"fixed({v.entries[0][1]!r})" for v in value)
     return value if isinstance(value, str) else repr(value)
 
 
@@ -251,8 +251,8 @@ def _config_files(draw):
     positive = st.floats(0.0, exclude_min=True, **finite)
     non_negative = st.just(0.0) | st.floats(0.0, **finite)
     variant = st.one_of(
-        st.just(Variant("variable")),
-        st.builds(Variant, st.just("fixed"), st.floats(0.0, _DEFAULT_STEP)))
+        st.just(StepSchedule.default()),
+        st.builds(StepSchedule.fixed, st.floats(0.0, _DEFAULT_STEP)))
     values = {
         "tps.phase_max": st.just(phase_max),
         "device.static_er_db": st.none() | positive,
