@@ -14,7 +14,7 @@ so an unlucky noisy last sample cannot degrade the reported lock point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Callable
 
@@ -49,57 +49,45 @@ def _er_db_array(i_px: np.ndarray, i_py: np.ndarray) -> np.ndarray:
                               ratio.size)
 
 
+# the paper's variable-step table, (gap_threshold, step_rad) pairs
+_VARIABLE_TABLE = ((1.0, 0.16), (0.1, 0.08), (0.01, 0.03), (0.001, 0.008))
+
+
 @dataclass(frozen=True, slots=True)
 class StepSchedule:
-    """Gap-threshold table mapping the intensity gap to a search step.
+    """The search step as a function of the intensity gap.
 
-    ``entries`` is an ordered tuple of (gap_threshold, step_rad) pairs with
-    strictly decreasing thresholds; a gap g selects the entry of the lowest
-    bracket (next_threshold, threshold] containing it, and anything at or
-    below the last threshold gets the last (smallest) step.  A single-entry
-    table is the fixed-step variant.
+    ``step`` None is the variable step: a gap g selects the entry of
+    ``_VARIABLE_TABLE`` whose bracket (next_threshold, threshold] holds it,
+    and anything at or below the last threshold gets the last step.  A
+    number is a fixed step for every gap, finite and >= 0, -0 stored as 0.
     """
 
-    entries: tuple[tuple[float, float], ...]
-    # each bracket's lower edge, the threshold of the entry after it
-    _lower: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    step: float | None = None
 
     def __post_init__(self):
-        if not self.entries:
-            raise ValueError("schedule needs at least one entry")
-        if not all(math.isfinite(x) for entry in self.entries for x in entry):
-            raise ValueError("schedule thresholds and steps must be finite")
-        thresholds = [t for t, _ in self.entries]
-        object.__setattr__(self, "_lower", tuple(thresholds[1:]))
-        steps = [s for _, s in self.entries]
-        if len(self.entries) > 1:
-            if any(b >= a for a, b in zip(thresholds, thresholds[1:])):
-                raise ValueError("gap thresholds must be strictly decreasing")
-            if any(b >= a for a, b in zip(steps, steps[1:])):
-                raise ValueError("steps must be strictly decreasing")
-            if steps[-1] <= 0:
-                raise ValueError("steps must be > 0")
-        elif steps[0] < 0:
-            raise ValueError("step must be >= 0")
+        if self.step is not None:
+            _check_field(self, "step", positive=False)
+            object.__setattr__(self, "step", self.step + 0.0)
 
     @classmethod
     def default(cls) -> "StepSchedule":
         """The four-bracket variable-step table (radians)."""
-        return cls(((1.0, 0.16), (0.1, 0.08), (0.01, 0.03), (0.001, 0.008)))
+        return cls()
 
     @classmethod
     def fixed(cls, st: float) -> "StepSchedule":
-        return cls(((1.0, st),))
+        return cls(st)
+
+    @property
+    def entries(self) -> tuple[tuple[float, float], ...]:
+        """The (gap_threshold, step_rad) table, one entry for a fixed step."""
+        return _VARIABLE_TABLE if self.step is None else ((1.0, self.step),)
 
     @property
     def label(self) -> str:
-        """``variable`` for the default table, ``fixed(ST)`` for a one-entry
-        table, ST at 9 significant digits; any other table has no label."""
-        if self == DEFAULT_SCHEDULE:
-            return "variable"
-        if len(self.entries) == 1:
-            return f"fixed({_fmt(self.entries[0][1])})"
-        raise ValueError(f"step schedule {self.entries} has no variant label")
+        """``variable``, or ``fixed(ST)`` with ST at 9 significant digits."""
+        return "variable" if self.step is None else f"fixed({_fmt(self.step)})"
 
 
 DEFAULT_SCHEDULE = StepSchedule.default()
@@ -107,12 +95,13 @@ DEFAULT_SCHEDULE = StepSchedule.default()
 
 def step_for_gap(i_st: float, schedule: StepSchedule) -> float:
     """Scheduled step for intensity gap ``i_st`` (clamped into [0, 1])."""
-    return schedule.entries[_bracket(i_st, schedule._lower)][1]
+    entries = schedule.entries
+    return entries[_bracket(i_st, [t for t, _ in entries[1:]])][1]
 
 
-def _bracket(i_st: float, lower: tuple[float, ...]) -> int:
+def _bracket(i_st: float, lower: list[float]) -> int:
     """Index of the schedule entry whose bracket holds the gap, clamped into
-    [0, 1]; ``lower`` is the schedule's ``_lower``."""
+    [0, 1]; ``lower`` holds the lower edges, the thresholds after the first."""
     gap = 0.0 if i_st < 0.0 else 1.0 if i_st > 1.0 else i_st
     k = 0
     for t in lower:
@@ -278,8 +267,9 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
     initial_sample = DetectorSample(i_px, i_py)
     i_ref = i_px
 
-    lower = schedule._lower
-    steps = [st for _, st in schedule.entries]
+    entries = schedule.entries
+    lower = [t for t, _ in entries[1:]]
+    steps = [st for _, st in entries]
 
     rows = []
     temperatures = []

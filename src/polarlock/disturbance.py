@@ -16,7 +16,7 @@ import numpy as np
 
 from .anneal import AnnealConfig, LockTrace, _er_db_array, run_lock
 from .device import DetectorSample, DeviceParams, _check_field, measure
-from .jones import JonesVector, random_sop
+from .jones import JonesVector, _random_unit, random_sop
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,17 +68,6 @@ def rotate_sop(sop: JonesVector, axis, angle: float) -> JonesVector:
                        complex(s * n3, s * n2) * ex + complex(c, -s * n1) * ey)
 
 
-def _random_axis(rng) -> tuple[float, float, float]:
-    """A uniformly random unit axis: three normals, redrawn while their norm
-    is below 1e-12."""
-    x, y, z = rng.normal(size=3).tolist()
-    n = math.sqrt(x * x + y * y + z * z)
-    while n < 1e-12:
-        x, y, z = rng.normal(size=3).tolist()
-        n = math.sqrt(x * x + y * y + z * z)
-    return x / n, y / n, z / n
-
-
 class DisturbedObjective:
     """Objective whose input SOP evolves once per evaluation.
 
@@ -123,7 +112,7 @@ class DisturbedObjective:
         if self._drift and k:
             axis = self._axis
             if axis is None:
-                axis = _random_axis(self._rng)
+                axis = _random_unit(self._rng, 3)
             else:
                 x, y, z = axis
                 dx, dy, dz = self._rng.normal(size=3).tolist()
@@ -135,7 +124,7 @@ class DisturbedObjective:
             self._axis = axis
             self._sop = rotate_sop(self._sop, axis, self._drift)
         elif k == self._jump_at:
-            self._sop = rotate_sop(self._sop, _random_axis(self._rng),
+            self._sop = rotate_sop(self._sop, _random_unit(self._rng, 3),
                                    self._jump_magnitude)
         return measure(self._sop, phases, self._params, self._rng)
 
@@ -169,25 +158,27 @@ def relock_experiment(params: DeviceParams, cfg: AnnealConfig,
     Runs a full lock with the SOP jumping per ``model`` (a random input SOP
     is drawn from ``rng`` unless one is given).  Recovery is judged on the
     ER of 5-sample trailing-mean intensities, so isolated noise spikes
-    neither signal nor veto a re-lock.  The returned count is
-    the number of iterations past ``jump_at`` until that ER is back at or
-    above ``recovery_db``: 0 if it never fell below the threshold after the
-    jump (never unlocked), None if it never got back.  ``jump_at`` must lie
-    below ``cfg.total_iterations``, so the jump happens within the run.
+    neither signal nor veto a re-lock.  The returned count is the number of
+    iterations past ``jump_at`` until that ER, having first dipped below the
+    finite ``recovery_db``, is back at or above it: 0 if it never dipped
+    (never unlocked), None if it never got back.  ``jump_at`` must lie below
+    ``cfg.total_iterations``, so the jump happens within the run.
     """
     if model.kind != "jump":
         raise ValueError("relock_experiment needs a jump disturbance model")
+    if not math.isfinite(recovery_db):
+        raise ValueError(f"recovery_db must be finite, got {recovery_db!r}")
     model.check_run_length(cfg.total_iterations)
     if input_sop is None:
         input_sop = random_sop(rng)
     objective = DisturbedObjective(input_sop, params, model, rng)
     trace = run_lock(objective, cfg, params.tps, rng)
 
-    er = _smoothed_er_db(trace, 5)
-    post = er[model.jump_at:]  # iterations after jump_at
-    if post.size == 0 or np.all(post >= recovery_db):
+    post = _smoothed_er_db(trace, 5)[model.jump_at:]  # after jump_at
+    dips = np.nonzero(post < recovery_db)[0]
+    if dips.size == 0:
         return trace, 0
-    hits = np.nonzero(post >= recovery_db)[0]
+    hits = np.nonzero(post[dips[0]:] >= recovery_db)[0]
     if hits.size == 0:
         return trace, None
-    return trace, int(hits[0]) + 1
+    return trace, int(dips[0] + hits[0]) + 1

@@ -55,7 +55,7 @@ def parse_variant(token: str) -> StepSchedule:
         value = float(m.group(1))
     except ValueError:
         raise ValueError(f"bad step value in variant {token!r}") from None
-    return StepSchedule.fixed(value + 0.0)  # fixed(-0) is fixed(0)
+    return StepSchedule.fixed(value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,10 +82,9 @@ class ExperimentConfig:
         if not self.variants:
             raise ValueError("variant list must be non-empty")
         labels = [v.label for v in self.variants]
-        # fixed(0) and fixed(-0) are one schedule under two labels
-        if not len(labels) == len({*labels}) == len({*self.variants}):
-            raise ValueError("variant labels must be unique and name distinct "
-                             f"schedules, got {', '.join(labels)}")
+        if len(labels) != len({*labels}):
+            raise ValueError("variant labels must be unique, "
+                             f"got {', '.join(labels)}")
         self.disturbance.check_run_length(self.anneal.total_iterations)
         phase_max = self.device.tps.phase_max
         for label, v in zip(labels, self.variants):

@@ -23,6 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -161,6 +162,18 @@ def to_stokes(v: JonesVector) -> StokesParams:
     return StokesParams(s0, ax - ay, 2.0 * cross.real, -2.0 * cross.imag)
 
 
+def _random_unit(rng, n: int) -> tuple[float, ...]:
+    """A uniformly random unit vector: ``n`` normals in one
+    ``rng.normal(size=n)``, redrawn while their norm is below 1e-12.  The
+    norm is the square root of the left-to-right sum of squares in Python
+    floats, so no BLAS kernel enters the draw."""
+    while True:
+        q = rng.normal(size=n).tolist()
+        norm = math.sqrt(reduce(lambda sq, x: sq + x * x, q, 0.0))
+        if norm >= 1e-12:
+            return tuple(x / norm for x in q)
+
+
 def random_sop(rng) -> JonesVector:
     """Normalized SOP drawn uniformly on the Poincare sphere.
 
@@ -168,12 +181,8 @@ def random_sop(rng) -> JonesVector:
     per generator state.  Four i.i.d. Gaussians normalized as a quaternion
     give the Haar-uniform pure state.
     """
-    q = rng.normal(size=4)
-    n = math.sqrt(float(q @ q))
-    while n < 1e-12:  # astronomically rare; redraw rather than divide by ~0
-        q = rng.normal(size=4)
-        n = math.sqrt(float(q @ q))
-    return JonesVector(complex(q[0], q[1]) / n, complex(q[2], q[3]) / n)
+    a, b, c, d = _random_unit(rng, 4)
+    return JonesVector(complex(a, b), complex(c, d))
 
 
 def extinction_ratio_db(i_px: float, i_py: float) -> float:

@@ -54,37 +54,17 @@ def test_step_for_gap_fixed_schedule():
         assert step_for_gap(gap, sched) == 0.16
 
 
-@pytest.mark.parametrize("entries", [
-    (),
-    ((0.1, 0.16), (1.0, 0.08)),           # thresholds increasing
-    ((1.0, 0.08), (0.1, 0.16)),           # steps increasing
-    ((1.0, 0.16), (0.1, 0.16)),           # steps not strictly decreasing
-    ((1.0, 0.16), (0.1, 0.0)),            # last step not positive
-])
-def test_step_schedule_validation(entries):
-    with pytest.raises(ValueError):
-        StepSchedule(tuple(entries))
-
-
-@pytest.mark.parametrize("entries", [
-    ((1.0, math.nan),),
-    ((1.0, math.inf),),
-    ((math.nan, 0.16), (0.1, 0.08)),
-    ((math.inf, 0.16), (0.1, 0.08)),
-])
-def test_step_schedule_rejects_non_finite(entries):
-    with pytest.raises(ValueError, match="finite"):
-        StepSchedule(entries)
+@pytest.mark.parametrize("step", [math.nan, math.inf, -0.1])
+def test_step_schedule_rejects_non_finite(step):
+    with pytest.raises(ValueError, match="step must be a finite number"):
+        StepSchedule.fixed(step)
 
 
 def test_step_schedule_label():
     assert StepSchedule.default().label == "variable"
     assert StepSchedule.fixed(0.16).label == "fixed(0.16)"
     assert StepSchedule.fixed(0.1234567891).label == "fixed(0.123456789)"
-    # the default's first three brackets are a table, not the variable step
-    table = StepSchedule(StepSchedule.default().entries[:3])
-    with pytest.raises(ValueError, match="no variant label"):
-        table.label
+    assert StepSchedule.fixed(-0.0).label == "fixed(0)"
 
 
 def test_fixed_schedule_allows_zero_step():

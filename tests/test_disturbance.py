@@ -171,6 +171,30 @@ def test_relock_unreachable_threshold_returns_none():
     assert recovery is None
 
 
+def test_relock_rejects_non_finite_threshold():
+    model = DisturbanceModel(kind="jump", jump_at=250,
+                             jump_magnitude=math.pi / 2)
+    with pytest.raises(ValueError, match="recovery_db"):
+        relock_experiment(DeviceParams(), AnnealConfig(), model,
+                          np.random.default_rng(0), recovery_db=math.nan)
+
+
+def test_relock_counts_from_the_dip():
+    # a small jump dips the smoothed ER a few samples late; a sample still
+    # above the threshold before that dip is not a recovery
+    model = DisturbanceModel(kind="jump", jump_at=250, jump_magnitude=0.2)
+    for seed in range(1000, 1020):
+        trace, r = relock_experiment(DeviceParams(), AnnealConfig(), model,
+                                     np.random.default_rng(seed))
+        post = disturbance._smoothed_er_db(trace, 5)[250:]
+        if r is None:
+            assert np.any(post < 20.0)
+        elif r == 0:
+            assert np.all(post >= 20.0)
+        else:
+            assert post[r - 1] >= 20.0 and np.any(post[:r - 1] < 20.0)
+
+
 def test_relock_recovers_from_quarter_turn():
     model = DisturbanceModel(kind="jump", jump_at=250,
                              jump_magnitude=math.pi / 2)

@@ -86,16 +86,9 @@ def test_cascade_rejects_nonfinite_phase(bad):
         _cascade(JonesVector(1.0, 0.0), PhaseQuad(0.1, 0.2, bad, 0.4))
 
 
-@st.composite
-def _schedules(draw):
-    n = draw(st.integers(1, 5))
-    finite = st.floats(allow_nan=False, allow_infinity=False)
-    # a multi-entry table needs positive steps, a single entry one >= 0
-    step = st.floats(0.0, 1e6, exclude_min=n > 1)
-    thresholds = draw(st.sets(finite, min_size=n, max_size=n))
-    steps = draw(st.sets(step, min_size=n, max_size=n))
-    return StepSchedule(tuple(zip(sorted(thresholds, reverse=True),
-                                  sorted(steps, reverse=True))))
+def _schedules():
+    return st.just(StepSchedule.default()) | st.builds(
+        StepSchedule.fixed, st.floats(0.0, 1e6))
 
 
 @given(_schedules(), st.floats(allow_nan=False), st.floats(allow_nan=False))
