@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from typing import Callable
 
 import numpy as np
@@ -23,8 +23,9 @@ import numpy as np
 from .device import (PHASE_SPAN, DetectorSample, PhaseQuad, TpsParams,
                      DeviceParams, _check_field, measure)
 
-#: objective protocol: a phase 4-tuple in, a noisy (i_px, i_py) reading out
-Objective = Callable[[tuple[float, float, float, float]], tuple[float, float]]
+#: objective protocol: a phase 4-tuple, then the evaluation's noise and
+#: channel rows (see ``run_lock``) in, an (i_px, i_py) reading out
+Objective = Callable[..., tuple[float, float]]
 
 # intensities are clamped here before dB conversion in traces, so a reading
 # noise-clipped to zero yields a large finite ER instead of an error
@@ -103,12 +104,10 @@ def _bracket(i_st: float, lower: list[float]) -> int:
     """Index of the schedule entry whose bracket holds the gap, clamped into
     [0, 1]; ``lower`` holds the lower edges, the thresholds after the first."""
     gap = 0.0 if i_st < 0.0 else 1.0 if i_st > 1.0 else i_st
-    k = 0
-    for t in lower:
+    for k, t in enumerate(lower):
         if gap > t:
             return k
-        k += 1
-    return k
+    return len(lower)
 
 
 @dataclass(frozen=True, slots=True)
@@ -192,40 +191,48 @@ class LockTrace:
         return float(self.er_db[-1])
 
 
-def propose(s_p, st: float, rng, hi: float = PHASE_SPAN
-            ) -> tuple[float, float, float, float]:
-    """The lock loop's boundary-reflecting random move of the 4-tuple s_p.
-
-    ``hi`` is the upper edge of the phase span, phase_max radians.  Per
-    component, with draws r, u ~ U[0, 1]: move by +st*r at or below 0, by
-    -st*r at or above ``hi``, and in the interior by +st*r if u < 0.5,
-    else by -st*r; then clamp into [0, hi].  Draws eight uniforms in one
-    ``rng.random(8)``, r then u per component, and returns a plain 4-tuple.
-    """
-    if st < 0:
-        raise ValueError("step must be >= 0")
+def _move(s_p, st: float, draws, hi: float) -> tuple[float, ...]:
+    """The boundary-reflecting move of the 4-tuple s_p by step st, with r
+    then u per component from the first eight of ``draws``: move by +st*r
+    at or below 0, by -st*r at or above ``hi``, and in the interior by
+    +st*r if u < 0.5, else by -st*r; then clamp into [0, hi]."""
     out = []
-    draws = iter(rng.random(8).tolist())
+    draws = iter(draws)
     for x, r, u in zip(s_p, draws, draws):
         x = x + st * r if x <= 0.0 or (x < hi and u < 0.5) else x - st * r
         out.append(0.0 if x < 0.0 else hi if x > hi else x)
     return tuple(out)
 
 
+def propose(s_p, st: float, rng, hi: float = PHASE_SPAN
+            ) -> tuple[float, float, float, float]:
+    """The lock loop's ``_move`` of s_p within [0, hi] (phase_max radians),
+    its eight uniforms drawn in one ``rng.random(8)``, r then u per stage."""
+    if st < 0:
+        raise ValueError("step must be >= 0")
+    return _move(s_p, st, rng.random(8).tolist(), hi)
+
+
+def _metropolis(i_new, i_old, temperature, u) -> bool:
+    """Metropolis rule for maximization with the uniform u: improvements
+    pass, a worse reading when u < exp((i_new - i_old) / temperature)."""
+    return i_new >= i_old or u < math.exp((i_new - i_old) / temperature)
+
+
 def accept(i_new: float, i_old: float, temperature: float, rng) -> bool:
-    """Metropolis rule for maximization: improvements always pass, a worse
-    reading passes with probability exp((i_new - i_old) / temperature)."""
+    """``_metropolis`` with its uniform drawn from ``rng``, one
+    ``rng.random()`` and only for a worse reading."""
     if temperature <= 0:
         raise ValueError("temperature must be > 0")
-    if i_new >= i_old:
-        return True
-    return rng.random() < math.exp((i_new - i_old) / temperature)
+    return _metropolis(i_new, i_old, temperature,
+                       rng.random() if i_new < i_old else 0.0)
 
 
 def bind_objective(input_sop, params: DeviceParams, rng) -> Objective:
-    """Close a device measurement over a fixed input SOP and rng stream."""
-    def objective(phases) -> DetectorSample:
-        return measure(input_sop, phases, params, rng)
+    """Close ``measure`` over a fixed input SOP; ``rng`` serves only a bare
+    call ``objective(phases)``, which draws its own noise."""
+    def objective(phases, noise=None, channel=None) -> DetectorSample:
+        return measure(input_sop, phases, params, rng, noise)
     return objective
 
 
@@ -237,33 +244,34 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
     ``tps.phase_max / 2``, and is evaluated once; then ``m0`` outer loops of
     ``n0`` inner iterations run.  Each inner iteration looks up the step in
     ``schedule`` (the variable-step table unless given) from the gap
-    1 - (latest reading), moves all four phases within
-    [0, phase_max] with ``propose``, evaluates them (a plain 4-tuple), and
-    applies the Metropolis rule against the latest reading; the
+    1 - (latest reading), moves all four phases within [0, phase_max]
+    (``_move``), evaluates them (a plain 4-tuple), and applies the
+    Metropolis rule (``_metropolis``) against the latest reading; the
     temperature is multiplied by ``cooling_p`` after each outer loop.
 
-    Deterministic given the rng states of the controller and the objective.
-    When both share one generator, as in the harness, each iteration draws
-    from it in this order:
-
-    1. the proposal: ``propose``'s eight uniforms in one ``rng.random(8)``,
-       r then u for stage 1, then stage 2, 3 and 4 (the same stream as
-       eight scalar draws);
-    2. the evaluation: the objective's own draws, e.g. a disturbance
-       advance, then two normals for a noisy reading (i_px's first);
-    3. the acceptance: one uniform, only when the reading is worse than the
-       latest one.
-
-    The initial evaluation draws as in step 2.
+    Stream contract: before the first evaluation, and never after, three
+    blocks are drawn from ``rng`` whatever the device, channel and schedule,
+    n being ``cfg.total_iterations``: uniforms (n, 9), row i - 1 holding r
+    then u for stages 1-4 and the Metropolis uniform of iteration i; then
+    standard normals (n + 1, 2), the noise of evaluation k in row k (k = 0
+    the initial one), i_px's first; then standard normals (n, 3), the
+    channel's, row i - 1 for iteration i and row 0 for the initial
+    evaluation too.  Evaluation k calls ``objective(phases, noise_row,
+    channel_row)``, and the objective reads what its device and channel use.
 
     The loop records only each iteration's step, phases, reading and
     verdict; ``er_db`` and the lock point are derived from those once the
     loop ends, with the same values a per-iteration computation gives.
     """
+    n_iter = cfg.total_iterations
+    uniforms = rng.random((n_iter, 9)).tolist()
+    noise = rng.standard_normal((n_iter + 1, 2)).tolist()
+    channel = rng.standard_normal((n_iter, 3)).tolist()
+
     hi = tps.phase_max
     state = initial_thetas = (hi / 2.0,) * 4
 
-    i_px, i_py = objective(state)
+    i_px, i_py = objective(state, noise[0], channel[0])
     initial_sample = DetectorSample(i_px, i_py)
     i_ref = i_px
 
@@ -274,33 +282,32 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
     rows = []
     temperatures = []
     temperature = cfg.t0
+    draws = zip(uniforms, islice(noise, 1, None), channel)
     for _ in range(cfg.m0):
         temperatures.append(temperature)
-        for _ in range(cfg.n0):
-            k = _bracket(1.0 - i_ref, lower)
-            cand = propose(state, steps[k], rng, hi)
-            i_px, i_py = objective(cand)
-            ok = accept(i_px, i_ref, temperature, rng)
+        for u, z, c in islice(draws, cfg.n0):
+            st = steps[_bracket(1.0 - i_ref, lower)]
+            cand = _move(state, st, u, hi)
+            i_px, i_py = objective(cand, z, c)
+            ok = _metropolis(i_px, i_ref, temperature, u[8])
             if ok:
                 state = cand
             i_ref = i_px
-            rows.append((steps[k], *cand, i_px, i_py, ok))
+            rows.append((st, *cand, i_px, i_py, ok))
         temperature *= cfg.cooling_p
 
-    n = len(rows)
-    table = np.fromiter(chain.from_iterable(rows), float, 8 * n).reshape(n, 8)
+    table = np.fromiter(chain.from_iterable(rows), float,
+                        8 * n_iter).reshape(n_iter, 8)
     # one array per field, so that a caller keeping a few fields does not
     # keep the whole table alive
     px, py = table[:, 5].copy(), table[:, 6].copy()
     # the lock point: the first of the highest readings, the initial one
     # included, i.e. where the running best (i_max) reaches its final value
-    best_iter = int(np.argmax(np.concatenate(([initial_sample.i_px], px))))
-    if best_iter:
-        best_thetas = table[best_iter - 1, 1:5].tolist()
-        best_i = float(px[best_iter - 1])
-    else:
-        best_thetas, best_i = initial_thetas, initial_sample.i_px
+    readings = np.concatenate(([initial_sample.i_px], px))
+    best_iter = int(np.argmax(readings))
+    best_thetas = (table[best_iter - 1, 1:5].tolist() if best_iter
+                   else initial_thetas)
     return LockTrace(np.repeat(temperatures, cfg.n0), table[:, 0].copy(),
                      table[:, 1:5].copy(), px, py, _er_db_array(px, py),
                      table[:, 7].astype(bool), PhaseQuad(*best_thetas),
-                     best_i, best_iter, initial_sample)
+                     float(readings[best_iter]), best_iter, initial_sample)

@@ -196,19 +196,20 @@ def _cascade(sop: JonesVector, phases: PhaseQuad) -> tuple[complex, complex]:
 
 
 def measure(input_sop: JonesVector, phases: PhaseQuad, params: DeviceParams,
-            rng) -> DetectorSample:
+            rng, noise=None) -> DetectorSample:
     """Simulate one detector reading pair for a given input SOP and phase
     setting.
 
     The ideal port powers come from the cascade transform; the minimized
     port is then floored at i_px * 10^(-static_er_db/10) (finite splitter
-    extinction), independent Gaussian noise of deviation ``noise_sigma`` is
-    added per detector, and the readings are clamped at zero.
+    extinction), Gaussian noise of deviation ``noise_sigma`` is added per
+    detector, and the readings are clamped at zero.
 
-    A noisy reading draws exactly two normals from ``rng``, i_px's first,
-    in one ``rng.normal(0.0, noise_sigma, 2)`` (the same stream and bits as
-    two scalar calls); a noiseless one draws nothing, and ``rng`` may then
-    be None.  Readings are Python floats in both cases.
+    The noise is ``noise_sigma`` times a pair of standard normals, i_px's
+    first: ``noise`` when given (a lock passes its pre-drawn row), else, on
+    a bare call, one ``rng.standard_normal(2)`` (the same stream and bits as
+    ``rng.normal(0.0, noise_sigma, 2)``).  A noiseless device reads neither,
+    and ``rng`` may then be None.  Readings are Python floats in every case.
     """
     e_x, e_y = _cascade(input_sop, phases)
     i_px = e_x.real * e_x.real + e_x.imag * e_x.imag
@@ -220,11 +221,13 @@ def measure(input_sop: JonesVector, phases: PhaseQuad, params: DeviceParams,
 
     sigma = params.noise_sigma
     if sigma > 0.0:
-        if rng is None:
-            raise ValueError("measure needs an rng when noise_sigma > 0")
-        n_px, n_py = rng.normal(0.0, sigma, 2).tolist()
-        i_px += n_px
-        i_py += n_py
+        if noise is None:
+            if rng is None:
+                raise ValueError("measure needs an rng when noise_sigma > 0")
+            noise = rng.standard_normal(2).tolist()
+        z_px, z_py = noise
+        i_px += sigma * z_px
+        i_py += sigma * z_py
 
     if i_px < 0.0:
         i_px = 0.0

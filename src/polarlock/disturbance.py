@@ -16,7 +16,7 @@ import numpy as np
 
 from .anneal import AnnealConfig, LockTrace, _er_db_array, run_lock
 from .device import DetectorSample, DeviceParams, _check_field, measure
-from .jones import JonesVector, _random_unit, random_sop
+from .jones import JonesVector, _unit, random_sop
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,21 +72,22 @@ class DisturbedObjective:
     """Objective whose input SOP evolves once per evaluation.
 
     Evaluation k corresponds to lock-trace iteration k (the pre-loop
-    evaluation is k = 0).  Before measuring, evaluation k draws from the
-    shared rng as follows:
+    evaluation is k = 0).  Before measuring, it may read its channel row c
+    of three standard normals (``run_lock``'s block; a bare call draws c as
+    one ``rng.standard_normal(3)`` when it reads it):
 
     - drift (``drift_rate > 0``): nothing at k = 0, which sees the
-      undisturbed input; at k = 1 the starting axis, three normals in one
-      ``normal(size=3)``, redrawn while their norm is below 1e-12; at every
-      later k exactly three normals d, and the axis becomes a + d/2
-      normalized.  The SOP is then rotated by ``drift_rate`` about the axis.
-    - jump: a random axis as above, only at k == ``jump_at`` (k = 0
-      included), and the SOP is rotated once by ``jump_magnitude``.
+      undisturbed input; at k = 1 the starting axis is ``_unit(c)``; at
+      every later k the axis a becomes a + c/2 normalized.  The SOP is then
+      rotated by ``drift_rate`` about the axis.
+    - jump: only at k == ``jump_at`` (k = 0 included), the SOP is rotated
+      once by ``jump_magnitude`` about ``_unit(c)``.
     - static, or drift at rate 0: nothing, so a run wired through this
-      class is stream-identical to one using a plain bound objective.
+      class gives the trace of a plain bound objective.
 
-    The axis is kept as three Python floats, so the drift arithmetic is
-    plain scalar IEEE and does not depend on the BLAS kernel.
+    The reading then adds the noise row, as ``measure`` does.  The axis is
+    three Python floats, so the drift arithmetic is plain scalar IEEE and
+    does not depend on the BLAS kernel.
     """
 
     def __init__(self, input_sop: JonesVector, params: DeviceParams,
@@ -104,18 +105,21 @@ class DisturbedObjective:
     def current_sop(self) -> JonesVector:
         return self._sop
 
-    def __call__(self, phases) -> DetectorSample:
+    def __call__(self, phases, noise=None, channel=None) -> DetectorSample:
         k = self._calls
         self._calls = k + 1
         # measure and rotate_sop stay module-global lookups, so that a wrapper
         # patched onto this module (a tracer, a test's counter) sees every call
-        if self._drift and k:
+        drifting = self._drift and k
+        if channel is None and (drifting or k == self._jump_at):
+            channel = self._rng.standard_normal(3).tolist()  # a bare call
+        if drifting:
             axis = self._axis
             if axis is None:
-                axis = _random_unit(self._rng, 3)
+                axis = _unit(channel)
             else:
                 x, y, z = axis
-                dx, dy, dz = self._rng.normal(size=3).tolist()
+                dx, dy, dz = channel
                 x += 0.5 * dx
                 y += 0.5 * dy
                 z += 0.5 * dz
@@ -124,9 +128,13 @@ class DisturbedObjective:
             self._axis = axis
             self._sop = rotate_sop(self._sop, axis, self._drift)
         elif k == self._jump_at:
-            self._sop = rotate_sop(self._sop, _random_unit(self._rng, 3),
+            self._sop = rotate_sop(self._sop, _unit(channel),
                                    self._jump_magnitude)
-        return measure(self._sop, phases, self._params, self._rng)
+        return measure(self._sop, phases, self._params, self._rng, noise)
+
+
+# samples in the trailing mean that re-lock scoring smooths the ER over
+_WINDOW = 5
 
 
 def _smoothed_er_db(trace: LockTrace, window: int) -> np.ndarray:
@@ -160,8 +168,9 @@ def relock_experiment(params: DeviceParams, cfg: AnnealConfig,
     ER of 5-sample trailing-mean intensities, so isolated noise spikes
     neither signal nor veto a re-lock.  The returned count is the number of
     iterations past ``jump_at`` until that ER, having first dipped below the
-    finite ``recovery_db``, is back at or above it: 0 if it never dipped
-    (never unlocked), None if it never got back.  ``jump_at`` must lie below
+    finite ``recovery_db`` within 5 iterations of the jump, is back at or
+    above it: 0 if it did not dip there (never unlocked; a later dip is not
+    the jump's), None if it never got back.  ``jump_at`` must lie below
     ``cfg.total_iterations``, so the jump happens within the run.
     """
     if model.kind != "jump":
@@ -174,11 +183,15 @@ def relock_experiment(params: DeviceParams, cfg: AnnealConfig,
     objective = DisturbedObjective(input_sop, params, model, rng)
     trace = run_lock(objective, cfg, params.tps, rng)
 
-    post = _smoothed_er_db(trace, 5)[model.jump_at:]  # after jump_at
-    dips = np.nonzero(post < recovery_db)[0]
+    post = _smoothed_er_db(trace, _WINDOW)[model.jump_at:]  # after jump_at
+    return trace, _relock_count(post, recovery_db)
+
+
+def _relock_count(post: np.ndarray, recovery_db: float) -> int | None:
+    """``relock_experiment``'s count over ``post``, the smoothed ER from one
+    iteration past the jump: a dip must start in its first ``_WINDOW``."""
+    dips = np.nonzero(post[:_WINDOW] < recovery_db)[0]
     if dips.size == 0:
-        return trace, 0
+        return 0
     hits = np.nonzero(post[dips[0]:] >= recovery_db)[0]
-    if hits.size == 0:
-        return trace, None
-    return trace, int(dips[0] + hits[0]) + 1
+    return None if hits.size == 0 else int(dips[0] + hits[0]) + 1

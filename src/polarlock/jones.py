@@ -162,26 +162,24 @@ def to_stokes(v: JonesVector) -> StokesParams:
     return StokesParams(s0, ax - ay, 2.0 * cross.real, -2.0 * cross.imag)
 
 
-def _random_unit(rng, n: int) -> tuple[float, ...]:
-    """A uniformly random unit vector: ``n`` normals in one
-    ``rng.normal(size=n)``, redrawn while their norm is below 1e-12.  The
-    norm is the square root of the left-to-right sum of squares in Python
-    floats, so no BLAS kernel enters the draw."""
-    while True:
-        q = rng.normal(size=n).tolist()
-        norm = math.sqrt(reduce(lambda sq, x: sq + x * x, q, 0.0))
-        if norm >= 1e-12:
-            return tuple(x / norm for x in q)
+def _unit(q: list[float]) -> tuple[float, ...]:
+    """``q`` over its norm, the square root of the left-to-right sum of
+    squares in Python floats (no BLAS kernel enters it); below a norm of
+    1e-12, the first axis (1, 0, ...), so that nothing is ever redrawn."""
+    norm = math.sqrt(reduce(lambda sq, x: sq + x * x, q, 0.0))
+    if norm < 1e-12:
+        return (1.0,) + (0.0,) * (len(q) - 1)
+    return tuple(x / norm for x in q)
 
 
 def random_sop(rng) -> JonesVector:
     """Normalized SOP drawn uniformly on the Poincare sphere.
 
     ``rng`` is a seeded ``numpy.random.Generator``; the draw is deterministic
-    per generator state.  Four i.i.d. Gaussians normalized as a quaternion
-    give the Haar-uniform pure state.
+    per generator state.  Four i.i.d. Gaussians in one ``rng.normal(size=4)``,
+    normalized by ``_unit`` as a quaternion, give the Haar-uniform pure state.
     """
-    a, b, c, d = _random_unit(rng, 4)
+    a, b, c, d = _unit(rng.normal(size=4).tolist())
     return JonesVector(complex(a, b), complex(c, d))
 
 

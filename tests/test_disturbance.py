@@ -195,6 +195,16 @@ def test_relock_counts_from_the_dip():
             assert post[r - 1] >= 20.0 and np.any(post[:r - 1] < 20.0)
 
 
+def test_relock_ignores_a_dip_that_starts_after_the_window():
+    # smoothed ER from one iteration after the jump; only a dip that starts
+    # within the 5 samples whose window can hold the jump is the jump's
+    late = np.array([23.0, 22.0, 21.0, 20.5, 20.1, 19.9, 19.0, 21.0])
+    assert disturbance._relock_count(late, 20.0) == 0
+    assert disturbance._relock_count(late[1:], 20.0) == 7
+    assert disturbance._relock_count(late[1:7], 20.0) is None
+    assert disturbance._relock_count(late[:5], 20.0) == 0
+
+
 def test_relock_recovers_from_quarter_turn():
     model = DisturbanceModel(kind="jump", jump_at=250,
                              jump_magnitude=math.pi / 2)
@@ -245,6 +255,23 @@ def test_drift_draw_order_matches_reference_generator():
         axis = (x / n, y / n, z / n)
         assert objective._axis == axis
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_drift_start_axis_falls_back_without_redrawing():
+    class ZeroRng:
+        draws = 0
+
+        def standard_normal(self, size):
+            self.draws += 1
+            return np.zeros(size)
+
+    rng = ZeroRng()
+    objective = DisturbedObjective(JonesVector(1.0, 0.0),
+                                   DeviceParams(noise_sigma=0.0), _DRIFT, rng)
+    objective(PhaseQuad.uniform(1.0))
+    objective(PhaseQuad.uniform(1.0))  # a zero row: the first axis stands in
+    assert objective._axis == (1.0, 0.0, 0.0)
+    assert rng.draws == 1
 
 
 def test_jump_at_zero_rotates_on_the_preloop_evaluation():

@@ -48,7 +48,7 @@ def _bound_run(seed: int, acfg: AnnealConfig):
 def test_golden_noisy_phase_mode():
     trace = _bound_run(11, AnnealConfig())
     assert trace_digest(trace) == (
-        "b0f4f7171728d6c9ff1c7962aba19707157efde8a2a77e7870aa455f75f11043")
+        "376865e7662ac26e85088fa5ddaf59974e35401fbe8ac49c4192345aae389f39")
 
 
 def test_golden_noisy_phase_mode_seed_30():
@@ -56,7 +56,7 @@ def test_golden_noisy_phase_mode_seed_30():
     # rounds differently on some kernels; the plain sum makes it one trace
     trace = _bound_run(30, AnnealConfig())
     assert trace_digest(trace) == (
-        "eea25a61fa8820abcfd1dfd37a203e4e4ce8f039269d7df3cc153bb9bdd463fe")
+        "576afc4baee6eed2cf179d2699ed72e2d2cfc8870b1d19ea6bcaddb7f2848c09")
 
 
 def test_golden_drift_objective():
@@ -67,7 +67,7 @@ def test_golden_drift_objective():
     objective = DisturbedObjective(sop, device, model, rng)
     trace = run_lock(objective, AnnealConfig(), device.tps, rng)
     assert trace_digest(trace) == (
-        "3214b144f6c2cb4f4ea4506950eba2e9e8c6af71853a5e2164b989def205b701")
+        "c9d885a8ea02b9f0696adb46df05ee69e72986669b688e5ba7d0a1990d8c6eb1")
 
 
 def test_golden_relock_jump():
@@ -75,9 +75,9 @@ def test_golden_relock_jump():
                              jump_magnitude=math.pi / 2.0)
     trace, recovery = relock_experiment(DeviceParams(), AnnealConfig(), model,
                                         np.random.default_rng(14))
-    assert recovery == 69
+    assert recovery == 52
     assert trace_digest(trace) == (
-        "ae659076ce58c929241e8ca4838779b52092091a7171b8e63cfc1513c21d761d")
+        "9f675921c424edd8b397df3b32766bbbe7189f3c790e945f88da03f9b3e51134")
 
 
 @pytest.fixture(scope="module")
@@ -97,11 +97,11 @@ def test_golden_rows_csv(small_table, tmp_path):
     path = tmp_path / "rows.csv"
     small_table.write_csv(str(path))
     assert _file_digest(path) == (
-        "313261c95f2c74b33d38ed1f7cd0411db6b380ed3e22274a74cbe740295ed898")
+        "8ec597a7a84ae1293184658034c5e59347adb60ce6c808e3f313d02cad017167")
 
 
 def test_golden_aggregate_csv(small_table, tmp_path):
     path = tmp_path / "aggregate.csv"
     small_table.write_aggregate_csv(str(path))
     assert _file_digest(path) == (
-        "babb090e9d3493c24f600936b1a2907bc88e4834bd0f8f4dfd7ccd6d3be80ff0")
+        "83f65b671f2cb1bad41fc062be0f8ac7d27f922385bff81a27f956ac73148724")

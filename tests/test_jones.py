@@ -6,6 +6,7 @@ import pytest
 from polarlock import (ALGEBRA_TOL, COUPLER_IN, COUPLER_OUT, JonesMatrix,
                        JonesVector, extinction_ratio_db, make_m0,
                        make_m45, random_sop, to_stokes)
+from polarlock.jones import _unit
 
 SQ2 = 1.0 / math.sqrt(2.0)
 SPAN = 3.0 * math.pi
@@ -148,6 +149,27 @@ def test_random_sop_normalized():
     rng = np.random.default_rng(5)
     for _ in range(1000):
         assert abs(random_sop(rng).norm() - 1.0) <= ALGEBRA_TOL
+
+
+class ZeroRng:
+    """Generator stand-in whose every draw is zeros; counts its draws."""
+
+    def __init__(self):
+        self.draws = 0
+
+    def normal(self, size):
+        self.draws += 1
+        return np.zeros(size)
+
+
+def test_random_sop_falls_back_without_redrawing():
+    # a zero draw has no direction: the first axis stands in, and no second
+    # draw is taken, so the block of normals keeps its shape
+    assert _unit([0.0, 0.0, 0.0]) == (1.0, 0.0, 0.0)
+    assert _unit([3e-13, 0.0, -4e-13, 0.0]) == (1.0, 0.0, 0.0, 0.0)
+    rng = ZeroRng()
+    assert random_sop(rng) == JonesVector(1.0, 0.0)
+    assert rng.draws == 1
 
 
 def test_random_sop_uniform_on_sphere():

@@ -19,6 +19,7 @@ from polarlock import (AnnealConfig, DeviceParams, DisturbanceModel,
 from polarlock.anneal import _er_db, _er_db_array
 from polarlock.config import KEYS
 from polarlock.device import _cascade
+from polarlock.harness import run_experiment
 
 _phase = st.floats(allow_nan=False, allow_infinity=False)
 _component = st.floats(-1e100, 1e100)
@@ -184,9 +185,9 @@ def test_derived_trace_fields_equal_per_iteration_definitions(
         objective = DisturbedObjective(sop, device, model, rng)
     evaluated = []
 
-    def spy(phases):
+    def spy(phases, *rows):
         evaluated.append(tuple(phases))
-        return objective(phases)
+        return objective(phases, *rows)
     trace = run_lock(spy, cfg, tps, rng, schedule)
 
     # every evaluated point lies in the span, starting from its middle
@@ -217,6 +218,132 @@ def test_derived_trace_fields_equal_per_iteration_definitions(
     assert type(trace.best_intensity) is float
     assert trace.best_iteration == best_iteration
     assert tuple(trace.best_phases) == best_phases
+
+
+# --- the stream contract ------------------------------------------------------
+
+_SCHEDULES = (StepSchedule.default(), StepSchedule.fixed(0.16),
+              StepSchedule.fixed(0.008))
+_KINDS = ("static", "drift", "jump")
+_FIELDS = ("step_rad", "i_px", "i_py", "er_db", "accepted")
+
+
+def _objective(kind, sop, device, rng, jump_at):
+    if kind == "static":
+        return bind_objective(sop, device, rng)
+    model = (DisturbanceModel("drift", drift_rate=0.05) if kind == "drift"
+             else DisturbanceModel("jump", jump_at=jump_at,
+                                   jump_magnitude=math.pi / 2))
+    return DisturbedObjective(sop, device, model, rng)
+
+
+class RecordingRng:
+    """Forwards draws to a generator and records each (method, shape, values);
+    ``frozen`` set, any further draw fails the test."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.draws = []
+        self.frozen = False
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def draw(*args, **kwargs):
+            assert not self.frozen, f"rng.{name} called after the blocks"
+            out = method(*args, **kwargs)
+            self.draws.append((name, np.shape(out), np.asarray(out).tolist()))
+            return out
+        return draw
+
+
+@settings(max_examples=25, deadline=None)
+@given(base=st.integers(0, 2 ** 32), trials=st.integers(1, 4),
+       data=st.data())
+def test_trial_depends_only_on_its_seed(base, trials, data):
+    variants = tuple(data.draw(st.lists(st.sampled_from(_SCHEDULES),
+                                        min_size=1, unique=True)))
+    v = data.draw(st.integers(0, len(variants) - 1))
+    k = data.draw(st.integers(0, trials - 1))
+    small = AnnealConfig(m0=2, n0=15)
+    table = run_experiment(ExperimentConfig(
+        anneal=small, variants=variants, trials=trials, base_seed=base), 1)
+    alone = run_experiment(ExperimentConfig(
+        anneal=small, variants=(variants[v],), trials=1, base_seed=base + k),
+        1)
+    for name in _FIELDS:
+        assert np.array_equal(getattr(table, name)[v, k],
+                              getattr(alone, name)[0, 0])
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=_seed, n0=st.integers(1, 30))
+def test_blocks_do_not_depend_on_noise_channel_or_schedule(seed, n0):
+    # every draw of a trial, blocks included, is the same whatever the
+    # device noise, the channel and the schedule; none comes after them
+    cfg = AnnealConfig(m0=2, n0=n0)
+    runs = []
+    # (noise_sigma, kind, schedule, jump_at); jump_at 0 is the initial
+    # evaluation
+    for sigma, kind, schedule, jump_at in [(0.0, "static", _SCHEDULES[0], 0),
+                                           (5e-4, "drift", _SCHEDULES[1], 0),
+                                           (5e-3, "jump", _SCHEDULES[2], n0),
+                                           (5e-4, "jump", _SCHEDULES[0], 0)]:
+        rng = RecordingRng(seed)
+        device = DeviceParams(noise_sigma=sigma)
+        objective = _objective(kind, random_sop(rng), device, rng, jump_at)
+
+        def frozen_objective(phases, *rows, objective=objective, rng=rng):
+            rng.frozen = True
+            return objective(phases, *rows)
+        run_lock(frozen_objective, cfg, device.tps, rng, schedule)
+        runs.append(rng.draws)
+    n = cfg.total_iterations
+    assert [(name, shape) for name, shape, _ in runs[0]] == [
+        ("normal", (4,)), ("random", (n, 9)),
+        ("standard_normal", (n + 1, 2)), ("standard_normal", (n, 3))]
+    assert all(run == runs[0] for run in runs[1:])
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=_seed, kind=st.sampled_from(_KINDS),
+       sigma=st.sampled_from([0.0, 5e-4]),
+       schedule=st.sampled_from(_SCHEDULES), n0=st.integers(1, 30))
+def test_generator_ends_in_one_state(seed, kind, sigma, schedule, n0):
+    cfg = AnnealConfig(m0=2, n0=n0)
+
+    def end_state(kind, sigma, schedule):
+        rng = np.random.default_rng(seed)
+        device = DeviceParams(noise_sigma=sigma)
+        objective = _objective(kind, random_sop(rng), device, rng, n0)
+        run_lock(objective, cfg, device.tps, rng, schedule)
+        return rng.bit_generator.state
+
+    assert end_state(kind, sigma, schedule) == end_state(
+        "static", 0.0, _SCHEDULES[0])
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=_seed, kind=st.sampled_from(_KINDS),
+       sigma=st.sampled_from([0.0, 5e-4]), n0=st.integers(1, 30))
+def test_wrapped_objective_gives_the_bare_trace(seed, kind, sigma, n0):
+    cfg = AnnealConfig(m0=2, n0=n0)
+
+    def trace(wrap):
+        rng = np.random.default_rng(seed)
+        device = DeviceParams(noise_sigma=sigma)
+        objective = _objective(kind, random_sop(rng), device, rng, n0)
+        if wrap:
+            inner = objective
+
+            def objective(phases, *rows):
+                return inner(phases, *rows)
+        return run_lock(objective, cfg, device.tps, rng)
+
+    bare, wrapped = trace(False), trace(True)
+    for name in _FIELDS + ("phases",):
+        assert np.array_equal(getattr(bare, name), getattr(wrapped, name))
+    assert bare.initial_sample == wrapped.initial_sample
 
 
 # --- whole config files -------------------------------------------------------
