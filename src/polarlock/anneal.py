@@ -52,6 +52,10 @@ def _er_db_array(i_px: np.ndarray, i_py: np.ndarray) -> np.ndarray:
 
 # the paper's variable-step table, (gap_threshold, step_rad) pairs
 _VARIABLE_TABLE = ((1.0, 0.16), (0.1, 0.08), (0.01, 0.03), (0.001, 0.008))
+# its steps, and the lower edges of its brackets: these lie inside (0, 1),
+# so comparing an unclamped gap against them compares the clamped one
+_STEPS = tuple(st for _, st in _VARIABLE_TABLE)
+_EDGES = tuple(t for t, _ in _VARIABLE_TABLE[1:])
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,19 +99,17 @@ DEFAULT_SCHEDULE = StepSchedule.default()
 
 
 def step_for_gap(i_st: float, schedule: StepSchedule) -> float:
-    """Scheduled step for intensity gap ``i_st`` (clamped into [0, 1])."""
-    entries = schedule.entries
-    return entries[_bracket(i_st, [t for t, _ in entries[1:]])][1]
+    """Scheduled step for intensity gap ``i_st`` (clamped into [0, 1]: a
+    gap above 1 gets the first step; one at or below the last threshold, or
+    NaN, the last).  ``run_lock`` inlines this lookup."""
+    e1, e2, e3 = _EDGES
+    s0, s1, s2, s3 = _bracket_steps(schedule)
+    return s0 if i_st > e1 else s1 if i_st > e2 else s2 if i_st > e3 else s3
 
 
-def _bracket(i_st: float, lower: list[float]) -> int:
-    """Index of the schedule entry whose bracket holds the gap, clamped into
-    [0, 1]; ``lower`` holds the lower edges, the thresholds after the first."""
-    gap = 0.0 if i_st < 0.0 else 1.0 if i_st > 1.0 else i_st
-    for k, t in enumerate(lower):
-        if gap > t:
-            return k
-    return len(lower)
+def _bracket_steps(schedule: StepSchedule) -> tuple[float, ...]:
+    """The step of each bracket of ``_EDGES``; a fixed step four times."""
+    return _STEPS if schedule.step is None else (schedule.step,) * len(_STEPS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -191,17 +193,25 @@ class LockTrace:
         return float(self.er_db[-1])
 
 
-def _move(s_p, st: float, draws, hi: float) -> tuple[float, ...]:
+def _move(s_p, st: float, d, hi: float) -> tuple[float, float, float, float]:
     """The boundary-reflecting move of the 4-tuple s_p by step st, with r
-    then u per component from the first eight of ``draws``: move by +st*r
-    at or below 0, by -st*r at or above ``hi``, and in the interior by
-    +st*r if u < 0.5, else by -st*r; then clamp into [0, hi]."""
-    out = []
-    draws = iter(draws)
-    for x, r, u in zip(s_p, draws, draws):
-        x = x + st * r if x <= 0.0 or (x < hi and u < 0.5) else x - st * r
-        out.append(0.0 if x < 0.0 else hi if x > hi else x)
-    return tuple(out)
+    then u per component from the first eight of ``d``: move by +st*r at or
+    below 0, by -st*r at or above ``hi``, and in the interior by +st*r if
+    u < 0.5, else by -st*r; then clamp into [0, hi].  Unrolled, since the
+    lock loop calls it on every iteration."""
+    x1, x2, x3, x4 = s_p
+    r = st * d[0]
+    x1 = x1 + r if x1 <= 0.0 or (x1 < hi and d[1] < 0.5) else x1 - r
+    r = st * d[2]
+    x2 = x2 + r if x2 <= 0.0 or (x2 < hi and d[3] < 0.5) else x2 - r
+    r = st * d[4]
+    x3 = x3 + r if x3 <= 0.0 or (x3 < hi and d[5] < 0.5) else x3 - r
+    r = st * d[6]
+    x4 = x4 + r if x4 <= 0.0 or (x4 < hi and d[7] < 0.5) else x4 - r
+    return (0.0 if x1 < 0.0 else hi if x1 > hi else x1,
+            0.0 if x2 < 0.0 else hi if x2 > hi else x2,
+            0.0 if x3 < 0.0 else hi if x3 > hi else x3,
+            0.0 if x4 < 0.0 else hi if x4 > hi else x4)
 
 
 def propose(s_p, st: float, rng, hi: float = PHASE_SPAN
@@ -213,19 +223,15 @@ def propose(s_p, st: float, rng, hi: float = PHASE_SPAN
     return _move(s_p, st, rng.random(8).tolist(), hi)
 
 
-def _metropolis(i_new, i_old, temperature, u) -> bool:
-    """Metropolis rule for maximization with the uniform u: improvements
-    pass, a worse reading when u < exp((i_new - i_old) / temperature)."""
-    return i_new >= i_old or u < math.exp((i_new - i_old) / temperature)
-
-
 def accept(i_new: float, i_old: float, temperature: float, rng) -> bool:
-    """``_metropolis`` with its uniform drawn from ``rng``, one
-    ``rng.random()`` and only for a worse reading."""
+    """Metropolis rule for maximization, as the lock loop applies it:
+    improvements pass, a worse reading when a uniform u, one ``rng.random()``
+    drawn only for a worse reading, is below exp((i_new - i_old) /
+    temperature)."""
     if temperature <= 0:
         raise ValueError("temperature must be > 0")
-    return _metropolis(i_new, i_old, temperature,
-                       rng.random() if i_new < i_old else 0.0)
+    return i_new >= i_old or (i_new < i_old and rng.random()
+                              < math.exp((i_new - i_old) / temperature))
 
 
 def bind_objective(input_sop, params: DeviceParams, rng) -> Objective:
@@ -244,9 +250,9 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
     ``tps.phase_max / 2``, and is evaluated once; then ``m0`` outer loops of
     ``n0`` inner iterations run.  Each inner iteration looks up the step in
     ``schedule`` (the variable-step table unless given) from the gap
-    1 - (latest reading), moves all four phases within [0, phase_max]
-    (``_move``), evaluates them (a plain 4-tuple), and applies the
-    Metropolis rule (``_metropolis``) against the latest reading; the
+    1 - (latest reading) as ``step_for_gap`` does, moves all four phases
+    within [0, phase_max] (``_move``), evaluates them (a plain 4-tuple), and
+    applies ``accept``'s Metropolis rule against the latest reading; the
     temperature is multiplied by ``cooling_p`` after each outer loop.
 
     Stream contract: before the first evaluation, and never after, three
@@ -275,9 +281,9 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
     initial_sample = DetectorSample(i_px, i_py)
     i_ref = i_px
 
-    entries = schedule.entries
-    lower = [t for t, _ in entries[1:]]
-    steps = [st for _, st in entries]
+    e1, e2, e3 = _EDGES
+    s0, s1, s2, s3 = _bracket_steps(schedule)
+    exp = math.exp
 
     rows = []
     temperatures = []
@@ -286,10 +292,11 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
     for _ in range(cfg.m0):
         temperatures.append(temperature)
         for u, z, c in islice(draws, cfg.n0):
-            st = steps[_bracket(1.0 - i_ref, lower)]
+            gap = 1.0 - i_ref
+            st = s0 if gap > e1 else s1 if gap > e2 else s2 if gap > e3 else s3
             cand = _move(state, st, u, hi)
             i_px, i_py = objective(cand, z, c)
-            ok = _metropolis(i_px, i_ref, temperature, u[8])
+            ok = i_px >= i_ref or u[8] < exp((i_px - i_ref) / temperature)
             if ok:
                 state = cand
             i_ref = i_px

@@ -29,6 +29,10 @@ PHASE_SPAN = 3.0 * math.pi
 # exponential time constant t / ln 9
 _LN9 = math.log(9.0)
 
+# measure builds its DetectorSample with tuple.__new__, skipping the named
+# tuple's own __new__, a Python-level call on every lock evaluation
+_tuple_new = tuple.__new__
+
 
 def _check_field(params, name: str, positive: bool) -> None:
     """Raise ValueError naming field ``name`` of ``params`` unless it is a
@@ -160,12 +164,18 @@ def _cascade(sop: JonesVector, phases: PhaseQuad) -> tuple[complex, complex]:
     """Output field (ex, ey) of ``dpc_transform(phases) @ sop`` in scalar
     complex arithmetic, without building the matrices.
 
-    The products are formed in the same order as the matrix chain:
-    M45(t4) @ M0(t3), then @ M45(t2), then @ M0(t1), then @ sop.  The only
-    terms left out are those multiplying the exact zero off-diagonals of the
-    M0 stages; for finite phases such a term is a signed zero, and adding it
-    changes at most the sign of a zero, so the result equals the matrix
-    chain's exactly.
+    The first row (b00, b01) is formed in the same order as the matrix
+    chain: M45(t4) @ M0(t3), then @ M45(t2), then @ M0(t1).  The terms left
+    out are those multiplying the exact zero off-diagonals of the M0 stages;
+    for finite phases such a term is a signed zero, and adding it changes at
+    most the sign of a zero.  The cascade is special unitary, so its second
+    row is (-conj(b01), conj(b00)), and forming it so is exact too: each
+    factor of the chain's second row is the conjugate, or the negated
+    conjugate, of one in its first row (c2 and c4 are real, s2 and s4
+    imaginary); negating or conjugating is exact; conj(x) * conj(y) ==
+    conj(x * y) holds exactly; and IEEE sums and products commute.  So the
+    result equals the matrix chain's, except at most in the sign of a zero,
+    which no reading sees.
     """
     t1, t2, t3, t4 = phases
     if not (math.isfinite(t1) and math.isfinite(t2)
@@ -173,26 +183,19 @@ def _cascade(sop: JonesVector, phases: PhaseQuad) -> tuple[complex, complex]:
         raise ValueError(f"stage phases must be finite, got {phases!r}")
     # the stage elements, exactly as make_m0 and make_m45 build them
     p1 = cmath.exp(-0.5j * t1)
-    p1c = p1.conjugate()
     p3 = cmath.exp(-0.5j * t3)
-    p3c = p3.conjugate()
     c2 = math.cos(0.5 * t2)
     s2 = -1.0j * math.sin(0.5 * t2)
     c4 = math.cos(0.5 * t4)
     s4 = -1.0j * math.sin(0.5 * t4)
-    # M45(t4) @ M0(t3)
+    # the first row of M45(t4) @ M0(t3), then @ M45(t2), then @ M0(t1)
     a00 = c4 * p3
-    a01 = s4 * p3c
-    a10 = s4 * p3
-    a11 = c4 * p3c
-    # @ M45(t2), then @ M0(t1)
+    a01 = s4 * p3.conjugate()
     b00 = (a00 * c2 + a01 * s2) * p1
-    b01 = (a00 * s2 + a01 * c2) * p1c
-    b10 = (a10 * c2 + a11 * s2) * p1
-    b11 = (a10 * s2 + a11 * c2) * p1c
+    b01 = (a00 * s2 + a01 * c2) * p1.conjugate()
     # @ sop
     ex, ey = sop.ex, sop.ey
-    return b00 * ex + b01 * ey, b10 * ex + b11 * ey
+    return b00 * ex + b01 * ey, b00.conjugate() * ey - b01.conjugate() * ex
 
 
 def measure(input_sop: JonesVector, phases: PhaseQuad, params: DeviceParams,
@@ -217,7 +220,9 @@ def measure(input_sop: JonesVector, phases: PhaseQuad, params: DeviceParams,
 
     floor = params._py_floor
     if floor is not None:
-        i_py = max(i_py, i_px * floor)
+        floor = i_px * floor
+        if floor > i_py:
+            i_py = floor
 
     sigma = params.noise_sigma
     if sigma > 0.0:
@@ -233,7 +238,7 @@ def measure(input_sop: JonesVector, phases: PhaseQuad, params: DeviceParams,
         i_px = 0.0
     if i_py < 0.0:
         i_py = 0.0
-    return DetectorSample(i_px, i_py)
+    return _tuple_new(DetectorSample, (i_px, i_py))
 
 
 def thermal_step_response(v_from: float, v_to: float, t: float,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .anneal import AnnealConfig, LockTrace, _er_db_array, run_lock
 from .device import DetectorSample, DeviceParams, _check_field, measure
-from .jones import JonesVector, _unit, random_sop
+from .jones import JonesVector, _unit, _vector, random_sop
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,8 +64,8 @@ def rotate_sop(sop: JonesVector, axis, angle: float) -> JonesVector:
     c = math.cos(0.5 * angle)
     s = math.sin(0.5 * angle)
     ex, ey = sop.ex, sop.ey
-    return JonesVector(complex(c, s * n1) * ex + complex(-s * n3, s * n2) * ey,
-                       complex(s * n3, s * n2) * ex + complex(c, -s * n1) * ey)
+    return _vector(complex(c, s * n1) * ex + complex(-s * n3, s * n2) * ey,
+                   complex(s * n3, s * n2) * ex + complex(c, -s * n1) * ey)
 
 
 class DisturbedObjective:

@@ -67,6 +67,19 @@ class JonesVector:
         return abs(abs(inner) - self.norm() * other.norm()) <= tol
 
 
+# JonesVector(ex, ey) set through its slots, without the frozen dataclass
+# __init__'s object.__setattr__ per field (rotate_sop runs per evaluation)
+_set_ex = JonesVector.ex.__set__
+_set_ey = JonesVector.ey.__set__
+
+
+def _vector(ex: complex, ey: complex) -> JonesVector:
+    v = object.__new__(JonesVector)
+    _set_ex(v, ex)
+    _set_ey(v, ey)
+    return v
+
+
 @dataclass(frozen=True, slots=True)
 class JonesMatrix:
     """Complex 2x2 transfer matrix; unitary for lossless elements."""

@@ -189,8 +189,8 @@ def test_relock_counts_from_the_dip():
         post = disturbance._smoothed_er_db(trace, 5)[250:]
         if r is None:
             assert np.any(post < 20.0)
-        elif r == 0:
-            assert np.all(post >= 20.0)
+        elif r == 0:  # no dip starts within the 5-sample window
+            assert np.all(post[:5] >= 20.0)
         else:
             assert post[r - 1] >= 20.0 and np.any(post[:r - 1] < 20.0)
 

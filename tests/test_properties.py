@@ -1,6 +1,7 @@
 """Property tests of the lock kernel's invariants and of the numpy stream
 identities its rng draw order relies on."""
 
+import cmath
 import dataclasses
 import math
 import os
@@ -16,7 +17,7 @@ from polarlock import (AnnealConfig, DeviceParams, DisturbanceModel,
                        bind_objective, dpc_transform, load_experiment_config,
                        measure, port_intensity, propose, random_sop, run_lock,
                        step_for_gap)
-from polarlock.anneal import _er_db, _er_db_array
+from polarlock.anneal import _er_db, _er_db_array, _move
 from polarlock.config import KEYS
 from polarlock.device import _cascade
 from polarlock.harness import run_experiment
@@ -43,6 +44,35 @@ def test_cascade_equals_matrix_chain_exactly(sop, phases):
     assert _cascade(sop, phases) == (ref.ex, ref.ey)
 
 
+def _four_product_cascade(sop, phases):
+    """Both rows of M45(t4) @ M0(t3) @ M45(t2) @ M0(t1), then @ sop, every
+    element formed as its own product, in the matrix chain's order."""
+    t1, t2, t3, t4 = phases
+    p1, p3 = cmath.exp(-0.5j * t1), cmath.exp(-0.5j * t3)
+    c2, s2 = math.cos(0.5 * t2), -1.0j * math.sin(0.5 * t2)
+    c4, s4 = math.cos(0.5 * t4), -1.0j * math.sin(0.5 * t4)
+    a00, a01 = c4 * p3, s4 * p3.conjugate()
+    a10, a11 = s4 * p3, c4 * p3.conjugate()
+    b00 = (a00 * c2 + a01 * s2) * p1
+    b01 = (a00 * s2 + a01 * c2) * p1.conjugate()
+    b10 = (a10 * c2 + a11 * s2) * p1
+    b11 = (a10 * s2 + a11 * c2) * p1.conjugate()
+    return b00 * sop.ex + b01 * sop.ey, b10 * sop.ex + b11 * sop.ey
+
+
+# phases where a sine or cosine of the half phase is exactly 0 or 1, or
+# nearly so, beside arbitrary finite ones
+_EDGE_PHASES = (0.0, -0.0, math.pi / 2, math.pi, 2 * math.pi, 3 * math.pi,
+                -math.pi, 5e-324, 1e-300)
+
+
+@given(_sops(), _quads(st.sampled_from(_EDGE_PHASES) | _phase))
+def test_cascade_second_row_equals_four_product_reference(sop, phases):
+    # _cascade derives the second row from the first (special unitary); only
+    # the sign of a zero may differ, and == does not see it
+    assert _cascade(sop, phases) == _four_product_cascade(sop, phases)
+
+
 @given(_sops(), _quads())
 def test_port_intensity_matches_matrix_chain(sop, phases):
     ref = dpc_transform(phases) @ sop
@@ -62,6 +92,67 @@ def test_ideal_measure_matches_matrix_chain(sop, phases):
 def test_propose_stays_in_range(start, step, phase_max, seed):
     out = propose(start, step, np.random.default_rng(seed), phase_max)
     assert all(0.0 <= x <= phase_max for x in out)
+
+
+def _move_reference(s_p, st, draws, hi):
+    """The boundary-reflecting move, one component at a time."""
+    out = []
+    for k, x in enumerate(s_p):
+        r, u = draws[2 * k], draws[2 * k + 1]
+        if x <= 0.0 or (x < hi and u < 0.5):
+            x = x + st * r
+        else:
+            x = x - st * r
+        out.append(0.0 if x < 0.0 else hi if x > hi else x)
+    return tuple(out)
+
+
+def _bits(xs):
+    return [x.hex() for x in xs]  # tells -0.0 from 0.0, as the row file does
+
+
+def _edge_phases(hi):
+    return (0.0, -0.0, hi, math.nextafter(0.0, 1.0),
+            math.nextafter(0.0, -1.0), math.nextafter(hi, 0.0),
+            math.nextafter(hi, math.inf))
+
+
+# u below, at and above the 0.5 that picks the direction; r nonzero, so
+# that the direction shows
+_EDGE_U = (0.0, math.nextafter(0.5, 0.0), 0.5, 0.9)
+_R = (0.7, 0.3, math.nextafter(1.0, 0.0), 0.05)
+
+
+@pytest.mark.parametrize("hi", [3 * math.pi, 1.0])
+def test_unrolled_move_at_the_edges(hi):
+    # each component meets each edge phase and each edge uniform
+    edges = _edge_phases(hi)
+    for i in range(len(edges)):
+        s_p = tuple(edges[(i + k) % len(edges)] for k in range(4))
+        for j in range(len(_EDGE_U)):
+            draws = [x for k in range(4)
+                     for x in (_R[k], _EDGE_U[(j + k) % len(_EDGE_U)])]
+            for step in (0.0, -0.0, 0.3, 2.0 * hi):
+                assert (_bits(_move(s_p, step, draws + [0.5], hi))
+                        == _bits(_move_reference(s_p, step, draws, hi)))
+
+
+@st.composite
+def _moves(draw):
+    hi = draw(st.sampled_from((3 * math.pi, 1.0)) | st.floats(1e-3, 1e3))
+    phase = st.sampled_from(_edge_phases(hi)) | st.floats(-1.0, hi + 1.0)
+    s_p = tuple(draw(phase) for _ in range(4))
+    step = draw(st.sampled_from((0.0, -0.0)) | st.floats(0.0, 2.0 * hi))
+    uniform = st.sampled_from(_EDGE_U) | st.floats(0.0, 1.0, exclude_max=True)
+    return s_p, step, [draw(uniform) for _ in range(9)], hi
+
+
+@given(_moves())
+def test_unrolled_move_equals_per_component_reference(move):
+    s_p, step, draws, hi = move
+    got = _move(s_p, step, draws, hi)
+    assert _bits(got) == _bits(_move_reference(s_p, step, draws, hi))
+    assert all(0.0 <= x <= hi for x in got)
 
 
 @given(_seed)
@@ -96,6 +187,70 @@ def _schedules():
 def test_step_for_gap_non_decreasing_in_gap(schedule, a, b):
     lo, hi = min(a, b), max(a, b)
     assert step_for_gap(lo, schedule) <= step_for_gap(hi, schedule)
+
+
+class _Reading(float):
+    """A reading whose gap, ``1.0 - reading`` as the lock loop computes it,
+    is exactly ``gap``.  A float subclass's reflected subtraction runs before
+    float's own, so gaps that no float r gives as 1.0 - r (0.1, 0.01 and
+    0.001 among them) reach the loop's step lookup."""
+
+    def __new__(cls, gap):
+        reading = super().__new__(cls, 1.0 - gap)
+        reading.gap = gap
+        return reading
+
+    def __rsub__(self, other):
+        return self.gap if other == 1.0 else float(other) - float(self)
+
+
+def _reference_step(gap, schedule):
+    """The step of the first entry whose bracket holds the gap clamped into
+    [0, 1]; the last entry's step at or below its threshold."""
+    entries = schedule.entries
+    g = 0.0 if gap < 0.0 else 1.0 if gap > 1.0 else gap
+    for (_, step), (lower, _) in zip(entries, entries[1:]):
+        if g > lower:
+            return step
+    return entries[-1][1]
+
+
+_THRESHOLDS = (1.0, 0.1, 0.01, 0.001, 0.0)
+_EDGE_GAPS = tuple(g for t in _THRESHOLDS for g in (
+    t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf))) + (
+    -0.5, -1e300, 1.5, 1e300, math.inf, -math.inf, math.nan)
+
+
+def _loop_steps(schedule, gaps):
+    """The steps ``run_lock`` takes after readings with the given gaps."""
+    readings = iter([_Reading(g) for g in gaps] + [_Reading(0.5)])
+
+    def objective(phases, noise, channel):
+        return next(readings), 1.0  # i_px / 1.0 cannot overflow in er_db
+
+    cfg = AnnealConfig(m0=1, n0=len(gaps))
+    trace = run_lock(objective, cfg, TpsParams(), np.random.default_rng(0),
+                     schedule)
+    return trace.step_rad.tolist()
+
+
+@pytest.mark.parametrize("schedule", [
+    StepSchedule.default(), StepSchedule.fixed(0.16), StepSchedule.fixed(0.0)],
+    ids=lambda s: s.label)
+def test_loop_step_lookup_at_the_edges(schedule):
+    # iteration i looks up the gap of the reading before it
+    want = [step_for_gap(g, schedule) for g in _EDGE_GAPS]
+    assert _loop_steps(schedule, _EDGE_GAPS) == want
+    assert want == [_reference_step(g, schedule) for g in _EDGE_GAPS]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_schedules(), st.lists(st.sampled_from(_EDGE_GAPS) | st.floats(),
+                              min_size=1, max_size=40))
+def test_loop_step_lookup_equals_step_for_gap(schedule, gaps):
+    want = [step_for_gap(g, schedule) for g in gaps]
+    assert _loop_steps(schedule, gaps) == want
+    assert want == [_reference_step(g, schedule) for g in gaps]
 
 
 _POSITIVE = st.floats(0.0, exclude_min=True, allow_infinity=False)
