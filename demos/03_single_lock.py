@@ -17,7 +17,8 @@ sop = random_sop(rng)
 
 print(f"input SOP: ex = {sop.ex:.4f}, ey = {sop.ey:.4f}")
 trace = run_lock(bind_objective(sop, dev, rng), cfg, dev.tps, rng)
-print(f"initial reading: i_px = {trace.initial_sample.i_px:.4f} "
+i_px0, _ = trace.initial_sample
+print(f"initial reading: i_px = {i_px0:.4f} "
       f"(ER {trace.initial_er_db:+.2f} dB)\n")
 
 print(f"{'iter':>5} {'step (rad)':>11} {'i_px':>8} {'ER (dB)':>8} {'best':>9}")

@@ -20,11 +20,12 @@ from typing import Callable
 
 import numpy as np
 
-from .device import (PHASE_SPAN, DetectorSample, PhaseQuad, TpsParams,
-                     DeviceParams, _check_field, measure)
+from .device import (PHASE_SPAN, PhaseQuad, TpsParams, DeviceParams,
+                     _check_field, measure)
 
-#: objective protocol: a phase 4-tuple, then the evaluation's noise and
-#: channel rows (see ``run_lock``) in, an (i_px, i_py) reading out
+#: objective protocol: a phase 4-tuple, the evaluation's noise row and the
+#: lock's whole channel block (see ``run_lock``) in, a plain (i_px, i_py)
+#: tuple out
 Objective = Callable[..., tuple[float, float]]
 
 # intensities are clamped here before dB conversion in traces, so a reading
@@ -133,9 +134,7 @@ class AnnealConfig:
             raise ValueError("m0 and n0 must be >= 1")
         if not 0.0 < self.cooling_p < 1.0:
             raise ValueError("cooling_p must lie in (0, 1)")
-        t = self.t0  # the last outer loop's temperature, as run_lock cools it
-        for _ in range(self.m0 - 1):
-            t *= self.cooling_p
+        t = self._loop_temperatures()[-1]
         if not t > 0.0:
             raise ValueError(f"t0={self.t0!r}, cooling_p={self.cooling_p!r} "
                              f"and m0={self.m0} cool the last outer loop's "
@@ -144,6 +143,19 @@ class AnnealConfig:
     @property
     def total_iterations(self) -> int:
         return self.m0 * self.n0
+
+    @property
+    def temperature(self) -> np.ndarray:
+        """Each iteration's temperature, shape ``(total_iterations,)``."""
+        return np.repeat(self._loop_temperatures(), self.n0)
+
+    def _loop_temperatures(self) -> list[float]:
+        """Each outer loop's temperature, t0 cooled by ``cooling_p`` after
+        every loop, as ``run_lock`` anneals."""
+        temps = [self.t0]
+        for _ in range(self.m0 - 1):
+            temps.append(temps[-1] * self.cooling_p)
+        return temps
 
 
 @dataclass(slots=True)
@@ -154,7 +166,7 @@ class LockTrace:
     ``best_phases`` / ``best_intensity`` are the returned lock point: the
     highest reading, the initial one included, and the phases that gave it;
     ``best_iteration`` is the first iteration that reached it (0 for the
-    initial reading).
+    initial reading); ``initial_sample`` is the initial ``(i_px, i_py)``.
     """
 
     temperature: np.ndarray
@@ -167,7 +179,7 @@ class LockTrace:
     best_phases: PhaseQuad
     best_intensity: float
     best_iteration: int
-    initial_sample: DetectorSample
+    initial_sample: tuple[float, float]
 
     def __len__(self) -> int:
         return len(self.i_px)
@@ -182,11 +194,11 @@ class LockTrace:
         """The running best reading after each iteration: the running
         maximum over the initial reading followed by ``i_px``."""
         return np.maximum.accumulate(
-            np.concatenate(([self.initial_sample.i_px], self.i_px)))[1:]
+            np.concatenate((self.initial_sample[:1], self.i_px)))[1:]
 
     @property
     def initial_er_db(self) -> float:
-        return _er_db(self.initial_sample.i_px, self.initial_sample.i_py)
+        return _er_db(*self.initial_sample)
 
     @property
     def final_er_db(self) -> float:
@@ -237,7 +249,7 @@ def accept(i_new: float, i_old: float, temperature: float, rng) -> bool:
 def bind_objective(input_sop, params: DeviceParams, rng) -> Objective:
     """Close ``measure`` over a fixed input SOP; ``rng`` serves only a bare
     call ``objective(phases)``, which draws its own noise."""
-    def objective(phases, noise=None, channel=None) -> DetectorSample:
+    def objective(phases, noise=None, channel=None) -> tuple[float, float]:
         return measure(input_sop, phases, params, rng, noise)
     return objective
 
@@ -253,7 +265,8 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
     1 - (latest reading) as ``step_for_gap`` does, moves all four phases
     within [0, phase_max] (``_move``), evaluates them (a plain 4-tuple), and
     applies ``accept``'s Metropolis rule against the latest reading; the
-    temperature is multiplied by ``cooling_p`` after each outer loop.
+    temperature is multiplied by ``cooling_p`` after each outer loop
+    (``cfg.temperature``).
 
     Stream contract: before the first evaluation, and never after, three
     blocks are drawn from ``rng`` whatever the device, channel and schedule,
@@ -261,9 +274,9 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
     then u for stages 1-4 and the Metropolis uniform of iteration i; then
     standard normals (n + 1, 2), the noise of evaluation k in row k (k = 0
     the initial one), i_px's first; then standard normals (n, 3), the
-    channel's, row i - 1 for iteration i and row 0 for the initial
-    evaluation too.  Evaluation k calls ``objective(phases, noise_row,
-    channel_row)``, and the objective reads what its device and channel use.
+    channel's.  Evaluation k calls ``objective(phases, noise_row, channel)``
+    with the whole channel block, of which ``DisturbedObjective`` reads row
+    ``max(k - 1, 0)``, and unpacks the (i_px, i_py) pair it returns.
 
     The loop records only each iteration's step, phases, reading and
     verdict; ``er_db`` and the lock point are derived from those once the
@@ -272,49 +285,47 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
     n_iter = cfg.total_iterations
     uniforms = rng.random((n_iter, 9)).tolist()
     noise = rng.standard_normal((n_iter + 1, 2)).tolist()
-    channel = rng.standard_normal((n_iter, 3)).tolist()
+    channel = rng.standard_normal((n_iter, 3))
 
     hi = tps.phase_max
     state = initial_thetas = (hi / 2.0,) * 4
 
-    i_px, i_py = objective(state, noise[0], channel[0])
-    initial_sample = DetectorSample(i_px, i_py)
-    i_ref = i_px
+    i_ref, i_py = objective(state, noise[0], channel)
+    initial_sample = (i_ref, i_py)
 
     e1, e2, e3 = _EDGES
     s0, s1, s2, s3 = _bracket_steps(schedule)
     exp = math.exp
 
-    rows = []
-    temperatures = []
-    temperature = cfg.t0
-    draws = zip(uniforms, islice(noise, 1, None), channel)
-    for _ in range(cfg.m0):
-        temperatures.append(temperature)
-        for u, z, c in islice(draws, cfg.n0):
+    cands, records = [], []  # the phases, and (step, i_px, i_py, verdict)
+    draws = zip(uniforms, islice(noise, 1, None))
+    for temperature in cfg._loop_temperatures():
+        for u, z in islice(draws, cfg.n0):
             gap = 1.0 - i_ref
             st = s0 if gap > e1 else s1 if gap > e2 else s2 if gap > e3 else s3
             cand = _move(state, st, u, hi)
-            i_px, i_py = objective(cand, z, c)
+            i_px, i_py = objective(cand, z, channel)
             ok = i_px >= i_ref or u[8] < exp((i_px - i_ref) / temperature)
             if ok:
                 state = cand
             i_ref = i_px
-            rows.append((st, *cand, i_px, i_py, ok))
-        temperature *= cfg.cooling_p
+            cands.append(cand)
+            records.append((st, i_px, i_py, ok))
 
-    table = np.fromiter(chain.from_iterable(rows), float,
-                        8 * n_iter).reshape(n_iter, 8)
+    table = np.fromiter(chain.from_iterable(records), float,
+                        4 * n_iter).reshape(n_iter, 4)
+    phases = np.fromiter(chain.from_iterable(cands), float,
+                         4 * n_iter).reshape(n_iter, 4)
     # one array per field, so that a caller keeping a few fields does not
     # keep the whole table alive
-    px, py = table[:, 5].copy(), table[:, 6].copy()
+    px, py = table[:, 1].copy(), table[:, 2].copy()
     # the lock point: the first of the highest readings, the initial one
     # included, i.e. where the running best (i_max) reaches its final value
-    readings = np.concatenate(([initial_sample.i_px], px))
+    readings = np.concatenate((initial_sample[:1], px))
     best_iter = int(np.argmax(readings))
-    best_thetas = (table[best_iter - 1, 1:5].tolist() if best_iter
+    best_thetas = (phases[best_iter - 1].tolist() if best_iter
                    else initial_thetas)
-    return LockTrace(np.repeat(temperatures, cfg.n0), table[:, 0].copy(),
-                     table[:, 1:5].copy(), px, py, _er_db_array(px, py),
-                     table[:, 7].astype(bool), PhaseQuad(*best_thetas),
-                     float(readings[best_iter]), best_iter, initial_sample)
+    return LockTrace(cfg.temperature, table[:, 0].copy(), phases, px, py,
+                     _er_db_array(px, py), table[:, 3].astype(bool),
+                     PhaseQuad(*best_thetas), float(readings[best_iter]),
+                     best_iter, initial_sample)

@@ -197,10 +197,7 @@ def main(argv=None) -> int:
                 "sweep": _cmd_sweep, "validate": _cmd_validate}
     try:
         return handlers[args.command](args)
-    except ConfigError as exc:
-        print(f"polarlock: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"polarlock: error: {exc}", file=sys.stderr)
         return 1
 

@@ -29,10 +29,6 @@ PHASE_SPAN = 3.0 * math.pi
 # exponential time constant t / ln 9
 _LN9 = math.log(9.0)
 
-# measure builds its DetectorSample with tuple.__new__, skipping the named
-# tuple's own __new__, a Python-level call on every lock evaluation
-_tuple_new = tuple.__new__
-
 
 def _check_field(params, name: str, positive: bool) -> None:
     """Raise ValueError naming field ``name`` of ``params`` unless it is a
@@ -113,14 +109,6 @@ class DeviceParams:
         return cls(tps=tps, static_er_db=None, noise_sigma=0.0)
 
 
-class DetectorSample(NamedTuple):
-    """One pair of detector readings, a plain ``(i_px, i_py)`` tuple: i_px
-    on the maximized port, i_py on the minimized port."""
-
-    i_px: float
-    i_py: float
-
-
 def voltage_to_power(v: float, tps: TpsParams) -> float:
     """Heater power V^2 / R in watts; ``v`` must lie in [0, v_max]."""
     if not 0.0 <= v <= tps.v_max:
@@ -199,9 +187,9 @@ def _cascade(sop: JonesVector, phases: PhaseQuad) -> tuple[complex, complex]:
 
 
 def measure(input_sop: JonesVector, phases: PhaseQuad, params: DeviceParams,
-            rng, noise=None) -> DetectorSample:
+            rng, noise=None) -> tuple[float, float]:
     """Simulate one detector reading pair for a given input SOP and phase
-    setting.
+    setting: a plain tuple of i_px (maximized port), i_py (minimized port).
 
     The ideal port powers come from the cascade transform; the minimized
     port is then floored at i_px * 10^(-static_er_db/10) (finite splitter
@@ -238,7 +226,7 @@ def measure(input_sop: JonesVector, phases: PhaseQuad, params: DeviceParams,
         i_px = 0.0
     if i_py < 0.0:
         i_py = 0.0
-    return _tuple_new(DetectorSample, (i_px, i_py))
+    return i_px, i_py
 
 
 def thermal_step_response(v_from: float, v_to: float, t: float,

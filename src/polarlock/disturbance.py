@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anneal import AnnealConfig, LockTrace, _er_db_array, run_lock
-from .device import DetectorSample, DeviceParams, _check_field, measure
+from .device import DeviceParams, _check_field, measure
 from .jones import JonesVector, _unit, _vector, random_sop
 
 
@@ -72,9 +72,11 @@ class DisturbedObjective:
     """Objective whose input SOP evolves once per evaluation.
 
     Evaluation k corresponds to lock-trace iteration k (the pre-loop
-    evaluation is k = 0).  Before measuring, it may read its channel row c
-    of three standard normals (``run_lock``'s block; a bare call draws c as
-    one ``rng.standard_normal(3)`` when it reads it):
+    evaluation is k = 0), so one objective serves one lock.  Before
+    measuring, it may read its channel row c of three standard normals, row
+    ``max(k - 1, 0)`` of the ``(n, 3)`` block every ``run_lock`` evaluation
+    passes (drift converts it once, a jump reads only its row); a bare call
+    draws c as one ``rng.standard_normal(3)`` when it reads it:
 
     - drift (``drift_rate > 0``): nothing at k = 0, which sees the
       undisturbed input; at k = 1 the starting axis is ``_unit(c)``; at
@@ -97,6 +99,7 @@ class DisturbedObjective:
         self._rng = rng
         self._calls = 0
         self._axis: tuple[float, float, float] | None = None
+        self._block = self._rows = None  # the channel block, and its rows
         self._drift = model.drift_rate if model.kind == "drift" else 0.0
         self._jump_at = model.jump_at if model.kind == "jump" else -1
         self._jump_magnitude = model.jump_magnitude
@@ -105,21 +108,26 @@ class DisturbedObjective:
     def current_sop(self) -> JonesVector:
         return self._sop
 
-    def __call__(self, phases, noise=None, channel=None) -> DetectorSample:
+    def __call__(self, phases, noise=None, channel=None
+                 ) -> tuple[float, float]:
         k = self._calls
         self._calls = k + 1
         # measure and rotate_sop stay module-global lookups, so that a wrapper
         # patched onto this module (a tracer, a test's counter) sees every call
         drifting = self._drift and k
-        if channel is None and (drifting or k == self._jump_at):
-            channel = self._rng.standard_normal(3).tolist()  # a bare call
         if drifting:
+            if channel is None:
+                row = self._rng.standard_normal(3).tolist()  # a bare call
+            else:
+                if channel is not self._block:
+                    self._block, self._rows = channel, channel.tolist()
+                row = self._rows[k - 1]
             axis = self._axis
             if axis is None:
-                axis = _unit(channel)
+                axis = _unit(row)
             else:
                 x, y, z = axis
-                dx, dy, dz = channel
+                dx, dy, dz = row
                 x += 0.5 * dx
                 y += 0.5 * dy
                 z += 0.5 * dz
@@ -128,8 +136,9 @@ class DisturbedObjective:
             self._axis = axis
             self._sop = rotate_sop(self._sop, axis, self._drift)
         elif k == self._jump_at:
-            self._sop = rotate_sop(self._sop, _unit(channel),
-                                   self._jump_magnitude)
+            row = (self._rng.standard_normal(3) if channel is None
+                   else channel[max(k - 1, 0)]).tolist()
+            self._sop = rotate_sop(self._sop, _unit(row), self._jump_magnitude)
         return measure(self._sop, phases, self._params, self._rng, noise)
 
 

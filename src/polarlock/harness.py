@@ -33,11 +33,12 @@ THREADS_ENV = "POLARLOCK_THREADS"
 CSV_COLUMNS = ("variant", "trial", "iteration", "temperature", "step_rad",
                "i_px", "i_py", "er_db", "accepted")
 
-# one row-file line: ``_fmt`` for floats, 0/1 for ``accepted``
-_CSV_ROW = "%s,%d,%d,%.9g,%.9g,%.9g,%.9g,%.9g,%d\n"
+# a row-file line: "variant,trial,", "iteration,temperature,", "step_rad,",
+# then ``_fmt`` floats and 0/1 ``accepted``
+_CSV_ROW = "%s%s%s%.9g,%.9g,%.9g,%d\n"
 
 # the per-iteration fields kept from each trial, in CSV column order
-_FIELDS = ("temperature", "step_rad", "i_px", "i_py", "er_db", "accepted")
+_FIELDS = ("step_rad", "i_px", "i_py", "er_db", "accepted")
 
 _VARIANT_RE = re.compile(r"^fixed\(([^)]+)\)$")
 
@@ -99,7 +100,8 @@ class ExperimentConfig:
 class ResultsTable:
     """Per-iteration results of a whole ensemble as (variant, trial,
     iteration) blocks: ``er_db[v, t, i]`` is iteration i + 1 of trial t of
-    ``variant_order[v]``, and likewise for every other field."""
+    ``variant_order[v]``, and likewise for every field but ``temperature``,
+    the ``(iterations,)`` schedule all trials share."""
 
     variant_order: tuple[str, ...]
     temperature: np.ndarray
@@ -151,17 +153,24 @@ class ResultsTable:
     def write_csv(self, path: str) -> None:
         """Rows in the documented column order, variant by variant, then
         trial by trial; floats at 9 significant digits; byte-identical for
-        identical configs."""
-        blocks = [getattr(self, name) for name in _FIELDS]
-        iters = range(1, self.iterations_per_trial + 1)
+        identical configs.  Each ``iteration,temperature,`` prefix is
+        formatted once, and each step once per variant and bit pattern."""
+        prefixes = ["%d,%.9g," % it
+                    for it in enumerate(self.temperature.tolist(), 1)]
         with open(path, "w", newline="") as f:
             f.write(",".join(CSV_COLUMNS) + "\n")
-            # one trial at a time keeps the Python copies of the rows small
-            for label, *block in zip(self.variant_order, *blocks):
-                for t, cols in enumerate(zip(*block)):
-                    f.writelines(_CSV_ROW % row for row in zip(
-                        repeat(label), repeat(t), iters,
-                        *(c.tolist() for c in cols)))
+            for label, step, *block in zip(
+                    self.variant_order, *(getattr(self, n) for n in _FIELDS)):
+                bits, which = np.unique(step.view(np.int64),
+                                        return_inverse=True)
+                steps = ["%.9g," % st for st in bits.view(float).tolist()]
+                # one trial at a time keeps the Python copies of the rows small
+                for t, (w, *cols) in enumerate(zip(
+                        which.reshape(step.shape), *block)):
+                    f.writelines(map(_CSV_ROW.__mod__, zip(
+                        repeat(f"{label},{t},"), prefixes,
+                        map(steps.__getitem__, w.tolist()),
+                        *(c.tolist() for c in cols))))
 
     def write_aggregate_csv(self, path: str) -> None:
         with open(path, "w", newline="") as f:
@@ -230,6 +239,7 @@ def run_experiment(cfg: ExperimentConfig,
 
     shape = (len(cfg.variants), cfg.trials, cfg.anneal.total_iterations)
     return ResultsTable(tuple(v.label for v in cfg.variants),
+                        cfg.anneal.temperature,
                         *(np.stack(col).reshape(shape)
                           for col in zip(*results)))
 

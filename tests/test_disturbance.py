@@ -9,6 +9,7 @@ from polarlock import (AnnealConfig, DeviceParams, DisturbanceModel,
                        DisturbedObjective, JonesVector, PhaseQuad,
                        bind_objective, random_sop,
                        relock_experiment, rotate_sop, run_lock, to_stokes)
+from polarlock.jones import _unit
 
 
 def stokes_unit(v: JonesVector) -> np.ndarray:
@@ -132,7 +133,7 @@ def test_jump_applies_exactly_once_at_jump_at():
     sop = random_sop(rng)
     objective = DisturbedObjective(sop, dev, model, rng)
     phases = PhaseQuad.uniform(1.0)
-    readings = [objective(phases).i_px for _ in range(6)]
+    readings = [objective(phases)[0] for _ in range(6)]
     assert readings[0] == readings[1] == readings[2]
     assert readings[3] != readings[2]
     assert readings[3] == readings[4] == readings[5]
@@ -285,6 +286,71 @@ def test_jump_at_zero_rotates_on_the_preloop_evaluation():
     after = objective.current_sop
     objective(PhaseQuad.uniform(1.0))
     assert objective.current_sop == after
+
+
+# --- the channel block -------------------------------------------------------
+
+@pytest.mark.parametrize("jump_at, row", [(0, 0), (5, 4)])
+def test_jump_reads_only_its_row_of_the_channel_block(monkeypatch, jump_at,
+                                                      row):
+    # evaluation k reads row max(k - 1, 0) of run_lock's block; every other
+    # row is NaN, so reading one would give a NaN axis
+    axes = []
+
+    def recording(sop, axis, angle):
+        axes.append(axis)
+        return rotate_sop(sop, axis, angle)
+    monkeypatch.setattr(disturbance, "rotate_sop", recording)
+    cfg = AnnealConfig(m0=2, n0=5)
+    block = np.full((cfg.total_iterations, 3), math.nan)
+    block[row] = (0.3, -1.2, 0.4)
+    model = DisturbanceModel(kind="jump", jump_at=jump_at,
+                             jump_magnitude=math.pi / 2)
+    objective = DisturbedObjective(JonesVector(1.0, 0.0),
+                                   DeviceParams(noise_sigma=0.0), model, None)
+    for _ in range(cfg.total_iterations + 1):
+        objective(PhaseQuad.uniform(1.0), None, block)
+    assert axes == [_unit([0.3, -1.2, 0.4])]
+
+
+class _RowPerEvaluation:
+    """A lock objective that picks the channel row of each evaluation, row
+    i - 1 for iteration i and row 0 for the initial one, and hands it to
+    its ``DisturbedObjective`` through the bare-call path."""
+
+    def __init__(self, sop, device, model):
+        self._inner = DisturbedObjective(sop, device, model, self)
+        self._k = 0
+        self._row = None
+
+    def standard_normal(self, size):  # the inner objective's bare draw
+        return self._row
+
+    def __call__(self, phases, noise, channel):
+        self._row = channel[max(self._k - 1, 0)].copy()
+        self._k += 1
+        return self._inner(phases, noise)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("drift", {"drift_rate": 0.01}),
+    ("jump", {"jump_at": 7, "jump_magnitude": math.pi / 2})])
+def test_block_reading_equals_a_row_per_evaluation(kind, params):
+    cfg = AnnealConfig(m0=3, n0=10)
+    model = DisturbanceModel(kind=kind, **params)
+
+    def trace(wrap):
+        device = DeviceParams()
+        rng = np.random.default_rng(31)
+        sop = random_sop(rng)
+        objective = (_RowPerEvaluation(sop, device, model) if wrap
+                     else DisturbedObjective(sop, device, model, rng))
+        return run_lock(objective, cfg, device.tps, rng)
+
+    block, rows = trace(False), trace(True)
+    for name in ("step_rad", "phases", "i_px", "i_py", "er_db", "accepted"):
+        assert np.array_equal(getattr(block, name), getattr(rows, name))
+    assert block.initial_sample == rows.initial_sample
 
 
 @settings(max_examples=50, deadline=None)

@@ -33,8 +33,7 @@ def trace_digest(trace) -> str:
     h.update(struct.pack("<4d", *(float(x) for x in trace.best_phases)))
     h.update(struct.pack("<dq", float(trace.best_intensity),
                          int(trace.best_iteration)))
-    h.update(struct.pack("<2d", float(trace.initial_sample.i_px),
-                         float(trace.initial_sample.i_py)))
+    h.update(struct.pack("<2d", *(float(x) for x in trace.initial_sample)))
     return h.hexdigest()
 
 
@@ -105,3 +104,13 @@ def test_golden_aggregate_csv(small_table, tmp_path):
     small_table.write_aggregate_csv(str(path))
     assert _file_digest(path) == (
         "83f65b671f2cb1bad41fc062be0f8ac7d27f922385bff81a27f956ac73148724")
+
+
+def test_golden_rows_csv_default_schedule(tmp_path):
+    # the default config (10 x 50 iterations, the three default variants)
+    # at 3 trials: every step and temperature the default run writes
+    path = tmp_path / "rows.csv"
+    run_experiment(ExperimentConfig(trials=3), max_workers=1).write_csv(
+        str(path))
+    assert _file_digest(path) == (
+        "a45501caae56414b3c6d0fb5e4f8a5be6a144d5e83c64a9ff86345343a1666b9")

@@ -20,7 +20,7 @@ from polarlock import (AnnealConfig, DeviceParams, DisturbanceModel,
 from polarlock.anneal import _er_db, _er_db_array, _move
 from polarlock.config import KEYS
 from polarlock.device import _cascade
-from polarlock.harness import run_experiment
+from polarlock.harness import CSV_COLUMNS, ResultsTable, run_experiment
 
 _phase = st.floats(allow_nan=False, allow_infinity=False)
 _component = st.floats(-1e100, 1e100)
@@ -82,9 +82,9 @@ def test_port_intensity_matches_matrix_chain(sop, phases):
 @given(_sops(), _quads())
 def test_ideal_measure_matches_matrix_chain(sop, phases):
     ref = dpc_transform(phases) @ sop
-    sample = measure(sop, phases, DeviceParams.ideal(), None)
-    assert sample.i_px == ref.ex.real * ref.ex.real + ref.ex.imag * ref.ex.imag
-    assert sample.i_py == ref.ey.real * ref.ey.real + ref.ey.imag * ref.ey.imag
+    i_px, i_py = measure(sop, phases, DeviceParams.ideal(), None)
+    assert i_px == ref.ex.real * ref.ex.real + ref.ex.imag * ref.ex.imag
+    assert i_py == ref.ey.real * ref.ey.real + ref.ey.imag * ref.ey.imag
 
 
 @given(_quads(st.floats(-1e6, 1e6)), st.floats(0.0, 1e6),
@@ -363,7 +363,7 @@ def test_derived_trace_fields_equal_per_iteration_definitions(
     # the running best, tracked one iteration at a time from the initial
     # reading at the initial phases
     best_phases = (init,) * 4
-    best, best_iteration, i_max = trace.initial_sample.i_px, 0, []
+    best, best_iteration, i_max = trace.initial_sample[0], 0, []
     for it, (x, phases) in enumerate(zip(px, trace.phases.tolist()), 1):
         if x > best:
             best, best_iteration, best_phases = x, it, tuple(phases)
@@ -499,6 +499,80 @@ def test_wrapped_objective_gives_the_bare_trace(seed, kind, sigma, n0):
     for name in _FIELDS + ("phases",):
         assert np.array_equal(getattr(bare, name), getattr(wrapped, name))
     assert bare.initial_sample == wrapped.initial_sample
+
+
+# --- the row writer ----------------------------------------------------------
+
+def _reference_rows_csv(table) -> str:
+    """The reference row file: every column of every row formatted, one
+    ``%``-format per row, no value formatted once for several rows."""
+    lines = [",".join(CSV_COLUMNS) + "\n"]
+    temperatures = table.temperature.tolist()
+    for v, label in enumerate(table.variant_order):
+        for t in range(table.trials):
+            cols = (getattr(table, name)[v, t].tolist() for name in _FIELDS)
+            for i, row in enumerate(zip(temperatures, *cols), 1):
+                lines.append("%s,%d,%d,%.9g,%.9g,%.9g,%.9g,%.9g,%d\n"
+                             % (label, t, i, *row))
+    return "".join(lines)
+
+
+def _written_rows_csv(table) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rows.csv")
+        table.write_csv(path)
+        with open(path, newline="") as f:
+            return f.read()
+
+
+@st.composite
+def _anneal_configs(draw):
+    m0, n0 = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    # the smallest t0 whose last outer loop stays above 0 at cooling 1/2,
+    # beside arbitrary ones
+    t0 = draw(st.just(math.ldexp(1.0, -1074 + m0 - 1))
+              | st.floats(1e-300, 1e-2))
+    return AnnealConfig(t0=t0, m0=m0, n0=n0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(acfg=_anneal_configs(), trials=st.integers(1, 3),
+       base=st.integers(0, 2 ** 32),
+       variants=st.lists(st.sampled_from(_SCHEDULES + (
+           StepSchedule.fixed(0.0), StepSchedule.fixed(5e-324))),
+           min_size=1, max_size=4, unique_by=lambda v: v.label))
+def test_write_csv_equals_one_format_per_row(acfg, trials, base, variants):
+    table = run_experiment(ExperimentConfig(
+        anneal=acfg, variants=tuple(variants), trials=trials, base_seed=base),
+        1)
+    assert _written_rows_csv(table) == _reference_rows_csv(table)
+
+
+# values whose strings a cache keyed by float equality would merge or miss
+_ODD_FLOATS = (0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
+               -5e-324, 0.1, 0.16, 1e300)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), n_variants=st.integers(1, 3), trials=st.integers(1, 3),
+       n=st.integers(1, 6))
+def test_write_csv_keeps_every_value_apart(data, n_variants, trials, n):
+    # arbitrary values, not only those a lock gives: -0.0 and 0.0, and each
+    # NaN, must keep their own strings
+    value = st.sampled_from(_ODD_FLOATS) | st.floats()
+    shape = (n_variants, trials, n)
+
+    def block(elements, dtype=float):
+        flat = data.draw(st.lists(elements, min_size=n_variants * trials * n,
+                                  max_size=n_variants * trials * n))
+        return np.array(flat, dtype).reshape(shape)
+
+    temperature = np.array(data.draw(st.lists(value, min_size=n,
+                                              max_size=n)), float)
+    table = ResultsTable(tuple(f"v{i}" for i in range(n_variants)),
+                         temperature, block(value), block(value),
+                         block(value), block(value), block(st.booleans(), bool))
+    assert _written_rows_csv(table) == _reference_rows_csv(table)
 
 
 # --- whole config files -------------------------------------------------------
