@@ -275,8 +275,9 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
     standard normals (n + 1, 2), the noise of evaluation k in row k (k = 0
     the initial one), i_px's first; then standard normals (n, 3), the
     channel's.  Evaluation k calls ``objective(phases, noise_row, channel)``
-    with the whole channel block, of which ``DisturbedObjective`` reads row
-    ``max(k - 1, 0)``, and unpacks the (i_px, i_py) pair it returns.
+    with the whole channel block, the same array on every call (a new block
+    restarts ``DisturbedObjective``'s SOP sequence, whose evaluation k reads
+    rows up to ``max(k - 1, 0)``), and unpacks the (i_px, i_py) pair.
 
     The loop records only each iteration's step, phases, reading and
     verdict; ``er_db`` and the lock point are derived from those once the

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count, repeat
 
 import numpy as np
 
@@ -68,78 +69,69 @@ def rotate_sop(sop: JonesVector, axis, angle: float) -> JonesVector:
                    complex(s * n3, s * n2) * ex + complex(c, -s * n1) * ey)
 
 
+def _channel(sop: JonesVector, model: DisturbanceModel, block, rng):
+    """Yield the input SOP of evaluation k = 0, 1, 2, ... of one lock.
+
+    Row i is row i of the ``(n, 3)`` channel block, or, with no block, one
+    ``rng.standard_normal(3)`` drawn when the row is read.  Drift yields the
+    input, then, from the axis a = ``_unit(row 0)``, rotates by
+    ``drift_rate`` about a, yields, and moves a to a + c/2 normalized for
+    the next row c, over and over.  A jump yields the input ``jump_at``
+    times, then, for good, the input rotated by ``jump_magnitude`` about
+    ``_unit(row max(jump_at - 1, 0))``.  A static channel, or drift at rate
+    0, repeats the input.  The axis is three Python floats, so the drift
+    arithmetic is plain scalar IEEE and does not depend on the BLAS kernel.
+    """
+    def row(i):
+        return (rng.standard_normal(3) if block is None else block[i]).tolist()
+
+    if model.kind == "jump":
+        yield from repeat(sop, model.jump_at)
+        sop = rotate_sop(sop, _unit(row(max(model.jump_at - 1, 0))),
+                         model.jump_magnitude)
+    elif model.drift_rate:  # drift: no other kind may set a rate
+        rows = map(row, count()) if block is None else iter(block.tolist())
+        yield sop
+        x, y, z = _unit(next(rows))
+        while True:
+            sop = rotate_sop(sop, (x, y, z), model.drift_rate)
+            yield sop
+            dx, dy, dz = next(rows)
+            x, y, z = x + 0.5 * dx, y + 0.5 * dy, z + 0.5 * dz
+            n = math.sqrt(x * x + y * y + z * z)
+            x, y, z = x / n, y / n, z / n
+    yield from repeat(sop)
+
+
 class DisturbedObjective:
-    """Objective whose input SOP evolves once per evaluation.
-
-    Evaluation k corresponds to lock-trace iteration k (the pre-loop
-    evaluation is k = 0), so one objective serves one lock.  Before
-    measuring, it may read its channel row c of three standard normals, row
-    ``max(k - 1, 0)`` of the ``(n, 3)`` block every ``run_lock`` evaluation
-    passes (drift converts it once, a jump reads only its row); a bare call
-    draws c as one ``rng.standard_normal(3)`` when it reads it:
-
-    - drift (``drift_rate > 0``): nothing at k = 0, which sees the
-      undisturbed input; at k = 1 the starting axis is ``_unit(c)``; at
-      every later k the axis a becomes a + c/2 normalized.  The SOP is then
-      rotated by ``drift_rate`` about the axis.
-    - jump: only at k == ``jump_at`` (k = 0 included), the SOP is rotated
-      once by ``jump_magnitude`` about ``_unit(c)``.
-    - static, or drift at rate 0: nothing, so a run wired through this
-      class gives the trace of a plain bound objective.
-
-    The reading then adds the noise row, as ``measure`` does.  The axis is
-    three Python floats, so the drift arithmetic is plain scalar IEEE and
-    does not depend on the BLAS kernel.
+    """Objective that measures, at evaluation k, the k-th SOP of the
+    channel's sequence (``_channel``), then adds the noise as ``measure``
+    does.  A call whose ``channel`` block is not the previous call's starts
+    a new sequence from the input SOP, so each ``run_lock`` (a new block)
+    sees the channel from its start.  Bare calls continue one sequence that
+    draws each row from ``rng`` before ``measure``'s own noise draw.  A
+    static channel gives the trace of a plain bound objective.
     """
 
     def __init__(self, input_sop: JonesVector, params: DeviceParams,
                  model: DisturbanceModel, rng):
-        self._sop = input_sop
+        self._input = input_sop
         self._params = params
+        self._model = model
         self._rng = rng
-        self._calls = 0
-        self._axis: tuple[float, float, float] | None = None
-        self._block = self._rows = None  # the channel block, and its rows
-        self._drift = model.drift_rate if model.kind == "drift" else 0.0
-        self._jump_at = model.jump_at if model.kind == "jump" else -1
-        self._jump_magnitude = model.jump_magnitude
-
-    @property
-    def current_sop(self) -> JonesVector:
-        return self._sop
+        self._block = None
+        self._sops = _channel(input_sop, model, None, rng)
 
     def __call__(self, phases, noise=None, channel=None
                  ) -> tuple[float, float]:
-        k = self._calls
-        self._calls = k + 1
-        # measure and rotate_sop stay module-global lookups, so that a wrapper
-        # patched onto this module (a tracer, a test's counter) sees every call
-        drifting = self._drift and k
-        if drifting:
-            if channel is None:
-                row = self._rng.standard_normal(3).tolist()  # a bare call
-            else:
-                if channel is not self._block:
-                    self._block, self._rows = channel, channel.tolist()
-                row = self._rows[k - 1]
-            axis = self._axis
-            if axis is None:
-                axis = _unit(row)
-            else:
-                x, y, z = axis
-                dx, dy, dz = row
-                x += 0.5 * dx
-                y += 0.5 * dy
-                z += 0.5 * dz
-                n = math.sqrt(x * x + y * y + z * z)
-                axis = (x / n, y / n, z / n)
-            self._axis = axis
-            self._sop = rotate_sop(self._sop, axis, self._drift)
-        elif k == self._jump_at:
-            row = (self._rng.standard_normal(3) if channel is None
-                   else channel[max(k - 1, 0)]).tolist()
-            self._sop = rotate_sop(self._sop, _unit(row), self._jump_magnitude)
-        return measure(self._sop, phases, self._params, self._rng, noise)
+        if channel is not self._block:
+            self._block = channel
+            self._sops = _channel(self._input, self._model, channel, self._rng)
+        # measure, like _channel's rotate_sop, stays a module-global lookup,
+        # so that a wrapper patched onto this module (a tracer, a test's
+        # counter) sees every call
+        return measure(next(self._sops), phases, self._params, self._rng,
+                       noise)
 
 
 # samples in the trailing mean that re-lock scoring smooths the ER over

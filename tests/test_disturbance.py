@@ -22,6 +22,19 @@ def rodrigues(s: np.ndarray, axis: np.ndarray, angle: float) -> np.ndarray:
             + axis * np.dot(axis, s) * (1.0 - math.cos(angle)))
 
 
+def _record_rotations(monkeypatch):
+    """Patch ``disturbance.rotate_sop`` to record each rotation's input SOP,
+    axis and output SOP, in call order."""
+    rotations = []
+
+    def recording(sop, axis, angle):
+        out = rotate_sop(sop, axis, angle)
+        rotations.append((sop, axis, out))
+        return out
+    monkeypatch.setattr(disturbance, "rotate_sop", recording)
+    return rotations
+
+
 # --- rotations ----------------------------------------------------------------
 
 def test_rotate_sop_matches_rodrigues():
@@ -66,17 +79,18 @@ def test_model_rejects_bad_drift_rate(rate):
         DisturbanceModel(kind="drift", drift_rate=rate)
 
 
-def test_drift_accumulation_is_bounded():
+def test_drift_accumulation_is_bounded(monkeypatch):
     # 100 steps of 0.01 rad cannot move the state farther than 1 rad on the
     # sphere (triangle inequality on rotation angles)
     model = DisturbanceModel(kind="drift", drift_rate=0.01)
     rng = np.random.default_rng(5)
     v0 = random_sop(rng)
     objective = DisturbedObjective(v0, DeviceParams.ideal(), model, rng)
+    rotations = _record_rotations(monkeypatch)
     phases = PhaseQuad.uniform(1.0)
     for _ in range(101):  # evaluation 0 sees the undisturbed input
         objective(phases)
-    v = objective.current_sop
+    v = rotations[-1][2]
     assert abs(v.norm() - 1.0) <= 1e-12
     dist = math.acos(np.clip(np.dot(stokes_unit(v0), stokes_unit(v)), -1, 1))
     assert dist <= 1.0 + 1e-9
@@ -228,15 +242,16 @@ def _drift_objective(seed):
                               rng), rng
 
 
-def test_drift_draw_order_matches_reference_generator():
+def test_drift_draw_order_matches_reference_generator(monkeypatch):
     objective, rng = _drift_objective(15)
+    rotations = _record_rotations(monkeypatch)
     ref = np.random.default_rng(15)
     random_sop(ref)
     phases = PhaseQuad.uniform(1.0)
 
     objective(phases)  # evaluation 0 sees the undisturbed input
     assert rng.bit_generator.state == ref.bit_generator.state
-    assert objective._axis is None
+    assert rotations == []
 
     objective(phases)  # evaluation 1 draws the starting axis
     v = ref.normal(size=3)
@@ -245,7 +260,7 @@ def test_drift_draw_order_matches_reference_generator():
     x, y, z = v.tolist()
     n = math.sqrt(x * x + y * y + z * z)
     axis = (x / n, y / n, z / n)
-    assert objective._axis == axis
+    assert rotations[-1][1] == axis
     assert rng.bit_generator.state == ref.bit_generator.state
 
     for _ in range(20):  # each later evaluation draws exactly three normals
@@ -254,11 +269,11 @@ def test_drift_draw_order_matches_reference_generator():
         x, y, z = axis[0] + 0.5 * dx, axis[1] + 0.5 * dy, axis[2] + 0.5 * dz
         n = math.sqrt(x * x + y * y + z * z)
         axis = (x / n, y / n, z / n)
-        assert objective._axis == axis
+        assert rotations[-1][1] == axis
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
-def test_drift_start_axis_falls_back_without_redrawing():
+def test_drift_start_axis_falls_back_without_redrawing(monkeypatch):
     class ZeroRng:
         draws = 0
 
@@ -269,23 +284,25 @@ def test_drift_start_axis_falls_back_without_redrawing():
     rng = ZeroRng()
     objective = DisturbedObjective(JonesVector(1.0, 0.0),
                                    DeviceParams(noise_sigma=0.0), _DRIFT, rng)
+    rotations = _record_rotations(monkeypatch)
     objective(PhaseQuad.uniform(1.0))
     objective(PhaseQuad.uniform(1.0))  # a zero row: the first axis stands in
-    assert objective._axis == (1.0, 0.0, 0.0)
+    assert rotations[-1][1] == (1.0, 0.0, 0.0)
     assert rng.draws == 1
 
 
-def test_jump_at_zero_rotates_on_the_preloop_evaluation():
+def test_jump_at_zero_rotates_on_the_preloop_evaluation(monkeypatch):
     dev = DeviceParams(noise_sigma=0.0)
     model = DisturbanceModel(kind="jump", jump_at=0, jump_magnitude=math.pi / 2)
     rng = np.random.default_rng(16)
     sop = random_sop(rng)
     objective = DisturbedObjective(sop, dev, model, rng)
+    rotations = _record_rotations(monkeypatch)
     objective(PhaseQuad.uniform(1.0))
-    assert objective.current_sop != sop
-    after = objective.current_sop
+    assert rotations[-1][2] != sop
+    after = rotations[-1][2]
     objective(PhaseQuad.uniform(1.0))
-    assert objective.current_sop == after
+    assert rotations[-1][2] == after
 
 
 # --- the channel block -------------------------------------------------------
@@ -295,12 +312,7 @@ def test_jump_reads_only_its_row_of_the_channel_block(monkeypatch, jump_at,
                                                       row):
     # evaluation k reads row max(k - 1, 0) of run_lock's block; every other
     # row is NaN, so reading one would give a NaN axis
-    axes = []
-
-    def recording(sop, axis, angle):
-        axes.append(axis)
-        return rotate_sop(sop, axis, angle)
-    monkeypatch.setattr(disturbance, "rotate_sop", recording)
+    rotations = _record_rotations(monkeypatch)
     cfg = AnnealConfig(m0=2, n0=5)
     block = np.full((cfg.total_iterations, 3), math.nan)
     block[row] = (0.3, -1.2, 0.4)
@@ -310,7 +322,7 @@ def test_jump_reads_only_its_row_of_the_channel_block(monkeypatch, jump_at,
                                    DeviceParams(noise_sigma=0.0), model, None)
     for _ in range(cfg.total_iterations + 1):
         objective(PhaseQuad.uniform(1.0), None, block)
-    assert axes == [_unit([0.3, -1.2, 0.4])]
+    assert [axis for _, axis, _ in rotations] == [_unit([0.3, -1.2, 0.4])]
 
 
 class _RowPerEvaluation:
@@ -353,17 +365,41 @@ def test_block_reading_equals_a_row_per_evaluation(kind, params):
     assert block.initial_sample == rows.initial_sample
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("drift", {"drift_rate": 0.01}),
+    ("jump", {"jump_at": 7, "jump_magnitude": math.pi / 2})])
+def test_a_reused_objective_starts_each_lock_from_the_input(kind, params):
+    # each run_lock draws a new channel block, and a new block restarts the
+    # channel from the input SOP
+    cfg = AnnealConfig(m0=3, n0=10)
+    device = DeviceParams()
+    model = DisturbanceModel(kind=kind, **params)
+    sop = random_sop(np.random.default_rng(32))
+
+    def lock(objective):
+        return run_lock(objective, cfg, device.tps, np.random.default_rng(33))
+
+    fresh = lock(DisturbedObjective(sop, device, model, None))
+    reused = DisturbedObjective(sop, device, model, None)
+    for trace in (lock(reused), lock(reused)):
+        for name in ("step_rad", "phases", "i_px", "i_py", "er_db",
+                     "accepted"):
+            assert np.array_equal(getattr(trace, name), getattr(fresh, name))
+        assert trace.initial_sample == fresh.initial_sample
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 2 ** 63), st.integers(1, 200))
 def test_drift_axis_stays_unit_and_rotation_keeps_norm(seed, advances):
     objective, _ = _drift_objective(seed)
     phases = PhaseQuad.uniform(1.0)
-    objective(phases)
-    for _ in range(advances):
-        before = objective.current_sop.norm()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        rotations = _record_rotations(monkeypatch)
         objective(phases)
-        assert abs(objective.current_sop.norm() - before) <= 1e-15
-    axis = objective._axis
+        for _ in range(advances):
+            objective(phases)
+            before, axis, after = rotations[-1]
+            assert abs(after.norm() - before.norm()) <= 1e-15
     assert len(axis) == 3 and all(type(c) is float for c in axis)
     x, y, z = axis
     assert abs(math.sqrt(x * x + y * y + z * z) - 1.0) <= 1e-15

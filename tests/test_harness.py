@@ -104,11 +104,17 @@ def test_run_experiment_deterministic_csv(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_run_experiment_parallel_matches_serial(tmp_path):
+@pytest.mark.parametrize("model", [
+    DisturbanceModel(),
+    DisturbanceModel(kind="drift", drift_rate=0.01),
+    DisturbanceModel(kind="jump", jump_at=40, jump_magnitude=1.0)],
+    ids=["static", "drift", "jump"])
+def test_run_experiment_parallel_matches_serial(tmp_path, model):
+    cfg = replace(SMALL, disturbance=model)
     serial = tmp_path / "serial.csv"
     parallel = tmp_path / "parallel.csv"
-    run_experiment(SMALL, max_workers=1).write_csv(serial)
-    run_experiment(SMALL, max_workers=3).write_csv(parallel)
+    run_experiment(cfg, max_workers=1).write_csv(serial)
+    run_experiment(cfg, max_workers=3).write_csv(parallel)
     assert serial.read_bytes() == parallel.read_bytes()
 
 
