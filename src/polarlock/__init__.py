@@ -12,8 +12,8 @@ from .anneal import (AnnealConfig, LockTrace, StepSchedule, accept,
 from .disturbance import (DisturbanceModel, DisturbedObjective,
                           relock_experiment, rotate_sop)
 from .oracle import oracle_best, port_intensity
-from .harness import (ExperimentConfig, ResultsTable, parse_variant,
-                      run_experiment, run_identity_checks, summarize)
+from .harness import (ExperimentConfig, ResultsTable, run_experiment,
+                      run_identity_checks, summarize)
 from .config import ConfigError, load_experiment_config
 
 __version__ = "0.1.0"
@@ -29,7 +29,7 @@ __all__ = [
     "DisturbanceModel", "DisturbedObjective", "relock_experiment",
     "rotate_sop",
     "oracle_best", "port_intensity",
-    "ExperimentConfig", "ResultsTable", "parse_variant",
-    "run_experiment", "run_identity_checks", "summarize",
+    "ExperimentConfig", "ResultsTable", "run_experiment",
+    "run_identity_checks", "summarize",
     "ConfigError", "load_experiment_config",
 ]

@@ -14,6 +14,7 @@ so an unlucky noisy last sample cannot degrade the reported lock point.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Callable
@@ -94,6 +95,23 @@ class StepSchedule:
     def label(self) -> str:
         """``variable``, or ``fixed(ST)`` with ST at 9 significant digits."""
         return "variable" if self.step is None else f"fixed({_fmt(self.step)})"
+
+    @classmethod
+    def parse(cls, label: str) -> "StepSchedule":
+        """The schedule a ``label`` names, surrounding blanks ignored:
+        ``variable`` (the default table) or ``fixed(ST)``."""
+        label = label.strip()
+        if label == "variable":
+            return cls()
+        m = re.fullmatch(r"fixed\(([^)]+)\)", label)
+        if not m:
+            raise ValueError(
+                f"bad variant {label!r}; expected 'variable' or 'fixed(ST)'")
+        try:
+            step = float(m.group(1))
+        except ValueError:
+            raise ValueError(f"bad step value in variant {label!r}") from None
+        return cls(step)
 
 
 DEFAULT_SCHEDULE = StepSchedule.default()
@@ -236,10 +254,11 @@ def propose(s_p, st: float, rng, hi: float = PHASE_SPAN
 
 
 def accept(i_new: float, i_old: float, temperature: float, rng) -> bool:
-    """Metropolis rule for maximization, as the lock loop applies it:
-    improvements pass, a worse reading when a uniform u, one ``rng.random()``
-    drawn only for a worse reading, is below exp((i_new - i_old) /
-    temperature)."""
+    """Metropolis rule for maximization: improvements pass, a worse reading
+    when a uniform u is below exp((i_new - i_old) / temperature).  The lock
+    loop applies the same rule, but takes u from its pre-drawn uniform block
+    on every iteration; this function draws u with one ``rng.random()``, and
+    only for a worse reading."""
     if temperature <= 0:
         raise ValueError("temperature must be > 0")
     return i_new >= i_old or (i_new < i_old and rng.random()
@@ -260,13 +279,13 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
 
     The search point starts with all four phases at half the span,
     ``tps.phase_max / 2``, and is evaluated once; then ``m0`` outer loops of
-    ``n0`` inner iterations run.  Each inner iteration looks up the step in
-    ``schedule`` (the variable-step table unless given) from the gap
-    1 - (latest reading) as ``step_for_gap`` does, moves all four phases
-    within [0, phase_max] (``_move``), evaluates them (a plain 4-tuple), and
-    applies ``accept``'s Metropolis rule against the latest reading; the
-    temperature is multiplied by ``cooling_p`` after each outer loop
-    (``cfg.temperature``).
+    ``n0`` inner iterations run, as one loop over ``cfg.temperature`` (the
+    temperature is multiplied by ``cooling_p`` after each outer loop).  Each
+    iteration looks up the step in ``schedule`` (the variable-step table
+    unless given) from the gap 1 - (latest reading) as ``step_for_gap``
+    does, moves all four phases within [0, phase_max] (``_move``), evaluates
+    them (a plain 4-tuple), and applies ``accept``'s Metropolis rule against
+    the latest reading.
 
     Stream contract: before the first evaluation, and never after, three
     blocks are drawn from ``rng`` whatever the device, channel and schedule,
@@ -298,20 +317,19 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
     s0, s1, s2, s3 = _bracket_steps(schedule)
     exp = math.exp
 
+    temperature = cfg.temperature
     cands, records = [], []  # the phases, and (step, i_px, i_py, verdict)
-    draws = zip(uniforms, islice(noise, 1, None))
-    for temperature in cfg._loop_temperatures():
-        for u, z in islice(draws, cfg.n0):
-            gap = 1.0 - i_ref
-            st = s0 if gap > e1 else s1 if gap > e2 else s2 if gap > e3 else s3
-            cand = _move(state, st, u, hi)
-            i_px, i_py = objective(cand, z, channel)
-            ok = i_px >= i_ref or u[8] < exp((i_px - i_ref) / temperature)
-            if ok:
-                state = cand
-            i_ref = i_px
-            cands.append(cand)
-            records.append((st, i_px, i_py, ok))
+    for t, u, z in zip(temperature.tolist(), uniforms, islice(noise, 1, None)):
+        gap = 1.0 - i_ref
+        st = s0 if gap > e1 else s1 if gap > e2 else s2 if gap > e3 else s3
+        cand = _move(state, st, u, hi)
+        i_px, i_py = objective(cand, z, channel)
+        ok = i_px >= i_ref or u[8] < exp((i_px - i_ref) / t)
+        if ok:
+            state = cand
+        i_ref = i_px
+        cands.append(cand)
+        records.append((st, i_px, i_py, ok))
 
     table = np.fromiter(chain.from_iterable(records), float,
                         4 * n_iter).reshape(n_iter, 4)
@@ -326,7 +344,7 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
     best_iter = int(np.argmax(readings))
     best_thetas = (phases[best_iter - 1].tolist() if best_iter
                    else initial_thetas)
-    return LockTrace(cfg.temperature, table[:, 0].copy(), phases, px, py,
+    return LockTrace(temperature, table[:, 0].copy(), phases, px, py,
                      _er_db_array(px, py), table[:, 3].astype(bool),
                      PhaseQuad(*best_thetas), float(readings[best_iter]),
                      best_iter, initial_sample)

@@ -13,13 +13,13 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from .config import KEYS, ConfigError, load_experiment_config, resolve_key
+from .config import ConfigError, load_experiment_config, resolve_key
 from .device import DeviceParams
-from .harness import (run_experiment, run_identity_checks, summarize,
-                      threads_from_env)
+from .harness import run_experiment, run_identity_checks, summarize
 from .jones import JonesVector, random_sop
 from .oracle import oracle_best
 
@@ -76,10 +76,17 @@ def _overrides(args) -> dict[str, str]:
 
 
 def _workers() -> int:
+    """Trial processes for ``run`` and ``sweep``: the POLARLOCK_THREADS
+    environment variable, 1 when unset."""
+    raw = os.environ.get("POLARLOCK_THREADS", "1")
     try:
-        return threads_from_env()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(
+            f"POLARLOCK_THREADS must be an integer >= 1, got {raw!r}")
+    return workers
 
 
 def _check_output(path: str) -> None:
@@ -156,13 +163,13 @@ def _cmd_sweep(args) -> int:
         "experiment.output": f"{stem}_{leaf}_{value}{ext}"})
         for value in values]
     seen: dict = {}  # two spellings of one value would run the same twice
-    for value in values:
-        parsed = KEYS[key][2](value)
-        if parsed in seen:
-            first = seen[parsed]
+    for value, cfg in zip(values, cfgs):
+        run = replace(cfg, output_path="")
+        if run in seen:
+            first = seen[run]
             same = "" if first == value else f" as {value}"
             raise ConfigError(f"--values repeats {first}{same}")
-        seen[parsed] = value
+        seen[run] = value
     for value, cfg in zip(values, cfgs):
         table = run_experiment(cfg, max_workers=workers)
         _write_outputs(cfg, table)

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import math
 
-from .anneal import AnnealConfig
+from .anneal import AnnealConfig, StepSchedule
 from .device import DeviceParams, TpsParams
 from .disturbance import DisturbanceModel
-from .harness import ExperimentConfig, parse_variant
+from .harness import ExperimentConfig
 
 
 class ConfigError(ValueError):
@@ -39,7 +39,7 @@ def _str(s: str) -> str:
 
 
 def _variants(s: str):
-    return tuple(parse_variant(t) for t in s.split(",") if t.strip())
+    return tuple(StepSchedule.parse(t) for t in s.split(",") if t.strip())
 
 
 # key -> (section, field, parser)

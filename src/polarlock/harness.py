@@ -11,8 +11,6 @@ runs) produce byte-identical output.  Rows are always assembled in
 from __future__ import annotations
 
 import math
-import os
-import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
@@ -26,9 +24,6 @@ from .disturbance import DisturbanceModel, DisturbedObjective
 from .jones import (ALGEBRA_TOL, COUPLER_IN, COUPLER_OUT, JonesVector,
                     make_m0, make_m45, random_sop, to_stokes)
 
-#: environment variable capping trial parallelism
-THREADS_ENV = "POLARLOCK_THREADS"
-
 #: CSV column order is part of the output contract
 CSV_COLUMNS = ("variant", "trial", "iteration", "temperature", "step_rad",
                "i_px", "i_py", "er_db", "accepted")
@@ -39,25 +34,6 @@ _CSV_ROW = "%s%s%s%.9g,%.9g,%.9g,%d\n"
 
 # the per-iteration fields kept from each trial, in CSV column order
 _FIELDS = ("step_rad", "i_px", "i_py", "er_db", "accepted")
-
-_VARIANT_RE = re.compile(r"^fixed\(([^)]+)\)$")
-
-
-def parse_variant(token: str) -> StepSchedule:
-    """``variable`` (the default table) or ``fixed(ST)`` as a schedule."""
-    token = token.strip()
-    if token == "variable":
-        return DEFAULT_SCHEDULE
-    m = _VARIANT_RE.match(token)
-    if not m:
-        raise ValueError(
-            f"bad variant {token!r}; expected 'variable' or 'fixed(ST)'")
-    try:
-        value = float(m.group(1))
-    except ValueError:
-        raise ValueError(f"bad step value in variant {token!r}") from None
-    return StepSchedule.fixed(value)
-
 
 @dataclass(frozen=True, slots=True)
 class ExperimentConfig:
@@ -198,32 +174,15 @@ def _run_job(args):
     return [getattr(trace, name) for name in _FIELDS]
 
 
-def threads_from_env() -> int:
-    """Worker count from the POLARLOCK_THREADS environment variable
-    (1 when unset); raises ValueError naming the variable if it is not an
-    integer >= 1."""
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"{THREADS_ENV} must be an integer >= 1, got {raw!r}")
-    return workers
-
-
 def run_experiment(cfg: ExperimentConfig,
-                   max_workers: int | None = None) -> ResultsTable:
+                   max_workers: int = 1) -> ResultsTable:
     """Run every (variant, trial) pair and assemble the results table.
 
     Trial seeds are ``base_seed + trial`` (shared across variants, making
-    the comparison paired on input SOPs).  ``max_workers`` defaults to the
-    POLARLOCK_THREADS environment variable; anything above 1 runs trials in
-    a process pool of at most one worker per job, with output identical to
-    the serial order.
+    the comparison paired on input SOPs).  A ``max_workers`` above 1 runs
+    trials in a process pool of at most one worker per job, with output
+    identical to the serial order.
     """
-    if max_workers is None:
-        max_workers = threads_from_env()
     # built in (variant, trial) order, which both map paths keep
     jobs = [(cfg, schedule, trial)
             for schedule in cfg.variants

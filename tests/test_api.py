@@ -26,7 +26,7 @@ def test_public_names_are_pinned():
         "DisturbanceModel", "DisturbedObjective", "relock_experiment",
         "rotate_sop",
         "oracle_best", "port_intensity",
-        "ExperimentConfig", "ResultsTable", "parse_variant", "run_experiment",
+        "ExperimentConfig", "ResultsTable", "run_experiment",
         "run_identity_checks", "summarize",
         "ConfigError", "load_experiment_config",
     }

@@ -3,11 +3,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from polarlock import (AnnealConfig, ConfigError, DeviceParams,
                        DisturbanceModel, ExperimentConfig, JonesVector,
                        StepSchedule, load_experiment_config,
-                       oracle_best, parse_variant, port_intensity, random_sop,
+                       oracle_best, port_intensity, random_sop,
                        run_experiment, run_identity_checks, summarize)
 from polarlock import harness
 from polarlock.cli import main as cli_main
@@ -24,8 +26,8 @@ SMALL = ExperimentConfig(
 # --- variants ------------------------------------------------------------------
 
 def test_parse_variant_forms():
-    assert parse_variant("variable") == StepSchedule.default()
-    assert parse_variant(" fixed(0.16) ") == StepSchedule.fixed(0.16)
+    assert StepSchedule.parse("variable") == StepSchedule.default()
+    assert StepSchedule.parse(" fixed(0.16) ") == StepSchedule.fixed(0.16)
 
 
 @pytest.mark.parametrize("token", ["", "fixed", "fixed()", "fixed(x)",
@@ -34,18 +36,43 @@ def test_parse_variant_forms():
                                    "voltage-fixed(0.1)"])
 def test_parse_variant_rejects_garbage(token):
     with pytest.raises(ValueError):
-        parse_variant(token)
+        StepSchedule.parse(token)
+
+
+@pytest.mark.parametrize("token,message", [
+    ("fixed[0.1]", "bad variant 'fixed[0.1]'; expected 'variable' or "
+                   "'fixed(ST)'"),
+    ("fixed(x)", "bad step value in variant 'fixed(x)'"),
+    ("fixed(nan)", "step must be a finite number >= 0, got nan")])
+def test_parse_variant_names_the_fault(token, message):
+    with pytest.raises(ValueError) as exc:
+        StepSchedule.parse(f" {token} ")
+    assert str(exc.value) == message
 
 
 def test_variant_labels_round_trip():
     for token in ("variable", "fixed(0.16)", "fixed(0.005)",
                   "fixed(0.1234567)"):
-        assert parse_variant(token).label == token
+        assert StepSchedule.parse(token).label == token
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=-0.0, allow_infinity=False))
+@example(-0.0)
+@example(5e-324)
+@example(2.225073858507201e-308)
+@example(0.123456789123)
+@example(1.7976931348623157e308)
+def test_fixed_labels_round_trip(step):
+    # a label keeps 9 significant digits, so parsing it may round the step,
+    # but never changes the label
+    label = StepSchedule.fixed(step).label
+    assert StepSchedule.parse(label).label == label
 
 
 def test_parse_variant_negative_zero_is_zero(tmp_path):
     # fixed(-0) runs fixed(0), so listing both is a repeated label
-    step = parse_variant("fixed(-0)").entries[0][1]
+    step = StepSchedule.parse("fixed(-0)").entries[0][1]
     assert step == 0.0 and str(step) == "0.0"
     path = tmp_path / "zero.cfg"
     path.write_text("experiment.variants = fixed(0), fixed(-0)\n")
@@ -150,13 +177,14 @@ def test_run_experiment_caps_pool_at_job_count(tmp_path, monkeypatch):
     assert requested == []
 
 
-def test_run_experiment_honors_threads_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("POLARLOCK_THREADS", "2")
+def test_run_experiment_ignores_threads_env(tmp_path, monkeypatch):
+    # only the CLI reads POLARLOCK_THREADS; the library takes max_workers
+    monkeypatch.setenv("POLARLOCK_THREADS", "abc")
     a = tmp_path / "env.csv"
     run_experiment(SMALL).write_csv(a)
     monkeypatch.delenv("POLARLOCK_THREADS")
     b = tmp_path / "plain.csv"
-    run_experiment(SMALL).write_csv(b)
+    run_experiment(SMALL, max_workers=1).write_csv(b)
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -450,6 +478,19 @@ def test_cli_run_bad_threads_env(threads, tmp_path, monkeypatch, capsys):
     assert cli_main(["run", "--config", str(cfg)]) == 1
     assert "POLARLOCK_THREADS" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_cli_run_threads_env_writes_same_files(tmp_path, monkeypatch):
+    cfg = _write_small_cfg(tmp_path)
+    monkeypatch.delenv("POLARLOCK_THREADS", raising=False)
+    assert cli_main(["run", "--config", str(cfg),
+                     "--out", str(tmp_path / "serial.csv")]) == 0
+    monkeypatch.setenv("POLARLOCK_THREADS", "2")
+    assert cli_main(["run", "--config", str(cfg),
+                     "--out", str(tmp_path / "pooled.csv")]) == 0
+    for suffix in (".csv", "_aggregate.csv", "_summary.txt"):
+        serial = (tmp_path / f"serial{suffix}").read_bytes()
+        assert serial == (tmp_path / f"pooled{suffix}").read_bytes()
 
 
 def test_cli_unknown_subcommand_exits_one():
