@@ -3,8 +3,8 @@
 Subcommands: ``run`` (execute a config, write CSV + summary), ``oracle``
 (closed-form best intensity for one SOP), ``sweep`` (vary one config key
 over a list of values, one CSV per value), ``validate`` (algebraic identity
-suite).  Exit codes: 0 success, 1 config/usage error, 2 identity-check
-failure.
+suite).  Exit codes: 0 success, 1 config/usage error (a run too large for
+the host's memory included), 2 identity-check failure.
 """
 
 from __future__ import annotations
@@ -99,6 +99,23 @@ def _check_output(path: str) -> None:
                           "does not exist or is not writable")
 
 
+def _check_size(cfg) -> None:
+    """Fail before the first lock if the run cannot fit in the host's
+    memory: its result blocks hold 33 bytes per (variant, trial, iteration)
+    and each lock's drawn blocks 112 bytes per iteration."""
+    n = cfg.anneal.total_iterations
+    need = 33 * len(cfg.variants) * cfg.trials * n + 112 * n
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return  # the host does not say
+    if 0 < have < need:
+        raise ConfigError(
+            f"the run needs at least {need} bytes (variants "
+            f"{len(cfg.variants)}, trials {cfg.trials}, iterations {n}), "
+            f"more than the {have} bytes of memory on this host")
+
+
 def _write_outputs(cfg, table) -> str:
     stem, ext = os.path.splitext(cfg.output_path)
     table.write_csv(cfg.output_path)
@@ -113,6 +130,7 @@ def _cmd_run(args) -> int:
     workers = _workers()
     cfg = load_experiment_config(args.config, _overrides(args))
     _check_output(cfg.output_path)
+    _check_size(cfg)
     table = run_experiment(cfg, max_workers=workers)
     text = _write_outputs(cfg, table)
     sys.stdout.write(text)
@@ -170,6 +188,7 @@ def _cmd_sweep(args) -> int:
             same = "" if first == value else f" as {value}"
             raise ConfigError(f"--values repeats {first}{same}")
         seen[run] = value
+        _check_size(cfg)
     for value, cfg in zip(values, cfgs):
         table = run_experiment(cfg, max_workers=workers)
         _write_outputs(cfg, table)
@@ -206,6 +225,10 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except (ConfigError, OSError) as exc:
         print(f"polarlock: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"polarlock: error: out of memory{detail}", file=sys.stderr)
         return 1
 
 

@@ -11,9 +11,7 @@ runs) produce byte-identical output.  Rows are always assembled in
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -28,12 +26,133 @@ from .jones import (ALGEBRA_TOL, COUPLER_IN, COUPLER_OUT, JonesVector,
 CSV_COLUMNS = ("variant", "trial", "iteration", "temperature", "step_rad",
                "i_px", "i_py", "er_db", "accepted")
 
-# a row-file line: "variant,trial,", "iteration,temperature,", "step_rad,",
-# then ``_fmt`` floats and 0/1 ``accepted``
-_CSV_ROW = "%s%s%s%.9g,%.9g,%.9g,%d\n"
-
 # the per-iteration fields kept from each trial, in CSV column order
 _FIELDS = ("step_rad", "i_px", "i_py", "er_db", "accepted")
+
+# --- rows as bytes -----------------------------------------------------------
+# The writers fill a matrix of little-endian uint32 words, one row of the file
+# per matrix row, with every byte at a fixed place and NUL bytes as padding.
+# Deleting the NULs leaves the text.  A number takes seven words:
+#
+#     [s i i i] [i i i -] [i i i p] [- f f f] [- f f f] [- f f f] [f f f ,]
+#
+# s is the sign, i nine integer digits without leading zeros (a lone 0 kept),
+# p the point, f twelve fraction digits without trailing zeros, "," the
+# separator and - a NUL.  Each row starts with its "\n"; the label (and
+# trial) go in after it when the row is written.
+
+_WORD = np.dtype("<u4")
+
+#: three-digit groups as the last three bytes of a word; entry k is
+#: ``%03d % k``, 1000 + k drops trailing zeros, 2000 + k leading zeros
+#: (all three for 0), 3000 + k leading zeros but keeps a lone 0
+_LAST = np.array([int.from_bytes(b"\0" + s, "little") for s in
+                  [b"%03d" % k for k in range(1000)]
+                  + [(b"%03d" % k).rstrip(b"0").ljust(3, b"\0")
+                     for k in range(1000)]
+                  + [(b"%03d" % k).lstrip(b"0").rjust(3, b"\0")
+                     for k in range(1000)]
+                  + [(b"%d" % k).rjust(3, b"\0") for k in range(1000)]],
+                 _WORD)
+#: the same groups as the first three bytes of a word
+_FIRST = _LAST >> 8
+
+#: exact powers of ten, 10**0 to 10**12
+_POW10 = np.array([float(10 ** k) for k in range(13)])
+# X is the decade of |v| when y = |v| * 10**(8 - X) rounds into [1e8, 1e9)
+_LO, _HI = 99999999.5, 999999999.5
+# y is within 2**-24 of exact, so it rounds as the exact value does unless
+# it is this close to a half
+_TIE = 2.0 ** -20
+#: words in a number's cell
+_NUMBER = 7
+#: trials per row matrix: about 0.8 MB of words at 500 iterations
+_CHUNK_TRIALS = 10
+
+
+def _count_words(ip: np.ndarray, out: np.ndarray) -> None:
+    """The whole numbers ``ip`` (floats, 0 <= ip < 1e9) as the three words
+    ``[- i i i] [i i i -] [i i i -]`` of ``out[:, :3]``."""
+    i0 = np.floor(ip / 1e6)
+    rest = ip - i0 * 1e6
+    i1 = np.floor(rest / 1e3)
+    i2 = rest - i1 * 1e3
+    out[:, 0] = _LAST.take((i0 + 2000).astype(np.intp))
+    out[:, 1] = _FIRST.take((i1 + (ip < 1e6) * 2000.0).astype(np.intp))
+    out[:, 2] = _FIRST.take((i2 + (ip < 1e3) * 3000.0).astype(np.intp))
+
+
+def _g9_words(x: np.ndarray, out: np.ndarray, sep: int = ord(",")) -> None:
+    """``'%.9g' % v`` and then the byte ``sep`` (0 for none) for each float
+    ``v`` of the 1-d ``x``, as the seven words of each row of ``out``.
+
+    numpy formats fixed notation, 1e-4 <= |v| < 1e9.  ``log10`` only
+    proposes the decade X: it holds when y = |v| * 10**(8 - X), one rounded
+    product, lies in [_LO, _HI), and otherwise moves by one and y is
+    recomputed.  ``rint(y)`` is then the correctly rounded mantissa.  Python
+    formats the rest, value by value: each y within 2**-20 of a half, 0,
+    -0.0, NaN, +-inf and every value in exponent notation.
+    """
+    a = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        decade = np.fmin(np.fmax(np.floor(np.log10(a)), -4.0), 8.0)
+        decade = decade.astype(np.intp)
+        y = a * _POW10[8 - decade]
+        moved = np.flatnonzero((y < _LO) | (y >= _HI))
+        if moved.size:
+            # a first y near a half may lie on the wrong side of _LO or _HI
+            first = y[moved]
+            near = np.abs(first - np.rint(first)) >= 0.5 - _TIE
+            shifted = decade[moved] + (first >= _HI) - (first < _LO)
+            decade[moved] = np.clip(shifted, -4, 8)
+            again = a[moved] * _POW10[8 - decade[moved]]
+            y[moved] = np.where(near | (shifted != decade[moved])
+                                | (again < _LO) | (again >= _HI),
+                                np.nan, again)
+        m = np.rint(y)
+        slow = ~((np.abs(y - m) < 0.5 - _TIE) & (y >= _LO))
+    m[slow] = 1e8  # any mantissa: Python rewrites these cells
+    scale = _POW10[8 - decade]
+    ip = np.floor(m / scale)
+    fp = (m - ip * scale) * _POW10[decade + 4]  # the 12 fraction digits
+    _count_words(ip, out)
+    out[:, 0] += (x < 0) * np.uint32(ord("-"))
+    out[:, 2] += (fp != 0) * np.uint32(ord(".") << 24)
+    f0 = np.floor(fp / 1e9)
+    r9 = fp - f0 * 1e9
+    f1 = np.floor(r9 / 1e6)
+    r6 = r9 - f1 * 1e6
+    f2 = np.floor(r6 / 1e3)
+    f3 = r6 - f2 * 1e3
+    # a group drops its trailing zeros when every group after it is 0
+    out[:, 3] = _LAST.take((f0 + (r9 == 0) * 1000.0).astype(np.intp))
+    out[:, 4] = _LAST.take((f1 + (r6 == 0) * 1000.0).astype(np.intp))
+    out[:, 5] = _LAST.take((f2 + (f3 == 0) * 1000.0).astype(np.intp))
+    out[:, 6] = _FIRST.take((f3 + 1000).astype(np.intp))
+    out[:, 6] += np.uint32(sep << 24)
+    slow = np.flatnonzero(slow)
+    if slow.size:  # at most 16 characters, so the last byte stays NUL
+        cells = np.array(["%.9g" % v for v in x[slow].tolist()],
+                         f"S{4 * _NUMBER}").view(_WORD).reshape(-1, _NUMBER)
+        cells[:, 6] += np.uint32(sep << 24)
+        out[slow] = cells
+
+
+def _iteration_words(count: int) -> np.ndarray:
+    """``"\\n%d," % i`` for i = 1 .. count, as three words each."""
+    out = np.empty((count, 3), _WORD)
+    _count_words(np.arange(1.0, count + 1), out)
+    out[:, 0] += ord("\n")
+    out[:, 2] += np.uint32(ord(",") << 24)
+    return out
+
+
+def _write_rows(f, words: np.ndarray, prefix: bytes) -> None:
+    """Write the rows of ``words`` without their NULs, with ``prefix``
+    after each row's leading newline."""
+    f.write(words.tobytes().translate(None, b"\0")
+            .replace(b"\n", b"\n" + prefix))
+
 
 @dataclass(frozen=True, slots=True)
 class ExperimentConfig:
@@ -128,34 +247,58 @@ class ResultsTable:
 
     def write_csv(self, path: str) -> None:
         """Rows in the documented column order, variant by variant, then
-        trial by trial; floats at 9 significant digits; byte-identical for
-        identical configs.  Each ``iteration,temperature,`` prefix is
-        formatted once, and each step once per variant and bit pattern."""
-        prefixes = ["%d,%.9g," % it
-                    for it in enumerate(self.temperature.tolist(), 1)]
-        with open(path, "w", newline="") as f:
-            f.write(",".join(CSV_COLUMNS) + "\n")
-            for label, step, *block in zip(
-                    self.variant_order, *(getattr(self, n) for n in _FIELDS)):
-                bits, which = np.unique(step.view(np.int64),
-                                        return_inverse=True)
-                steps = ["%.9g," % st for st in bits.view(float).tolist()]
-                # one trial at a time keeps the Python copies of the rows small
-                for t, (w, *cols) in enumerate(zip(
-                        which.reshape(step.shape), *block)):
-                    f.writelines(map(_CSV_ROW.__mod__, zip(
-                        repeat(f"{label},{t},"), prefixes,
-                        map(steps.__getitem__, w.tolist()),
-                        *(c.tolist() for c in cols))))
+        trial by trial: each float exactly as ``'%.9g' % v`` formats it,
+        ``accepted`` as 0/1, and the label in the encoding a text-mode
+        ``open`` picks.  Identical tables write identical bytes.
+
+        numpy formats ten trials at a time (see ``_g9_words``), so the
+        writer holds no Python object per row."""
+        iters = self.iterations_per_trial
+        lead = np.empty((iters, 3 + _NUMBER), _WORD)
+        lead[:, :3] = _iteration_words(iters)
+        _g9_words(np.asarray(self.temperature, float), lead[:, 3:])
+        floats = ("step_rad", "i_px", "i_py", "er_db")
+        width = lead.shape[1] + _NUMBER * len(floats) + 1
+        with open(path, "w", newline="") as text:
+            f, encoding = text.buffer, text.encoding
+            f.write(",".join(CSV_COLUMNS).encode(encoding))
+            for v, label in enumerate(self.variant_order[:len(self.er_db)]):
+                for t0 in range(0, self.trials, _CHUNK_TRIALS):
+                    chunk = range(t0, min(t0 + _CHUNK_TRIALS, self.trials))
+                    block = (v, slice(chunk.start, chunk.stop))
+                    rows = np.empty((len(chunk), iters, width), _WORD)
+                    rows[:, :, :lead.shape[1]] = lead
+                    rows = rows.reshape(-1, width)
+                    col = lead.shape[1]
+                    for name in floats:
+                        _g9_words(np.asarray(getattr(self, name)[block],
+                                             float).ravel(),
+                                  rows[:, col:col + _NUMBER])
+                        col += _NUMBER
+                    rows[:, col] = self.accepted[block].ravel() + ord("0")
+                    for t, trial in enumerate(chunk):
+                        _write_rows(f, rows[t * iters:(t + 1) * iters],
+                                    f"{label},{trial},".encode(encoding))
+            f.write(b"\n")  # each row brought the newline before it
 
     def write_aggregate_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as f:
-            f.write("variant,iteration,er_db_p10,er_db_p50,er_db_p90\n")
+        """One row per variant and iteration: the 10th, 50th and 90th
+        percentiles of ``er_db`` across trials, formatted as ``write_csv``
+        formats floats."""
+        iters = self.iterations_per_trial
+        rows = np.empty((iters, 3 + 3 * _NUMBER), _WORD)
+        rows[:, :3] = _iteration_words(iters)
+        with open(path, "w", newline="") as text:
+            f, encoding = text.buffer, text.encoding
+            f.write("variant,iteration,er_db_p10,er_db_p50,er_db_p90"
+                    .encode(encoding))
             for label in self.variant_order:
-                iters, p10, p50, p90 = self.percentile_curves(label)
-                for i in range(len(iters)):
-                    f.write(f"{label},{iters[i]},{_fmt(p10[i])},"
-                            f"{_fmt(p50[i])},{_fmt(p90[i])}\n")
+                _, *curves = self.percentile_curves(label)
+                for k, (curve, sep) in enumerate(zip(curves, b",,\0")):
+                    col = 3 + k * _NUMBER
+                    _g9_words(curve, rows[:, col:col + _NUMBER], sep)
+                _write_rows(f, rows, f"{label},".encode(encoding))
+            f.write(b"\n")  # each row brought the newline before it
 
 
 def _run_trial(cfg: ExperimentConfig, schedule: StepSchedule, trial: int):
@@ -191,6 +334,9 @@ def run_experiment(cfg: ExperimentConfig,
     # the pool forks all its workers at the first submit, so cap them
     workers = min(max_workers, len(jobs))
     if workers > 1:
+        # imported here: the pool pulls in multiprocessing, which a serial
+        # run never needs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_job, jobs, chunksize=4))
     else:

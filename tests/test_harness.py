@@ -1,3 +1,5 @@
+import concurrent.futures
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,7 +13,6 @@ from polarlock import (AnnealConfig, ConfigError, DeviceParams,
                        StepSchedule, load_experiment_config,
                        oracle_best, port_intensity, random_sop,
                        run_experiment, run_identity_checks, summarize)
-from polarlock import harness
 from polarlock.cli import main as cli_main
 from polarlock.config import KEYS, parse_config_text
 from polarlock.harness import _run_trial
@@ -163,7 +164,7 @@ def test_run_experiment_caps_pool_at_job_count(tmp_path, monkeypatch):
         def map(self, fn, jobs, chunksize=1):
             return map(fn, jobs)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     cfg = replace(SMALL, trials=1)
     serial, capped = tmp_path / "serial.csv", tmp_path / "capped.csv"
     run_experiment(cfg, max_workers=1).write_csv(serial)
@@ -469,6 +470,46 @@ def test_cli_bad_output_fails_before_any_lock(command, output, via_file,
     assert cli_main(argv) == 1
     assert f"output path {output!r}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == ([cfg] if via_file else [])
+
+
+def _host_memory() -> int:
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return -1
+
+
+@pytest.mark.skipif(_host_memory() <= 0,
+                    reason="the host does not report its memory")
+@pytest.mark.parametrize("argv, text", [
+    (["run", "--trials", "1000000000"], ""),
+    (["run", "--trials", "1"], "anneal.n0 = 1000000000\n"),
+    (["sweep", "--key", "n0", "--values", "10,1000000000", "--trials", "1"],
+     ""),
+])
+def test_cli_too_large_for_memory_fails_before_any_lock(
+        argv, text, tmp_path, monkeypatch, capsys):
+    def no_lock(*args, **kwargs):
+        raise AssertionError("locked before checking the run's size")
+    monkeypatch.setattr("polarlock.cli.run_experiment", no_lock)
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out.csv"
+    assert cli_main([*argv, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"more than the {_host_memory()} bytes of memory" in err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_cli_maps_memory_error_to_exit_one(tmp_path, monkeypatch, capsys):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 671. GiB")
+    monkeypatch.setattr("polarlock.cli.run_experiment", out_of_memory)
+    cfg = _write_small_cfg(tmp_path)
+    assert cli_main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("polarlock: error: out of memory "
+                   "(Unable to allocate 671. GiB)\n")
 
 
 @pytest.mark.parametrize("threads", ["abc", "0", "-2"])

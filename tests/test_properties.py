@@ -3,13 +3,14 @@ identities its rng draw order relies on."""
 
 import cmath
 import dataclasses
+import locale
 import math
 import os
 import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from polarlock import (AnnealConfig, DeviceParams, DisturbanceModel,
                        DisturbedObjective, ExperimentConfig, JonesVector,
@@ -20,7 +21,8 @@ from polarlock import (AnnealConfig, DeviceParams, DisturbanceModel,
 from polarlock.anneal import _er_db, _er_db_array, _move
 from polarlock.config import KEYS
 from polarlock.device import _cascade
-from polarlock.harness import CSV_COLUMNS, ResultsTable, run_experiment
+from polarlock.harness import (_NUMBER, _WORD, CSV_COLUMNS, ResultsTable,
+                               _g9_words, run_experiment)
 
 _phase = st.floats(allow_nan=False, allow_infinity=False)
 _component = st.floats(-1e100, 1e100)
@@ -573,6 +575,113 @@ def test_write_csv_keeps_every_value_apart(data, n_variants, trials, n):
                          temperature, block(value), block(value),
                          block(value), block(value), block(st.booleans(), bool))
     assert _written_rows_csv(table) == _reference_rows_csv(table)
+
+
+def _g9(values) -> list[str]:
+    """The writer's float kernel on ``values``, one string per value."""
+    x = np.asarray(values, float)
+    out = np.zeros((x.size, _NUMBER), _WORD)
+    _g9_words(x, out)
+    cells = out.tobytes().translate(None, b"\0").decode().split(",")
+    assert cells.pop() == "" and len(cells) == x.size
+    return cells
+
+
+def _percent_g9(values) -> list[str]:
+    return ["%.9g" % v for v in np.asarray(values, float).tolist()]
+
+
+# the ends of the fixed-notation range, and values whose rounding carries
+# into the next decade
+_G9_EDGES = [math.nextafter(1e-4, 0.0), 1e-4, math.nextafter(1e-4, 1.0),
+             math.nextafter(1e9, 0.0), 1e9, math.nextafter(1e9, math.inf),
+             9.9999999995e-5, 99999999.95, 999999999.5, 9.9999999996,
+             -9.9999999996]
+
+
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+@example(_G9_EDGES)
+# halfway decimals at the top of a decade whose scaled product rounds across
+# 999999999.5 or 99999999.5 while the exact one does not
+@example([9.99999995e-05, 0.009999999995, 0.00999999995, 0.9999999995,
+          9.999999995, 9.99999995, 999.9999995, 9999.99995, 99999.99995,
+          999999.995, 9999999.95])
+@example([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
+          -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308])
+def test_g9_kernel_equals_percent_format(values):
+    assert _g9(values) == _percent_g9(values)
+
+
+def test_g9_kernel_equals_percent_format_on_random_bits():
+    rng = np.random.default_rng(20221)
+    bits = rng.integers(0, 2 ** 64, 200_000, np.uint64, endpoint=False)
+    assert _g9(bits.view(float)) == _percent_g9(bits.view(float))
+
+
+def test_g9_kernel_equals_percent_format_on_decimals():
+    # nine-digit decimals in every decade that fixed notation reaches or
+    # rounds into, and the ten-digit halfway points between them, which
+    # Python settles
+    rng = np.random.default_rng(20222)
+    digits = rng.integers(10 ** 8, 10 ** 9, 200_000).astype(float)
+    decade = rng.integers(-5, 10, digits.size)
+    half = rng.random(digits.size) < 0.5
+    digits = np.where(half, 10 * digits + 5, digits)
+    shift = decade - 8 - half
+    values = np.where(shift < 0, digits / 10.0 ** -np.minimum(shift, 0),
+                      digits * 10.0 ** np.maximum(shift, 0))
+    values[rng.random(values.size) < 0.5] *= -1
+    assert _g9(values) == _percent_g9(values)
+
+
+def _reference_aggregate_csv(table) -> str:
+    lines = ["variant,iteration,er_db_p10,er_db_p50,er_db_p90\n"]
+    for label in table.variant_order:
+        iters, p10, p50, p90 = table.percentile_curves(label)
+        for i in range(len(iters)):
+            lines.append(f"{label},{iters[i]},{p10[i]:.9g},{p50[i]:.9g},"
+                         f"{p90[i]:.9g}\n")
+    return "".join(lines)
+
+
+def _encodable(label: str) -> bool:
+    try:
+        label.encode(locale.getpreferredencoding(False))
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+# labels a StepSchedule never gives: non-ASCII, a NUL (the writer's padding
+# byte), a newline (what the label is inserted after), commas
+_labels = st.lists((st.sampled_from(["fixé(0.1)", "λ", "a\0b", "x\ny", ",,"])
+                    | st.text(max_size=8)).filter(_encodable),
+                   min_size=1, max_size=3, unique=True)
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), labels=_labels, trials=st.integers(1, 2),
+       n=st.integers(1, 4))
+def test_writers_equal_text_mode_references(data, labels, trials, n):
+    shape = (len(labels), trials, n)
+
+    def block(elements, dtype=float):
+        flat = data.draw(st.lists(elements, min_size=math.prod(shape),
+                                  max_size=math.prod(shape)))
+        return np.array(flat, dtype).reshape(shape)
+
+    value = st.floats(-1e3, 1e3) | st.sampled_from(_ODD_FLOATS)
+    table = ResultsTable(tuple(labels), np.array(data.draw(st.lists(
+        value, min_size=n, max_size=n)), float), block(value), block(value),
+        block(value), block(value), block(st.booleans(), bool))
+    assert _written_rows_csv(table) == _reference_rows_csv(table)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "aggregate.csv")
+        with np.errstate(invalid="ignore"):
+            table.write_aggregate_csv(path)
+            want = _reference_aggregate_csv(table)
+        with open(path, newline="") as f:
+            assert f.read() == want
 
 
 # --- whole config files -------------------------------------------------------
