@@ -30,7 +30,7 @@ CSV_COLUMNS = ("variant", "trial", "iteration", "temperature", "step_rad",
 _FIELDS = ("step_rad", "i_px", "i_py", "er_db", "accepted")
 
 # --- rows as bytes -----------------------------------------------------------
-# The writers fill a matrix of little-endian uint32 words, one row of the file
+# write_csv fills a matrix of little-endian uint32 words, one row of the file
 # per matrix row, with every byte at a fixed place and NUL bytes as padding.
 # Deleting the NULs leaves the text.  A number takes seven words:
 #
@@ -38,8 +38,9 @@ _FIELDS = ("step_rad", "i_px", "i_py", "er_db", "accepted")
 #
 # s is the sign, i nine integer digits without leading zeros (a lone 0 kept),
 # p the point, f twelve fraction digits without trailing zeros, "," the
-# separator and - a NUL.  Each row starts with its "\n"; the label (and
-# trial) go in after it when the row is written.
+# separator and - a NUL.  Each row starts with its "\n", iteration and
+# temperature; the label and trial go in after the "\n" when the row is
+# written.
 
 _WORD = np.dtype("<u4")
 
@@ -82,9 +83,9 @@ def _count_words(ip: np.ndarray, out: np.ndarray) -> None:
     out[:, 2] = _FIRST.take((i2 + (ip < 1e3) * 3000.0).astype(np.intp))
 
 
-def _g9_words(x: np.ndarray, out: np.ndarray, sep: int = ord(",")) -> None:
-    """``'%.9g' % v`` and then the byte ``sep`` (0 for none) for each float
-    ``v`` of the 1-d ``x``, as the seven words of each row of ``out``.
+def _g9_words(x: np.ndarray, out: np.ndarray) -> None:
+    """``'%.9g,' % v`` for each float ``v`` of the 1-d ``x``, as the seven
+    words of each row of ``out``.
 
     numpy formats fixed notation, 1e-4 <= |v| < 1e9.  ``log10`` only
     proposes the decade X: it holds when y = |v| * 10**(8 - X), one rounded
@@ -129,29 +130,11 @@ def _g9_words(x: np.ndarray, out: np.ndarray, sep: int = ord(",")) -> None:
     out[:, 4] = _LAST.take((f1 + (r6 == 0) * 1000.0).astype(np.intp))
     out[:, 5] = _LAST.take((f2 + (f3 == 0) * 1000.0).astype(np.intp))
     out[:, 6] = _FIRST.take((f3 + 1000).astype(np.intp))
-    out[:, 6] += np.uint32(sep << 24)
+    out[:, 6] += np.uint32(ord(",") << 24)
     slow = np.flatnonzero(slow)
-    if slow.size:  # at most 16 characters, so the last byte stays NUL
-        cells = np.array(["%.9g" % v for v in x[slow].tolist()],
-                         f"S{4 * _NUMBER}").view(_WORD).reshape(-1, _NUMBER)
-        cells[:, 6] += np.uint32(sep << 24)
-        out[slow] = cells
-
-
-def _iteration_words(count: int) -> np.ndarray:
-    """``"\\n%d," % i`` for i = 1 .. count, as three words each."""
-    out = np.empty((count, 3), _WORD)
-    _count_words(np.arange(1.0, count + 1), out)
-    out[:, 0] += ord("\n")
-    out[:, 2] += np.uint32(ord(",") << 24)
-    return out
-
-
-def _write_rows(f, words: np.ndarray, prefix: bytes) -> None:
-    """Write the rows of ``words`` without their NULs, with ``prefix``
-    after each row's leading newline."""
-    f.write(words.tobytes().translate(None, b"\0")
-            .replace(b"\n", b"\n" + prefix))
+    if slow.size:  # at most 17 bytes, inside the cell's 28
+        out[slow] = np.array(["%.9g," % v for v in x[slow].tolist()],
+                             f"S{4 * _NUMBER}").view((_WORD, _NUMBER))
 
 
 @dataclass(frozen=True, slots=True)
@@ -251,25 +234,30 @@ class ResultsTable:
         ``accepted`` as 0/1, and the label in the encoding a text-mode
         ``open`` picks.  Identical tables write identical bytes.
 
-        numpy formats ten trials at a time (see ``_g9_words``), so the
-        writer holds no Python object per row."""
+        numpy formats the float columns ten trials at a time (see
+        ``_g9_words``), so the writer holds no Python object per row."""
+        # every label is looked up before the file exists
+        blocks = [self._index(label) for label in self.variant_order]
         iters = self.iterations_per_trial
-        lead = np.empty((iters, 3 + _NUMBER), _WORD)
-        lead[:, :3] = _iteration_words(iters)
-        _g9_words(np.asarray(self.temperature, float), lead[:, 3:])
+        # the iteration and temperature columns every trial shares, in whole
+        # words as wide as the longest, since an S dtype cuts short silently
+        lead = [b"\n%d,%.9g," % row for row in
+                enumerate(np.asarray(self.temperature, float).tolist(), 1)]
+        words = -(-max(map(len, lead), default=0) // 4)
+        lead = np.array(lead, f"S{4 * words}").view((_WORD, words))
         floats = ("step_rad", "i_px", "i_py", "er_db")
-        width = lead.shape[1] + _NUMBER * len(floats) + 1
+        width = words + _NUMBER * len(floats) + 1
         with open(path, "w", newline="") as text:
             f, encoding = text.buffer, text.encoding
             f.write(",".join(CSV_COLUMNS).encode(encoding))
-            for v, label in enumerate(self.variant_order[:len(self.er_db)]):
+            for v, label in zip(blocks, self.variant_order):
                 for t0 in range(0, self.trials, _CHUNK_TRIALS):
                     chunk = range(t0, min(t0 + _CHUNK_TRIALS, self.trials))
                     block = (v, slice(chunk.start, chunk.stop))
                     rows = np.empty((len(chunk), iters, width), _WORD)
-                    rows[:, :, :lead.shape[1]] = lead
+                    rows[:, :, :words] = lead
                     rows = rows.reshape(-1, width)
-                    col = lead.shape[1]
+                    col = words
                     for name in floats:
                         _g9_words(np.asarray(getattr(self, name)[block],
                                              float).ravel(),
@@ -277,28 +265,24 @@ class ResultsTable:
                         col += _NUMBER
                     rows[:, col] = self.accepted[block].ravel() + ord("0")
                     for t, trial in enumerate(chunk):
-                        _write_rows(f, rows[t * iters:(t + 1) * iters],
-                                    f"{label},{trial},".encode(encoding))
+                        prefix = f"{label},{trial},".encode(encoding)
+                        f.write(rows[t * iters:(t + 1) * iters].tobytes()
+                                .translate(None, b"\0")
+                                .replace(b"\n", b"\n" + prefix))
             f.write(b"\n")  # each row brought the newline before it
 
     def write_aggregate_csv(self, path: str) -> None:
         """One row per variant and iteration: the 10th, 50th and 90th
         percentiles of ``er_db`` across trials, formatted as ``write_csv``
         formats floats."""
-        iters = self.iterations_per_trial
-        rows = np.empty((iters, 3 + 3 * _NUMBER), _WORD)
-        rows[:, :3] = _iteration_words(iters)
-        with open(path, "w", newline="") as text:
-            f, encoding = text.buffer, text.encoding
-            f.write("variant,iteration,er_db_p10,er_db_p50,er_db_p90"
-                    .encode(encoding))
-            for label in self.variant_order:
-                _, *curves = self.percentile_curves(label)
-                for k, (curve, sep) in enumerate(zip(curves, b",,\0")):
-                    col = 3 + k * _NUMBER
-                    _g9_words(curve, rows[:, col:col + _NUMBER], sep)
-                _write_rows(f, rows, f"{label},".encode(encoding))
-            f.write(b"\n")  # each row brought the newline before it
+        # every label is looked up before the file exists
+        curves = [self.percentile_curves(label)
+                  for label in self.variant_order]
+        with open(path, "w", newline="") as f:
+            f.write("variant,iteration,er_db_p10,er_db_p50,er_db_p90\n")
+            for label, curve in zip(self.variant_order, curves):
+                f.writelines("%s,%d,%.9g,%.9g,%.9g\n" % (label, *row)
+                             for row in zip(*(c.tolist() for c in curve)))
 
 
 def _run_trial(cfg: ExperimentConfig, schedule: StepSchedule, trial: int):

@@ -1,5 +1,6 @@
 import concurrent.futures
 import os
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from polarlock import (AnnealConfig, ConfigError, DeviceParams,
                        StepSchedule, load_experiment_config,
                        oracle_best, port_intensity, random_sop,
                        run_experiment, run_identity_checks, summarize)
+from polarlock.cli import _CELL_BYTES, _LOCK_BYTES, _check_size
 from polarlock.cli import main as cli_main
 from polarlock.config import KEYS, parse_config_text
 from polarlock.harness import _run_trial
@@ -268,11 +270,24 @@ def test_summarize_keys_and_crossing():
     assert value != "none" and 1 <= int(value) <= cfg.anneal.total_iterations
 
 
-def test_summarize_names_missing_variant():
+def _table_missing_variant():
     table = run_experiment(replace(SMALL, variants=(StepSchedule.default(),)))
     table.variant_order = ("variable", "fixed(0.31)")
+    return table
+
+
+def test_summarize_names_missing_variant():
+    table = _table_missing_variant()
     with pytest.raises(ValueError, match="fixed\\(0.31\\)"):
         summarize(table)
+
+
+@pytest.mark.parametrize("write", ["write_csv", "write_aggregate_csv"])
+def test_writers_name_missing_variant_before_opening(write, tmp_path):
+    table = _table_missing_variant()
+    with pytest.raises(ValueError, match="fixed\\(0.31\\)"):
+        getattr(table, write)(str(tmp_path / "out.csv"))
+    assert list(tmp_path.iterdir()) == []
 
 
 # --- identity suite -----------------------------------------------------------------
@@ -499,6 +514,68 @@ def test_cli_too_large_for_memory_fails_before_any_lock(
     err = capsys.readouterr().err
     assert f"more than the {_host_memory()} bytes of memory" in err
     assert list(tmp_path.iterdir()) == [cfg]
+
+
+def _traced_peak(call) -> int:
+    """Peak bytes that ``call()`` allocates, numpy's blocks included."""
+    call()  # first-call caches do not count
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("model", [
+    DisturbanceModel(), DisturbanceModel(kind="drift", drift_rate=0.01)])
+def test_a_lock_peaks_below_what_the_size_check_counts(model):
+    cfg = replace(SMALL, anneal=AnnealConfig(m0=1, n0=1000),
+                  disturbance=model)
+    peak = _traced_peak(lambda: _run_trial(cfg, cfg.variants[0], 0))
+    assert peak < _LOCK_BYTES * cfg.anneal.total_iterations
+
+
+def test_run_experiment_peaks_below_what_the_size_check_counts():
+    cfg = ExperimentConfig(trials=2)
+    n = cfg.anneal.total_iterations
+    peak = _traced_peak(lambda: run_experiment(cfg))
+    assert peak < (_CELL_BYTES * 3 * 2 + _LOCK_BYTES) * n
+
+
+def _fake_memory(monkeypatch, pages: int) -> None:
+    sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": pages}
+    monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
+
+
+def test_size_check_counts_one_lock_per_worker(monkeypatch):
+    # 1,500 cells and 500 iterations: 720,000 bytes with one worker,
+    # 1,320,000 with two, and 250 pages hold 1,024,000
+    _fake_memory(monkeypatch, 250)
+    cfg = ExperimentConfig(trials=1)
+    _check_size(cfg, 1)
+    with pytest.raises(ConfigError, match="needs at least 1320000 bytes"):
+        _check_size(cfg, 2)
+    # three jobs keep at most three locks live
+    with pytest.raises(ConfigError, match="needs at least 1920000 bytes"):
+        _check_size(cfg, 200)
+
+
+@pytest.mark.parametrize("threads, pages", [("1", 100), ("2", 250)])
+def test_cli_lock_too_large_for_memory_fails_before_any_lock(
+        threads, pages, tmp_path, monkeypatch, capsys):
+    # the 1,500 result cells, 120,000 bytes, fit in either memory; one
+    # 500-iteration lock too many does not
+    def no_lock(*args, **kwargs):
+        raise AssertionError("locked before checking the run's size")
+    monkeypatch.setattr("polarlock.cli.run_experiment", no_lock)
+    monkeypatch.setenv("POLARLOCK_THREADS", threads)
+    _fake_memory(monkeypatch, pages)
+    out = tmp_path / "out.csv"
+    assert cli_main(["run", "--trials", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"more than the {4096 * pages} bytes of memory" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_maps_memory_error_to_exit_one(tmp_path, monkeypatch, capsys):

@@ -577,6 +577,18 @@ def test_write_csv_keeps_every_value_apart(data, n_variants, trials, n):
     assert _written_rows_csv(table) == _reference_rows_csv(table)
 
 
+def test_write_csv_keeps_the_longest_lead_columns_whole():
+    # -1.23456789e-100 is the longest '%.9g' form, 16 characters, and the
+    # iteration count reaches five digits
+    n = 10 ** 4
+    zeros = np.zeros((1, 1, n))
+    table = ResultsTable(("v",), np.full(n, -1.23456789e-100), zeros, zeros,
+                         zeros, zeros, zeros.astype(bool))
+    # as lines: a failing diff of two 10**4-line strings takes minutes
+    assert (_written_rows_csv(table).splitlines(True)
+            == _reference_rows_csv(table).splitlines(True))
+
+
 def _g9(values) -> list[str]:
     """The writer's float kernel on ``values``, one string per value."""
     x = np.asarray(values, float)
