@@ -52,22 +52,21 @@ def _er_db_array(i_px: np.ndarray, i_py: np.ndarray) -> np.ndarray:
                               ratio.size)
 
 
-# the paper's variable-step table, (gap_threshold, step_rad) pairs
-_VARIABLE_TABLE = ((1.0, 0.16), (0.1, 0.08), (0.01, 0.03), (0.001, 0.008))
-# its steps, and the lower edges of its brackets: these lie inside (0, 1),
+# the paper's variable-step table: the step of each gap bracket, widest gap
+# first, and the lower edges of the brackets.  The edges lie inside (0, 1),
 # so comparing an unclamped gap against them compares the clamped one
-_STEPS = tuple(st for _, st in _VARIABLE_TABLE)
-_EDGES = tuple(t for t, _ in _VARIABLE_TABLE[1:])
+_STEPS = (0.16, 0.08, 0.03, 0.008)
+_EDGES = (0.1, 0.01, 0.001)
 
 
 @dataclass(frozen=True, slots=True)
 class StepSchedule:
     """The search step as a function of the intensity gap.
 
-    ``step`` None is the variable step: a gap g selects the entry of
-    ``_VARIABLE_TABLE`` whose bracket (next_threshold, threshold] holds it,
-    and anything at or below the last threshold gets the last step.  A
-    number is a fixed step for every gap, finite and >= 0, -0 stored as 0.
+    ``step`` None is the variable step: a gap g gets the step of the first
+    bracket, (0.1, 1], (0.01, 0.1], (0.001, 0.01], that holds it, and
+    anything at or below the last edge gets the last step.  A number is a
+    fixed step for every gap, finite and >= 0, -0 stored as 0.
     """
 
     step: float | None = None
@@ -79,17 +78,13 @@ class StepSchedule:
 
     @classmethod
     def default(cls) -> "StepSchedule":
-        """The four-bracket variable-step table (radians)."""
+        """``StepSchedule()``, kept only for the benchmark, which calls it."""
         return cls()
 
-    @classmethod
-    def fixed(cls, st: float) -> "StepSchedule":
-        return cls(st)
-
     @property
-    def entries(self) -> tuple[tuple[float, float], ...]:
-        """The (gap_threshold, step_rad) table, one entry for a fixed step."""
-        return _VARIABLE_TABLE if self.step is None else ((1.0, self.step),)
+    def steps(self) -> tuple[float, float, float, float]:
+        """The step of each bracket of ``_EDGES``; a fixed step four times."""
+        return _STEPS if self.step is None else (self.step,) * 4
 
     @property
     def label(self) -> str:
@@ -114,21 +109,13 @@ class StepSchedule:
         return cls(step)
 
 
-DEFAULT_SCHEDULE = StepSchedule.default()
-
-
 def step_for_gap(i_st: float, schedule: StepSchedule) -> float:
     """Scheduled step for intensity gap ``i_st`` (clamped into [0, 1]: a
-    gap above 1 gets the first step; one at or below the last threshold, or
-    NaN, the last).  ``run_lock`` inlines this lookup."""
+    gap above 1 gets the first step; one at or below the last edge, or NaN,
+    the last).  ``run_lock`` inlines this lookup."""
     e1, e2, e3 = _EDGES
-    s0, s1, s2, s3 = _bracket_steps(schedule)
+    s0, s1, s2, s3 = schedule.steps
     return s0 if i_st > e1 else s1 if i_st > e2 else s2 if i_st > e3 else s3
-
-
-def _bracket_steps(schedule: StepSchedule) -> tuple[float, ...]:
-    """The step of each bracket of ``_EDGES``; a fixed step four times."""
-    return _STEPS if schedule.step is None else (schedule.step,) * len(_STEPS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -274,7 +261,7 @@ def bind_objective(input_sop, params: DeviceParams, rng) -> Objective:
 
 
 def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
-             rng, schedule: StepSchedule = DEFAULT_SCHEDULE) -> LockTrace:
+             rng, schedule: StepSchedule = StepSchedule()) -> LockTrace:
     """Run the annealing lock and return its full trace.
 
     The search point starts with all four phases at half the span,
@@ -314,7 +301,7 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
     initial_sample = (i_ref, i_py)
 
     e1, e2, e3 = _EDGES
-    s0, s1, s2, s3 = _bracket_steps(schedule)
+    s0, s1, s2, s3 = schedule.steps
     exp = math.exp
 
     temperature = cfg.temperature

@@ -19,7 +19,8 @@ import numpy as np
 
 from .config import ConfigError, load_experiment_config, resolve_key
 from .device import DeviceParams
-from .harness import run_experiment, run_identity_checks, summarize
+from .harness import (_CHUNK_TRIALS, run_experiment, run_identity_checks,
+                      summarize)
 from .jones import JonesVector, random_sop
 from .oracle import oracle_best
 
@@ -100,18 +101,23 @@ def _check_output(path: str) -> None:
 
 
 # peaks under tracemalloc, rounded up: one lock held 961 bytes per iteration
-# on a static channel and 1,121 under drift, and run_experiment 68-79 bytes
-# per (variant, trial, iteration) while it stacked the trials' blocks
+# on a static channel and 1,121 under drift, run_experiment 68-79 bytes per
+# (variant, trial, iteration) while it stacked the trials' blocks, and
+# write_csv 430-445 bytes per row of its chunk at one trial, 291-294 at ten
 _LOCK_BYTES = 1200
 _CELL_BYTES = 80
+_ROW_BYTES = 500
 
 
 def _check_size(cfg, workers: int) -> None:
     """Fail before the first lock if the run cannot fit in the host's
-    memory: its result blocks and one live lock per worker."""
+    memory: its result blocks, and one live lock per worker or the row
+    writer's chunk, whichever is larger, since the two never run at once."""
     n = cfg.anneal.total_iterations
     jobs = len(cfg.variants) * cfg.trials
-    need = (_CELL_BYTES * jobs + _LOCK_BYTES * min(workers, jobs)) * n
+    need = (_CELL_BYTES * jobs
+            + max(_LOCK_BYTES * min(workers, jobs),
+                  _ROW_BYTES * min(cfg.trials, _CHUNK_TRIALS))) * n
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):

@@ -100,6 +100,10 @@ class DeviceParams:
         if self.static_er_db is not None:
             _check_field(self, "static_er_db", positive=True)
         _check_field(self, "noise_sigma", positive=False)
+        # numpy's normals stay below 14 in size: no reading's ER can overflow
+        if self.noise_sigma > 1e294:
+            raise ValueError("noise_sigma must be <= 1e294, got "
+                             f"{self.noise_sigma!r}")
         object.__setattr__(self, "_py_floor", None if self.static_er_db is None
                            else 10.0 ** (-self.static_er_db / 10.0))
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anneal import (DEFAULT_SCHEDULE, AnnealConfig, StepSchedule, _fmt,
-                     bind_objective, run_lock)
+from .anneal import (AnnealConfig, StepSchedule, _fmt, bind_objective,
+                     run_lock)
 from .device import DeviceParams, dpc_transform
 from .disturbance import DisturbanceModel, DisturbedObjective
 from .jones import (ALGEBRA_TOL, COUPLER_IN, COUPLER_OUT, JonesVector,
@@ -27,7 +27,7 @@ CSV_COLUMNS = ("variant", "trial", "iteration", "temperature", "step_rad",
                "i_px", "i_py", "er_db", "accepted")
 
 # the per-iteration fields kept from each trial, in CSV column order
-_FIELDS = ("step_rad", "i_px", "i_py", "er_db", "accepted")
+_FIELDS = CSV_COLUMNS[4:]
 
 # --- rows as bytes -----------------------------------------------------------
 # write_csv fills a matrix of little-endian uint32 words, one row of the file
@@ -71,53 +71,35 @@ _NUMBER = 7
 _CHUNK_TRIALS = 10
 
 
-def _count_words(ip: np.ndarray, out: np.ndarray) -> None:
-    """The whole numbers ``ip`` (floats, 0 <= ip < 1e9) as the three words
-    ``[- i i i] [i i i -] [i i i -]`` of ``out[:, :3]``."""
-    i0 = np.floor(ip / 1e6)
-    rest = ip - i0 * 1e6
-    i1 = np.floor(rest / 1e3)
-    i2 = rest - i1 * 1e3
-    out[:, 0] = _LAST.take((i0 + 2000).astype(np.intp))
-    out[:, 1] = _FIRST.take((i1 + (ip < 1e6) * 2000.0).astype(np.intp))
-    out[:, 2] = _FIRST.take((i2 + (ip < 1e3) * 3000.0).astype(np.intp))
-
-
 def _g9_words(x: np.ndarray, out: np.ndarray) -> None:
     """``'%.9g,' % v`` for each float ``v`` of the 1-d ``x``, as the seven
     words of each row of ``out``.
 
     numpy formats fixed notation, 1e-4 <= |v| < 1e9.  ``log10`` only
     proposes the decade X: it holds when y = |v| * 10**(8 - X), one rounded
-    product, lies in [_LO, _HI), and otherwise moves by one and y is
-    recomputed.  ``rint(y)`` is then the correctly rounded mantissa.  Python
-    formats the rest, value by value: each y within 2**-20 of a half, 0,
-    -0.0, NaN, +-inf and every value in exponent notation.
+    product, lies in [_LO, _HI), and ``rint(y)`` is then the correctly
+    rounded mantissa.  Python formats the rest, value by value: each y
+    outside [_LO, _HI) (a misplaced decade included) or within 2**-20 of a
+    half, 0, -0.0, NaN, +-inf and every value in exponent notation.
     """
     a = np.abs(x)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        decade = np.fmin(np.fmax(np.floor(np.log10(a)), -4.0), 8.0)
-        decade = decade.astype(np.intp)
-        y = a * _POW10[8 - decade]
-        moved = np.flatnonzero((y < _LO) | (y >= _HI))
-        if moved.size:
-            # a first y near a half may lie on the wrong side of _LO or _HI
-            first = y[moved]
-            near = np.abs(first - np.rint(first)) >= 0.5 - _TIE
-            shifted = decade[moved] + (first >= _HI) - (first < _LO)
-            decade[moved] = np.clip(shifted, -4, 8)
-            again = a[moved] * _POW10[8 - decade[moved]]
-            y[moved] = np.where(near | (shifted != decade[moved])
-                                | (again < _LO) | (again >= _HI),
-                                np.nan, again)
+        decade = np.fmin(np.fmax(np.floor(np.log10(a)), -4), 8).astype(np.intp)
+        scale = _POW10[8 - decade]
+        y = a * scale
         m = np.rint(y)
-        slow = ~((np.abs(y - m) < 0.5 - _TIE) & (y >= _LO))
+        slow = ~((np.abs(y - m) < 0.5 - _TIE) & (y >= _LO) & (y < _HI))
     m[slow] = 1e8  # any mantissa: Python rewrites these cells
-    scale = _POW10[8 - decade]
     ip = np.floor(m / scale)
     fp = (m - ip * scale) * _POW10[decade + 4]  # the 12 fraction digits
-    _count_words(ip, out)
+    i0 = np.floor(ip / 1e6)
+    rest = ip - i0 * 1e6
+    i1 = np.floor(rest / 1e3)
+    i2 = rest - i1 * 1e3
+    out[:, 0] = _LAST.take((i0 + 2000).astype(np.intp))
     out[:, 0] += (x < 0) * np.uint32(ord("-"))
+    out[:, 1] = _FIRST.take((i1 + (ip < 1e6) * 2000.0).astype(np.intp))
+    out[:, 2] = _FIRST.take((i2 + (ip < 1e3) * 3000.0).astype(np.intp))
     out[:, 2] += (fp != 0) * np.uint32(ord(".") << 24)
     f0 = np.floor(fp / 1e9)
     r9 = fp - f0 * 1e9
@@ -146,9 +128,8 @@ class ExperimentConfig:
     device: DeviceParams = DeviceParams()
     anneal: AnnealConfig = AnnealConfig()
     disturbance: DisturbanceModel = DisturbanceModel()
-    variants: tuple[StepSchedule, ...] = (DEFAULT_SCHEDULE,
-                                          StepSchedule.fixed(0.16),
-                                          StepSchedule.fixed(0.008))
+    variants: tuple[StepSchedule, ...] = (StepSchedule(), StepSchedule(0.16),
+                                          StepSchedule(0.008))
     trials: int = 200
     base_seed: int = 0
     output_path: str = "results.csv"
@@ -167,7 +148,7 @@ class ExperimentConfig:
         self.disturbance.check_run_length(self.anneal.total_iterations)
         phase_max = self.device.tps.phase_max
         for label, v in zip(labels, self.variants):
-            top = max(st for _, st in v.entries)
+            top = max(v.steps)
             if top > phase_max:
                 raise ValueError(
                     f"variant {label}: phase step {top:g} rad exceeds the "
@@ -245,7 +226,7 @@ class ResultsTable:
                 enumerate(np.asarray(self.temperature, float).tolist(), 1)]
         words = -(-max(map(len, lead), default=0) // 4)
         lead = np.array(lead, f"S{4 * words}").view((_WORD, words))
-        floats = ("step_rad", "i_px", "i_py", "er_db")
+        floats = _FIELDS[:-1]
         width = words + _NUMBER * len(floats) + 1
         with open(path, "w", newline="") as text:
             f, encoding = text.buffer, text.encoding
@@ -257,13 +238,12 @@ class ResultsTable:
                     rows = np.empty((len(chunk), iters, width), _WORD)
                     rows[:, :, :words] = lead
                     rows = rows.reshape(-1, width)
-                    col = words
-                    for name in floats:
+                    for k, name in enumerate(floats):
+                        col = words + _NUMBER * k
                         _g9_words(np.asarray(getattr(self, name)[block],
                                              float).ravel(),
                                   rows[:, col:col + _NUMBER])
-                        col += _NUMBER
-                    rows[:, col] = self.accepted[block].ravel() + ord("0")
+                    rows[:, -1] = self.accepted[block].ravel() + ord("0")
                     for t, trial in enumerate(chunk):
                         prefix = f"{label},{trial},".encode(encoding)
                         f.write(rows[t * iters:(t + 1) * iters].tobytes()

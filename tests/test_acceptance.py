@@ -214,7 +214,7 @@ def test_c7_relock_after_quarter_turn_jump():
 def test_c8_end_to_end_determinism(tmp_path):
     cfg = ExperimentConfig(
         anneal=AnnealConfig(m0=4, n0=25),
-        variants=(StepSchedule.default(), StepSchedule.fixed(0.16)),
+        variants=(StepSchedule.default(), StepSchedule(0.16)),
         trials=4,
     )
     paths = [tmp_path / name for name in

@@ -8,6 +8,7 @@ from polarlock import (AnnealConfig, DeviceParams, JonesVector, PhaseQuad,
                        dpc_transform, phase_step_to_voltage_step,
                        port_intensity, propose, random_sop, run_lock,
                        step_for_gap)
+from polarlock import anneal
 
 TPS = TpsParams()
 SPAN = TPS.phase_max
@@ -27,8 +28,8 @@ class FakeRng:
 
 def test_step_schedule_default_table():
     st = StepSchedule.default()
-    assert st.entries == ((1.0, 0.16), (0.1, 0.08), (0.01, 0.03),
-                          (0.001, 0.008))
+    assert st.steps == (0.16, 0.08, 0.03, 0.008)
+    assert anneal._EDGES == (0.1, 0.01, 0.001)
 
 
 @pytest.mark.parametrize("gap,expected", [
@@ -49,7 +50,7 @@ def test_step_for_gap(gap, expected):
 
 
 def test_step_for_gap_fixed_schedule():
-    sched = StepSchedule.fixed(0.16)
+    sched = StepSchedule(0.16)
     for gap in (0.0, 0.01, 0.5, 1.0):
         assert step_for_gap(gap, sched) == 0.16
 
@@ -57,18 +58,18 @@ def test_step_for_gap_fixed_schedule():
 @pytest.mark.parametrize("step", [math.nan, math.inf, -0.1])
 def test_step_schedule_rejects_non_finite(step):
     with pytest.raises(ValueError, match="step must be a finite number"):
-        StepSchedule.fixed(step)
+        StepSchedule(step)
 
 
 def test_step_schedule_label():
     assert StepSchedule.default().label == "variable"
-    assert StepSchedule.fixed(0.16).label == "fixed(0.16)"
-    assert StepSchedule.fixed(0.1234567891).label == "fixed(0.123456789)"
-    assert StepSchedule.fixed(-0.0).label == "fixed(0)"
+    assert StepSchedule(0.16).label == "fixed(0.16)"
+    assert StepSchedule(0.1234567891).label == "fixed(0.123456789)"
+    assert StepSchedule(-0.0).label == "fixed(0)"
 
 
 def test_fixed_schedule_allows_zero_step():
-    assert StepSchedule.fixed(0.0).entries == ((1.0, 0.0),)
+    assert StepSchedule(0.0).steps == (0.0, 0.0, 0.0, 0.0)
 
 
 # --- proposals ---------------------------------------------------------------
@@ -225,7 +226,7 @@ def test_run_lock_already_locked_input_stays_locked():
 def test_run_lock_fixed_zero_step_is_constant():
     _, objective, rng = _noiseless_objective(16)
     trace = run_lock(objective, AnnealConfig(), TPS, rng,
-                     StepSchedule.fixed(0.0))
+                     StepSchedule(0.0))
     assert np.all(trace.i_px == trace.i_px[0])
     assert np.all(trace.i_max == trace.i_max[0])
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from polarlock import (AnnealConfig, DeviceParams, JonesVector, PhaseQuad,
-                       TpsParams, dpc_transform, measure, oracle_best,
-                       phase_step_to_voltage_step, power_to_phase,
-                       random_sop, thermal_step_response, voltage_to_phase,
+                       TpsParams, bind_objective, dpc_transform, measure,
+                       oracle_best, phase_step_to_voltage_step,
+                       power_to_phase, random_sop, run_lock,
+                       thermal_step_response, voltage_to_phase,
                        voltage_to_power)
 
 TPS = TpsParams()
@@ -266,10 +267,21 @@ def test_tps_validation(kwargs):
 @pytest.mark.parametrize("kwargs", [
     {"static_er_db": 0.0}, {"noise_sigma": -1e-4},
     {"static_er_db": -3.0}, {"noise_sigma": -math.inf},
+    {"noise_sigma": 1e295},
 ])
 def test_device_validation(kwargs):
     with pytest.raises(ValueError):
         DeviceParams(**kwargs)
+
+
+def test_noise_at_its_bound_keeps_every_er_finite():
+    # a noise_sigma of 1e300 gives some of these locks an infinite ER
+    dev = DeviceParams(noise_sigma=1e294)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        trace = run_lock(bind_objective(random_sop(rng), dev, rng),
+                         AnnealConfig(m0=2, n0=10), dev.tps, rng)
+        assert np.all(np.isfinite(trace.er_db))
 
 
 @pytest.mark.parametrize("make, field, value", [

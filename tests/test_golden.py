@@ -83,7 +83,7 @@ def test_golden_relock_jump():
 def small_table():
     cfg = ExperimentConfig(
         anneal=AnnealConfig(m0=3, n0=20),
-        variants=(StepSchedule.default(), StepSchedule.fixed(0.16)),
+        variants=(StepSchedule.default(), StepSchedule(0.16)),
         trials=4, base_seed=21)
     return run_experiment(cfg, max_workers=1)
 

@@ -14,14 +14,14 @@ from polarlock import (AnnealConfig, ConfigError, DeviceParams,
                        StepSchedule, load_experiment_config,
                        oracle_best, port_intensity, random_sop,
                        run_experiment, run_identity_checks, summarize)
-from polarlock.cli import _CELL_BYTES, _LOCK_BYTES, _check_size
+from polarlock.cli import _CELL_BYTES, _LOCK_BYTES, _ROW_BYTES, _check_size
 from polarlock.cli import main as cli_main
 from polarlock.config import KEYS, parse_config_text
 from polarlock.harness import _run_trial
 
 SMALL = ExperimentConfig(
     anneal=AnnealConfig(m0=4, n0=25),
-    variants=(StepSchedule.default(), StepSchedule.fixed(0.16)),
+    variants=(StepSchedule.default(), StepSchedule(0.16)),
     trials=3,
 )
 
@@ -30,7 +30,7 @@ SMALL = ExperimentConfig(
 
 def test_parse_variant_forms():
     assert StepSchedule.parse("variable") == StepSchedule.default()
-    assert StepSchedule.parse(" fixed(0.16) ") == StepSchedule.fixed(0.16)
+    assert StepSchedule.parse(" fixed(0.16) ") == StepSchedule(0.16)
 
 
 @pytest.mark.parametrize("token", ["", "fixed", "fixed()", "fixed(x)",
@@ -69,13 +69,13 @@ def test_variant_labels_round_trip():
 def test_fixed_labels_round_trip(step):
     # a label keeps 9 significant digits, so parsing it may round the step,
     # but never changes the label
-    label = StepSchedule.fixed(step).label
+    label = StepSchedule(step).label
     assert StepSchedule.parse(label).label == label
 
 
 def test_parse_variant_negative_zero_is_zero(tmp_path):
     # fixed(-0) runs fixed(0), so listing both is a repeated label
-    step = StepSchedule.parse("fixed(-0)").entries[0][1]
+    step = StepSchedule.parse("fixed(-0)").step
     assert step == 0.0 and str(step) == "0.0"
     path = tmp_path / "zero.cfg"
     path.write_text("experiment.variants = fixed(0), fixed(-0)\n")
@@ -92,8 +92,8 @@ def test_experiment_config_validation():
         ExperimentConfig(variants=(StepSchedule.default(),
                                    StepSchedule.default()))
     with pytest.raises(ValueError, match="fixed\\(0\\), fixed\\(0\\)"):
-        ExperimentConfig(variants=(StepSchedule.fixed(0.0),
-                                   StepSchedule.fixed(-0.0)))
+        ExperimentConfig(variants=(StepSchedule(0.0),
+                                   StepSchedule(-0.0)))
     with pytest.raises(ValueError, match="jump_at"):
         ExperimentConfig(disturbance=DisturbanceModel(kind="jump",
                                                       jump_at=500))
@@ -308,7 +308,7 @@ def test_identity_checks_name_bad_arguments(kwargs, named):
 
 def test_experiment_config_rejects_base_step_beyond_phase_span():
     with pytest.raises(ValueError, match=r"variant fixed\(10\): .*phase_max"):
-        ExperimentConfig(variants=(StepSchedule.fixed(10.0),))
+        ExperimentConfig(variants=(StepSchedule(10.0),))
 
 
 # --- config files --------------------------------------------------------------------
@@ -343,7 +343,7 @@ def test_config_round_trip(tmp_path):
     assert cfg.device.tps.phase_max == 7.0
     assert cfg.anneal.m0 == 5 and cfg.anneal.n0 == 20
     assert cfg.disturbance.kind == "jump" and cfg.disturbance.jump_at == 40
-    assert cfg.variants == (StepSchedule.default(), StepSchedule.fixed(0.02))
+    assert cfg.variants == (StepSchedule.default(), StepSchedule(0.02))
     assert cfg.trials == 7 and cfg.base_seed == 3
     assert cfg.output_path == "out.csv"
 
@@ -543,6 +543,15 @@ def test_run_experiment_peaks_below_what_the_size_check_counts():
     assert peak < (_CELL_BYTES * 3 * 2 + _LOCK_BYTES) * n
 
 
+@pytest.mark.parametrize("trials", [1, 10])
+def test_write_csv_peaks_below_what_the_size_check_counts(trials, tmp_path):
+    # one chunk of rows: the check counts _ROW_BYTES per row of it
+    table = run_experiment(ExperimentConfig(trials=trials,
+                                            variants=(StepSchedule(),)))
+    peak = _traced_peak(lambda: table.write_csv(str(tmp_path / "rows.csv")))
+    assert peak < _ROW_BYTES * trials * table.iterations_per_trial
+
+
 def _fake_memory(monkeypatch, pages: int) -> None:
     sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": pages}
     monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
@@ -575,6 +584,23 @@ def test_cli_lock_too_large_for_memory_fails_before_any_lock(
     assert cli_main(["run", "--trials", "1", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert f"more than the {4096 * pages} bytes of memory" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_write_too_large_for_memory_fails_before_any_lock(
+        tmp_path, monkeypatch, capsys):
+    # ten trials of the three default variants: the 15,000 cells and one
+    # lock, 1,800,000 bytes, fit in 500 pages (2,048,000); the cells and the
+    # row writer's ten-trial chunk, 3,700,000 bytes, do not
+    def no_lock(*args, **kwargs):
+        raise AssertionError("locked before checking the run's size")
+    monkeypatch.setattr("polarlock.cli.run_experiment", no_lock)
+    monkeypatch.delenv("POLARLOCK_THREADS", raising=False)
+    _fake_memory(monkeypatch, 500)
+    out = tmp_path / "out.csv"
+    assert cli_main(["run", "--trials", "10", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "needs at least 3700000 bytes" in err
     assert list(tmp_path.iterdir()) == []
 
 

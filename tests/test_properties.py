@@ -2,15 +2,20 @@
 identities its rng draw order relies on."""
 
 import cmath
+import contextlib
 import dataclasses
+import io
 import locale
 import math
 import os
 import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import (HealthCheck, assume, example, given, settings,
+                        strategies as st)
 
 from polarlock import (AnnealConfig, DeviceParams, DisturbanceModel,
                        DisturbedObjective, ExperimentConfig, JonesVector,
@@ -18,6 +23,7 @@ from polarlock import (AnnealConfig, DeviceParams, DisturbanceModel,
                        bind_objective, dpc_transform, load_experiment_config,
                        measure, port_intensity, propose, random_sop, run_lock,
                        step_for_gap)
+from polarlock import cli
 from polarlock.anneal import _er_db, _er_db_array, _move
 from polarlock.config import KEYS
 from polarlock.device import _cascade
@@ -182,7 +188,7 @@ def test_cascade_rejects_nonfinite_phase(bad):
 
 def _schedules():
     return st.just(StepSchedule.default()) | st.builds(
-        StepSchedule.fixed, st.floats(0.0, 1e6))
+        StepSchedule, st.floats(0.0, 1e6))
 
 
 @given(_schedules(), st.floats(allow_nan=False), st.floats(allow_nan=False))
@@ -206,10 +212,17 @@ class _Reading(float):
         return self.gap if other == 1.0 else float(other) - float(self)
 
 
+# the paper's variable-step table as (gap threshold, step) pairs, written
+# here so that the reference does not read the table it checks
+_PAPER_TABLE = ((1.0, 0.16), (0.1, 0.08), (0.01, 0.03), (0.001, 0.008))
+
+
 def _reference_step(gap, schedule):
     """The step of the first entry whose bracket holds the gap clamped into
-    [0, 1]; the last entry's step at or below its threshold."""
-    entries = schedule.entries
+    [0, 1]; the last entry's step at or below its threshold.  A fixed step
+    is one entry."""
+    entries = (_PAPER_TABLE if schedule.step is None
+               else ((1.0, schedule.step),))
     g = 0.0 if gap < 0.0 else 1.0 if gap > 1.0 else gap
     for (_, step), (lower, _) in zip(entries, entries[1:]):
         if g > lower:
@@ -237,7 +250,7 @@ def _loop_steps(schedule, gaps):
 
 
 @pytest.mark.parametrize("schedule", [
-    StepSchedule.default(), StepSchedule.fixed(0.16), StepSchedule.fixed(0.0)],
+    StepSchedule.default(), StepSchedule(0.16), StepSchedule(0.0)],
     ids=lambda s: s.label)
 def test_loop_step_lookup_at_the_edges(schedule):
     # iteration i looks up the gap of the reading before it
@@ -266,7 +279,7 @@ _NON_NEGATIVE = st.floats(0.0, allow_infinity=False)
 _VALID = {
     "tps.phase_max": st.floats(0.16, allow_infinity=False),
     "device.static_er_db": _POSITIVE,
-    "device.noise_sigma": _NON_NEGATIVE,
+    "device.noise_sigma": st.floats(0.0, 1e294),
     "anneal.t0": st.floats(1e-300, allow_infinity=False),
     "anneal.m0": st.integers(1, 1000),
     "anneal.n0": st.integers(1, 10 ** 9),
@@ -322,8 +335,8 @@ def test_er_db_array_equals_scalar_er_db(pairs):
 @given(seed=_seed, phase_max=st.floats(1.0, 3.0 * math.pi),
        ideal=st.booleans(), kind=st.sampled_from(["static", "drift", "jump"]),
        schedule=st.sampled_from([StepSchedule.default(),
-                                 StepSchedule.fixed(0.16),
-                                 StepSchedule.fixed(0.0)]),
+                                 StepSchedule(0.16),
+                                 StepSchedule(0.0)]),
        m0=st.integers(1, 4), n0=st.integers(1, 40))
 def test_derived_trace_fields_equal_per_iteration_definitions(
         seed, phase_max, ideal, kind, schedule, m0, n0):
@@ -379,8 +392,8 @@ def test_derived_trace_fields_equal_per_iteration_definitions(
 
 # --- the stream contract ------------------------------------------------------
 
-_SCHEDULES = (StepSchedule.default(), StepSchedule.fixed(0.16),
-              StepSchedule.fixed(0.008))
+_SCHEDULES = (StepSchedule.default(), StepSchedule(0.16),
+              StepSchedule(0.008))
 _KINDS = ("static", "drift", "jump")
 _FIELDS = ("step_rad", "i_px", "i_py", "er_db", "accepted")
 
@@ -541,7 +554,7 @@ def _anneal_configs(draw):
 @given(acfg=_anneal_configs(), trials=st.integers(1, 3),
        base=st.integers(0, 2 ** 32),
        variants=st.lists(st.sampled_from(_SCHEDULES + (
-           StepSchedule.fixed(0.0), StepSchedule.fixed(5e-324))),
+           StepSchedule(0.0), StepSchedule(5e-324))),
            min_size=1, max_size=4, unique_by=lambda v: v.label))
 def test_write_csv_equals_one_format_per_row(acfg, trials, base, variants):
     table = run_experiment(ExperimentConfig(
@@ -644,6 +657,16 @@ def test_g9_kernel_equals_percent_format_on_decimals():
                       digits * 10.0 ** np.maximum(shift, 0))
     values[rng.random(values.size) < 0.5] *= -1
     assert _g9(values) == _percent_g9(values)
+    # the only values whose first decade guess can miss: both signs of 200
+    # ulps each side of every '%.9g' decade bound, 9.9999999995 * 10**(X-1)
+    # for X = -4 ... 9, and of every power of ten from 1e-5 to 1e9
+    centers = ([float(f"9.9999999995e{x - 1}") for x in range(-4, 10)]
+               + [float(f"1e{k}") for k in range(-5, 10)])
+    near = (np.array(centers).view(np.int64)[:, None]
+            + np.arange(-200, 200)).ravel().view(float)
+    near = np.concatenate((near, -near))
+    assert near.size == 23_200
+    assert _g9(near) == _percent_g9(near)
 
 
 def _reference_aggregate_csv(table) -> str:
@@ -706,7 +729,7 @@ def _text(value) -> str:
         return "none"
     if isinstance(value, tuple):  # variants; repr keeps every digit
         return ",".join("variable" if v == StepSchedule.default()
-                        else f"fixed({v.entries[0][1]!r})" for v in value)
+                        else f"fixed({v.step!r})" for v in value)
     return value if isinstance(value, str) else repr(value)
 
 
@@ -722,7 +745,7 @@ def _config_files(draw):
     non_negative = st.just(0.0) | st.floats(0.0, **finite)
     variant = st.one_of(
         st.just(StepSchedule.default()),
-        st.builds(StepSchedule.fixed, st.floats(0.0, _DEFAULT_STEP)))
+        st.builds(StepSchedule, st.floats(0.0, _DEFAULT_STEP)))
     values = {
         "tps.phase_max": st.just(phase_max),
         "device.static_er_db": st.none() | positive,
@@ -802,3 +825,151 @@ def test_config_file_round_trips(values, random):
         os.remove(path)
     assert got == want
     _assert_fields_equal(got, want)
+
+
+# --- the command line ---------------------------------------------------------
+
+_SMALL_INT = st.integers(-2, 3)
+_EXTREME_FLOAT = st.sampled_from([0.0, -0.0, 5e-324, 1e-300, -1.0, 1e300,
+                                  -1e300, 1.7976931348623157e308])
+# values that most keys refuse to parse or to accept
+_MALFORMED = st.sampled_from(["", "abc", "nan", "-inf", "1e999", "0x10",
+                              "1,2", "1 2", "none", "fixed(", "1.5.2"])
+# sizes far beyond any host's memory, which the size check must refuse
+# before the first lock
+_HUGE = st.sampled_from([10 ** 12, 2 ** 63])
+
+
+def _cli_values(key: str):
+    """Well-formed, extreme and malformed value strings for one key.  A
+    well-formed run stays small: m0 * n0 <= 50 and at most 3 trials."""
+    well = {
+        "tps.phase_max": st.floats(0.16, 20.0),
+        "device.static_er_db": st.just(None) | st.floats(1.0, 60.0),
+        "device.noise_sigma": st.floats(0.0, 1e-2),
+        "anneal.t0": st.floats(1e-8, 1e-2),
+        "anneal.m0": st.integers(1, 5),
+        "anneal.n0": st.integers(1, 10),
+        "anneal.cooling_p": st.floats(0.1, 0.9),
+        "disturbance.kind": st.sampled_from(["static", "drift", "jump",
+                                             "Drift"]),
+        "disturbance.drift_rate": st.floats(0.0, 0.1),
+        "disturbance.jump_at": st.integers(0, 49),
+        "disturbance.jump_magnitude": st.floats(0.0, math.pi),
+        "experiment.variants": st.sampled_from(
+            ["variable", "fixed(0.16)", "variable, fixed(0.008)",
+             "fixed(0), fixed(-0)", "variable, fixed(100)"]),
+        "experiment.trials": st.integers(1, 3),
+        "experiment.base_seed": st.integers(0, 2 ** 64),
+        "experiment.output": st.sampled_from(["out.csv", "sub/out.csv",
+                                              ".", "nowhere/x/y.csv"]),
+    }[key].map(_text)
+    if key == "anneal.m0":
+        # no huge m0: AnnealConfig lists one temperature per outer loop
+        # before any check can stop it
+        extreme = _SMALL_INT.map(str)
+    elif key in ("anneal.n0", "disturbance.jump_at", "experiment.trials",
+                 "experiment.base_seed"):
+        extreme = (_SMALL_INT | _HUGE).map(str)
+    elif key in ("disturbance.kind", "experiment.variants",
+                 "experiment.output"):
+        extreme = st.text(max_size=6)
+    else:
+        extreme = _EXTREME_FLOAT.map(repr)
+    # well-formed three times in five, so that most calls reach a run
+    return st.one_of(well, well, well, extreme, _MALFORMED)
+
+
+@st.composite
+def _cli_calls(draw):
+    """(argv, config file text) for one ``polarlock`` call."""
+    keys = draw(st.lists(st.sampled_from(sorted(KEYS)), max_size=5,
+                         unique=True))
+    # a small run unless the drawn keys say otherwise
+    lines = {"anneal.m0": "2", "anneal.n0": "5", "experiment.trials": "2"}
+    lines.update((k, draw(_cli_values(k))) for k in keys)
+    text = "".join(f"{k} = {v}\n" for k, v in lines.items())
+    if draw(st.booleans()):
+        text += draw(st.sampled_from(["no equals sign\n", "bogus.key = 1\n",
+                                      "anneal.m0 = 1\n"]))
+    command = draw(st.sampled_from(["run", "sweep", "validate", "oracle"]))
+    argv = [command]
+    if command == "validate":
+        argv += ["--seed", str(draw(_SMALL_INT)),
+                 "--samples", str(draw(st.integers(-1, 20)))]
+        return argv, text
+    if command == "oracle":
+        if draw(st.booleans()):
+            argv += ["--sop", draw(st.sampled_from(
+                ["1,0,0,0", "0,0,0,0", "1e300,1e300,1,0", "1,2,3", "a,b,c,d",
+                 "nan,0,1,0"]))]
+        return argv + ["--seed", str(draw(_SMALL_INT))], text
+    argv += ["--config", "cfg"]
+    if command == "sweep":
+        key = draw(st.sampled_from(sorted(KEYS) + ["n0", "mode", "bogus"]))
+        full = key if key in KEYS else f"anneal.{key}"
+        values = draw(st.lists(_cli_values(full) if full in KEYS
+                               else st.just("1"), min_size=1, max_size=2))
+        argv += ["--key", key, "--values", ",".join(values)]
+    for flag, value in (("--trials", st.integers(1, 3) | _SMALL_INT | _HUGE),
+                        ("--seed", st.integers(0, 9) | _SMALL_INT)):
+        if draw(st.booleans()):
+            argv += [flag, str(draw(value))]
+    if draw(st.booleans()):
+        argv += ["--out", draw(st.sampled_from(["o.csv", "sub/o.csv", "sub",
+                                                "", "x/"]))]
+    return argv, text
+
+
+# the host memory the size check sees, whatever the host reports
+_EIGHT_GIB = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2 ** 21}
+
+
+def _reported_numbers(command: str, folder: str, stdout: str):
+    """The numbers a successful call reports: the values of every summary
+    file for run and sweep, of stdout's lines for oracle and validate."""
+    texts = [stdout] if command in ("oracle", "validate") else [
+        Path(folder, name).read_text() for name in os.listdir(folder)
+        if name.endswith("_summary.txt")]
+    for line in "".join(texts).splitlines():
+        value = line.split(": ", 1)[1].removeprefix("max defect ").split()[0]
+        if value != "none":
+            yield float(value)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(call=_cli_calls())
+def test_cli_exits_cleanly_on_any_input(call, tmp_path):
+    argv, text = call
+    real_run = cli.run_experiment
+
+    def small_run(cfg, max_workers=1):
+        # an input that reaches a lock must be a small one
+        assert cfg.trials <= 3 and cfg.anneal.total_iterations <= 50
+        return real_run(cfg, max_workers)
+
+    folder = tempfile.mkdtemp(dir=tmp_path)
+    os.mkdir(os.path.join(folder, "sub"))
+    Path(folder, "cfg").write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(folder)  # relative output paths land in the example's folder
+    try:
+        with mock.patch.object(cli, "run_experiment", small_run), \
+                mock.patch.object(os, "sysconf", _EIGHT_GIB.__getitem__), \
+                mock.patch.dict(os.environ, {"POLARLOCK_THREADS": "1"}), \
+                contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            # any other exception is the traceback, and fails the test
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        os.chdir(cwd)
+    assert code in ((0, 1, 2) if argv[0] == "validate" else (0, 1))
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert all(math.isfinite(v) for v in
+                   _reported_numbers(argv[0], folder, out.getvalue()))
