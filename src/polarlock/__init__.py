@@ -7,10 +7,9 @@ from .jones import (ALGEBRA_TOL, COUPLER_IN, COUPLER_OUT, JonesMatrix,
 from .device import (DeviceParams, PhaseQuad, TpsParams, dpc_transform,
                      measure, phase_step_to_voltage_step, power_to_phase,
                      thermal_step_response, voltage_to_phase, voltage_to_power)
-from .anneal import (AnnealConfig, LockTrace, StepSchedule, accept,
-                     bind_objective, propose, run_lock, step_for_gap)
-from .disturbance import (DisturbanceModel, DisturbedObjective,
-                          relock_experiment, rotate_sop)
+from .anneal import (AnnealConfig, LockTrace, StepSchedule, bind_objective,
+                     run_lock)
+from .disturbance import DisturbanceModel, relock_experiment, rotate_sop
 from .oracle import oracle_best, port_intensity
 from .harness import (ExperimentConfig, ResultsTable, run_experiment,
                       run_identity_checks, summarize)
@@ -24,10 +23,8 @@ __all__ = [
     "DeviceParams", "PhaseQuad", "TpsParams", "dpc_transform", "measure",
     "phase_step_to_voltage_step", "power_to_phase", "thermal_step_response",
     "voltage_to_phase", "voltage_to_power",
-    "AnnealConfig", "LockTrace", "StepSchedule", "accept", "bind_objective",
-    "propose", "run_lock", "step_for_gap",
-    "DisturbanceModel", "DisturbedObjective", "relock_experiment",
-    "rotate_sop",
+    "AnnealConfig", "LockTrace", "StepSchedule", "bind_objective", "run_lock",
+    "DisturbanceModel", "relock_experiment", "rotate_sop",
     "oracle_best", "port_intensity",
     "ExperimentConfig", "ResultsTable", "run_experiment",
     "run_identity_checks", "summarize",

@@ -17,7 +17,7 @@ import math
 import re
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -139,11 +139,12 @@ class AnnealConfig:
             raise ValueError("m0 and n0 must be >= 1")
         if not 0.0 < self.cooling_p < 1.0:
             raise ValueError("cooling_p must lie in (0, 1)")
-        t = self._loop_temperatures()[-1]
-        if not t > 0.0:
+        # above 1/2 a product stops at the smallest subnormal, never at 0; at
+        # or below, it at least halves each loop, reaching 0 in ~2,100 loops
+        if self.cooling_p <= 0.5 and 0.0 in self._loop_temperatures():
             raise ValueError(f"t0={self.t0!r}, cooling_p={self.cooling_p!r} "
                              f"and m0={self.m0} cool the last outer loop's "
-                             f"temperature to {t!r}; it must be > 0")
+                             "temperature to 0.0; it must be > 0")
 
     @property
     def total_iterations(self) -> int:
@@ -152,15 +153,16 @@ class AnnealConfig:
     @property
     def temperature(self) -> np.ndarray:
         """Each iteration's temperature, shape ``(total_iterations,)``."""
-        return np.repeat(self._loop_temperatures(), self.n0)
+        return np.repeat(np.fromiter(self._loop_temperatures(), float,
+                                     self.m0), self.n0)
 
-    def _loop_temperatures(self) -> list[float]:
+    def _loop_temperatures(self) -> Iterator[float]:
         """Each outer loop's temperature, t0 cooled by ``cooling_p`` after
         every loop, as ``run_lock`` anneals."""
-        temps = [self.t0]
-        for _ in range(self.m0 - 1):
-            temps.append(temps[-1] * self.cooling_p)
-        return temps
+        t = self.t0
+        for _ in range(self.m0):
+            yield t
+            t *= self.cooling_p
 
 
 @dataclass(slots=True)

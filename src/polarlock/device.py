@@ -74,10 +74,6 @@ class PhaseQuad(NamedTuple):
     theta3: float
     theta4: float
 
-    @classmethod
-    def uniform(cls, theta: float) -> "PhaseQuad":
-        return cls(theta, theta, theta, theta)
-
 
 @dataclass(frozen=True, slots=True)
 class DeviceParams:

@@ -138,21 +138,21 @@ class DisturbedObjective:
 _WINDOW = 5
 
 
-def _smoothed_er_db(trace: LockTrace, window: int) -> np.ndarray:
-    """ER of trailing-mean intensities; windows are truncated at the start.
+def _smoothed_er_db(trace: LockTrace) -> np.ndarray:
+    """ER of ``_WINDOW``-sample trailing-mean intensities; windows are
+    truncated at the start.
 
     Averaging before the dB conversion keeps a single noise-clipped reading
     of the minimized port from masquerading as a huge extinction ratio.  dB
     come from ``_er_db_array``, which equals the scalar ``_er_db`` bit for
     bit, not from the host-dependent np.log10.
     """
-    w = max(int(window), 1)
     n = len(trace)
-    counts = np.minimum(np.arange(1, n + 1), w).astype(float)
+    counts = np.minimum(np.arange(1, n + 1), _WINDOW).astype(float)
 
     def trailing_mean(x):
         c = np.concatenate(([0.0], np.cumsum(x)))
-        return (c[1:] - c[np.maximum(np.arange(n) + 1 - w, 0)]) / counts
+        return (c[1:] - c[np.maximum(np.arange(n) + 1 - _WINDOW, 0)]) / counts
 
     return _er_db_array(trailing_mean(trace.i_px), trailing_mean(trace.i_py))
 
@@ -184,7 +184,7 @@ def relock_experiment(params: DeviceParams, cfg: AnnealConfig,
     objective = DisturbedObjective(input_sop, params, model, rng)
     trace = run_lock(objective, cfg, params.tps, rng)
 
-    post = _smoothed_er_db(trace, _WINDOW)[model.jump_at:]  # after jump_at
+    post = _smoothed_er_db(trace)[model.jump_at:]  # after jump_at
     return trace, _relock_count(post, recovery_db)
 
 

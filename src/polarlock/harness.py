@@ -147,12 +147,17 @@ class ExperimentConfig:
                              f"got {', '.join(labels)}")
         self.disturbance.check_run_length(self.anneal.total_iterations)
         phase_max = self.device.tps.phase_max
+        start = phase_max / 2.0
         for label, v in zip(labels, self.variants):
-            top = max(v.steps)
+            top, low = max(v.steps), min(v.steps)
             if top > phase_max:
                 raise ValueError(
                     f"variant {label}: phase step {top:g} rad exceeds the "
                     f"phase span tps.phase_max = {phase_max:g} rad")
+            if low and start + low == start:
+                raise ValueError(
+                    f"variant {label}: phase step {low:g} rad cannot move "
+                    f"the start point tps.phase_max / 2 = {start:g} rad")
 
 
 @dataclass(slots=True)

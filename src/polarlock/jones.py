@@ -89,10 +89,6 @@ class JonesMatrix:
     m10: complex
     m11: complex
 
-    @classmethod
-    def identity(cls) -> "JonesMatrix":
-        return cls(1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
-
     def dagger(self) -> "JonesMatrix":
         return JonesMatrix(self.m00.conjugate(), self.m10.conjugate(),
                            self.m01.conjugate(), self.m11.conjugate())
@@ -131,10 +127,6 @@ class StokesParams:
     s1: float
     s2: float
     s3: float
-
-    def unit(self) -> np.ndarray:
-        """Normalized (s1, s2, s3) direction on the Poincare sphere."""
-        return np.array([self.s1, self.s2, self.s3]) / self.s0
 
 
 # 50/50 coupler pair: the 45-deg retarder is COUPLER_OUT @ M0 @ COUPLER_IN,

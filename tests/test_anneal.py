@@ -1,14 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from polarlock import (AnnealConfig, DeviceParams, JonesVector, PhaseQuad,
-                       StepSchedule, TpsParams, accept, bind_objective,
+                       StepSchedule, TpsParams, bind_objective,
                        dpc_transform, phase_step_to_voltage_step,
-                       port_intensity, propose, random_sop, run_lock,
-                       step_for_gap)
+                       port_intensity, random_sop, run_lock)
 from polarlock import anneal
+from polarlock.anneal import accept, propose, step_for_gap
 
 TPS = TpsParams()
 SPAN = TPS.phase_max
@@ -77,32 +78,32 @@ def test_fixed_schedule_allows_zero_step():
 def test_propose_lower_boundary_moves_up():
     # at the lower boundary the move is +st*r regardless of the sign draw
     rng = FakeRng([0.5, 0.0] * 4)
-    out = propose(PhaseQuad.uniform(0.0), 0.16, rng)
+    out = propose(PhaseQuad(*(0.0,) * 4), 0.16, rng)
     assert out == (0.08,) * 4
 
 
 def test_propose_upper_boundary_moves_down():
     rng = FakeRng([1.0, 0.9] * 4)
-    out = propose(PhaseQuad.uniform(SPAN), 0.16, rng)
+    out = propose(PhaseQuad(*(SPAN,) * 4), 0.16, rng)
     assert out == pytest.approx((SPAN - 0.16,) * 4)
     # the move is down whatever the sign draw
     rng = FakeRng([1.0, 0.1] * 4)
-    out = propose(PhaseQuad.uniform(SPAN), 0.16, rng)
+    out = propose(PhaseQuad(*(SPAN,) * 4), 0.16, rng)
     assert out == pytest.approx((SPAN - 0.16,) * 4)
 
 
 def test_propose_interior_signed_moves():
     rng = FakeRng([0.25, 0.9] * 4)  # u >= 0.5 selects the negative sign
-    out = propose(PhaseQuad.uniform(math.pi), 0.08, rng)
+    out = propose(PhaseQuad(*(math.pi,) * 4), 0.08, rng)
     assert out == pytest.approx((math.pi - 0.02,) * 4)
     rng = FakeRng([0.25, 0.1] * 4)
-    out = propose(PhaseQuad.uniform(math.pi), 0.08, rng)
+    out = propose(PhaseQuad(*(math.pi,) * 4), 0.08, rng)
     assert out == pytest.approx((math.pi + 0.02,) * 4)
 
 
 def test_propose_stays_in_range():
     rng = np.random.default_rng(0)
-    quad = PhaseQuad.uniform(SPAN / 2.0)
+    quad = PhaseQuad(*(SPAN / 2.0,) * 4)
     for _ in range(2000):
         quad = propose(quad, 0.16, rng)
         for theta in quad:
@@ -112,13 +113,13 @@ def test_propose_stays_in_range():
 def test_propose_clamps_interior_overshoot():
     # interior branch may overshoot by at most st before the clamp
     rng = FakeRng([1.0, 0.1] * 4)
-    out = propose(PhaseQuad.uniform(SPAN - 0.01), 0.16, rng)
+    out = propose(PhaseQuad(*(SPAN - 0.01,) * 4), 0.16, rng)
     assert out == (SPAN,) * 4
 
 
 def test_propose_rejects_negative_step():
     with pytest.raises(ValueError):
-        propose(PhaseQuad.uniform(1.0), -0.1, FakeRng([]))
+        propose(PhaseQuad(*(1.0,) * 4), -0.1, FakeRng([]))
 
 
 # --- acceptance --------------------------------------------------------------
@@ -213,7 +214,7 @@ def test_run_lock_noisy_best_consistent_with_true_intensity():
 def test_run_lock_already_locked_input_stays_locked():
     # input built so the initial phases already steer it onto the x port;
     # the run must hold the ER within 2 dB of its starting value
-    init = PhaseQuad.uniform(SPAN / 2.0)
+    init = PhaseQuad(*(SPAN / 2.0,) * 4)
     u = dpc_transform(init)
     sop = u.dagger() @ JonesVector(1.0, 0.0)
     dev = DeviceParams(noise_sigma=0.0)
@@ -256,6 +257,23 @@ def test_step_reopens_after_intensity_collapse():
 def test_anneal_config_validation(kwargs):
     with pytest.raises(ValueError):
         AnnealConfig(**kwargs)
+
+
+@pytest.mark.parametrize("cooling_p,accepted", [(0.5, False), (0.9, True)])
+def test_huge_m0_is_checked_in_constant_memory(cooling_p, accepted):
+    # the check stops at the first zero temperature, or needs no loop at
+    # all above 1/2, so a billion outer loops are never listed
+    tracemalloc.start()
+    try:
+        if accepted:
+            AnnealConfig(m0=10 ** 9, cooling_p=cooling_p)
+        else:
+            with pytest.raises(ValueError, match="temperature to 0.0;"):
+                AnnealConfig(m0=10 ** 9, cooling_p=cooling_p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_anneal_config_default_init_phase_is_half_span():

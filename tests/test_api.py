@@ -21,10 +21,9 @@ def test_public_names_are_pinned():
         "DeviceParams", "PhaseQuad", "TpsParams", "dpc_transform", "measure",
         "phase_step_to_voltage_step", "power_to_phase",
         "thermal_step_response", "voltage_to_phase", "voltage_to_power",
-        "AnnealConfig", "LockTrace", "StepSchedule", "accept",
-        "bind_objective", "propose", "run_lock", "step_for_gap",
-        "DisturbanceModel", "DisturbedObjective", "relock_experiment",
-        "rotate_sop",
+        "AnnealConfig", "LockTrace", "StepSchedule", "bind_objective",
+        "run_lock",
+        "DisturbanceModel", "relock_experiment", "rotate_sop",
         "oracle_best", "port_intensity",
         "ExperimentConfig", "ResultsTable", "run_experiment",
         "run_identity_checks", "summarize",

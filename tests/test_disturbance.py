@@ -6,14 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from polarlock import disturbance
 from polarlock import (AnnealConfig, DeviceParams, DisturbanceModel,
-                       DisturbedObjective, JonesVector, PhaseQuad,
-                       bind_objective, random_sop,
+                       JonesVector, PhaseQuad, bind_objective, random_sop,
                        relock_experiment, rotate_sop, run_lock, to_stokes)
+from polarlock.disturbance import DisturbedObjective
 from polarlock.jones import _unit
 
 
 def stokes_unit(v: JonesVector) -> np.ndarray:
-    return to_stokes(v).unit()
+    s = to_stokes(v)
+    return np.array([s.s1, s.s2, s.s3]) / s.s0
 
 
 def rodrigues(s: np.ndarray, axis: np.ndarray, angle: float) -> np.ndarray:
@@ -87,7 +88,7 @@ def test_drift_accumulation_is_bounded(monkeypatch):
     v0 = random_sop(rng)
     objective = DisturbedObjective(v0, DeviceParams.ideal(), model, rng)
     rotations = _record_rotations(monkeypatch)
-    phases = PhaseQuad.uniform(1.0)
+    phases = PhaseQuad(*(1.0,) * 4)
     for _ in range(101):  # evaluation 0 sees the undisturbed input
         objective(phases)
     v = rotations[-1][2]
@@ -146,7 +147,7 @@ def test_jump_applies_exactly_once_at_jump_at():
     rng = np.random.default_rng(9)
     sop = random_sop(rng)
     objective = DisturbedObjective(sop, dev, model, rng)
-    phases = PhaseQuad.uniform(1.0)
+    phases = PhaseQuad(*(1.0,) * 4)
     readings = [objective(phases)[0] for _ in range(6)]
     assert readings[0] == readings[1] == readings[2]
     assert readings[3] != readings[2]
@@ -201,7 +202,7 @@ def test_relock_counts_from_the_dip():
     for seed in range(1000, 1020):
         trace, r = relock_experiment(DeviceParams(), AnnealConfig(), model,
                                      np.random.default_rng(seed))
-        post = disturbance._smoothed_er_db(trace, 5)[250:]
+        post = disturbance._smoothed_er_db(trace)[250:]
         if r is None:
             assert np.any(post < 20.0)
         elif r == 0:  # no dip starts within the 5-sample window
@@ -247,7 +248,7 @@ def test_drift_draw_order_matches_reference_generator(monkeypatch):
     rotations = _record_rotations(monkeypatch)
     ref = np.random.default_rng(15)
     random_sop(ref)
-    phases = PhaseQuad.uniform(1.0)
+    phases = PhaseQuad(*(1.0,) * 4)
 
     objective(phases)  # evaluation 0 sees the undisturbed input
     assert rng.bit_generator.state == ref.bit_generator.state
@@ -285,8 +286,8 @@ def test_drift_start_axis_falls_back_without_redrawing(monkeypatch):
     objective = DisturbedObjective(JonesVector(1.0, 0.0),
                                    DeviceParams(noise_sigma=0.0), _DRIFT, rng)
     rotations = _record_rotations(monkeypatch)
-    objective(PhaseQuad.uniform(1.0))
-    objective(PhaseQuad.uniform(1.0))  # a zero row: the first axis stands in
+    objective(PhaseQuad(*(1.0,) * 4))
+    objective(PhaseQuad(*(1.0,) * 4))  # a zero row: the first axis stands in
     assert rotations[-1][1] == (1.0, 0.0, 0.0)
     assert rng.draws == 1
 
@@ -298,10 +299,10 @@ def test_jump_at_zero_rotates_on_the_preloop_evaluation(monkeypatch):
     sop = random_sop(rng)
     objective = DisturbedObjective(sop, dev, model, rng)
     rotations = _record_rotations(monkeypatch)
-    objective(PhaseQuad.uniform(1.0))
+    objective(PhaseQuad(*(1.0,) * 4))
     assert rotations[-1][2] != sop
     after = rotations[-1][2]
-    objective(PhaseQuad.uniform(1.0))
+    objective(PhaseQuad(*(1.0,) * 4))
     assert rotations[-1][2] == after
 
 
@@ -321,7 +322,7 @@ def test_jump_reads_only_its_row_of_the_channel_block(monkeypatch, jump_at,
     objective = DisturbedObjective(JonesVector(1.0, 0.0),
                                    DeviceParams(noise_sigma=0.0), model, None)
     for _ in range(cfg.total_iterations + 1):
-        objective(PhaseQuad.uniform(1.0), None, block)
+        objective(PhaseQuad(*(1.0,) * 4), None, block)
     assert [axis for _, axis, _ in rotations] == [_unit([0.3, -1.2, 0.4])]
 
 
@@ -392,7 +393,7 @@ def test_a_reused_objective_starts_each_lock_from_the_input(kind, params):
 @given(st.integers(0, 2 ** 63), st.integers(1, 200))
 def test_drift_axis_stays_unit_and_rotation_keeps_norm(seed, advances):
     objective, _ = _drift_objective(seed)
-    phases = PhaseQuad.uniform(1.0)
+    phases = PhaseQuad(*(1.0,) * 4)
     with pytest.MonkeyPatch.context() as monkeypatch:
         rotations = _record_rotations(monkeypatch)
         objective(phases)
@@ -420,7 +421,7 @@ def test_drift_calls_rotate_and_measure_through_module_globals(monkeypatch):
                             counted(name, getattr(disturbance, name)))
     objective, _ = _drift_objective(17)
     for _ in range(10):
-        objective(PhaseQuad.uniform(1.0))
+        objective(PhaseQuad(*(1.0,) * 4))
     assert calls == {"rotate_sop": 9, "measure": 10}
 
 
@@ -434,7 +435,7 @@ def test_smoothed_er_db_equals_scalar_log10_recomputation():
                              jump_magnitude=math.pi / 2)
     trace, _ = relock_experiment(DeviceParams(), AnnealConfig(), model,
                                  np.random.default_rng(12))
-    window = 5
+    window = disturbance._WINDOW
 
     def running_sums(x):
         sums = [0.0]
@@ -449,4 +450,4 @@ def test_smoothed_er_db_equals_scalar_log10_recomputation():
         px = max((cx[i + 1] - cx[lo]) / (i + 1 - lo), 1e-12)
         py = max((cy[i + 1] - cy[lo]) / (i + 1 - lo), 1e-12)
         expected.append(10.0 * math.log10(px / py))
-    assert disturbance._smoothed_er_db(trace, window).tolist() == expected
+    assert disturbance._smoothed_er_db(trace).tolist() == expected

@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 from polarlock import (AnnealConfig, DeviceParams, DisturbanceModel,
-                       DisturbedObjective, ExperimentConfig, StepSchedule,
-                       bind_objective, random_sop, relock_experiment,
-                       run_experiment, run_lock)
+                       ExperimentConfig, StepSchedule, bind_objective,
+                       random_sop, relock_experiment, run_experiment,
+                       run_lock)
+from polarlock.disturbance import DisturbedObjective
 
 _TRACE_ARRAYS = ("iteration", "temperature", "step_rad", "phases", "i_px",
                  "i_py", "er_db", "accepted", "i_max")

@@ -1,5 +1,7 @@
 import concurrent.futures
+import math
 import os
+import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 from polarlock import (AnnealConfig, ConfigError, DeviceParams,
                        DisturbanceModel, ExperimentConfig, JonesVector,
-                       StepSchedule, load_experiment_config,
+                       StepSchedule, TpsParams, load_experiment_config,
                        oracle_best, port_intensity, random_sop,
                        run_experiment, run_identity_checks, summarize)
 from polarlock.cli import _CELL_BYTES, _LOCK_BYTES, _ROW_BYTES, _check_size
@@ -309,6 +311,33 @@ def test_identity_checks_name_bad_arguments(kwargs, named):
 def test_experiment_config_rejects_base_step_beyond_phase_span():
     with pytest.raises(ValueError, match=r"variant fixed\(10\): .*phase_max"):
         ExperimentConfig(variants=(StepSchedule(10.0),))
+
+
+# half the default span, where every lock starts, and half its float spacing
+_START = 1.5 * math.pi
+_HALF_ULP = math.ulp(_START) / 2.0
+
+
+@pytest.mark.parametrize("phase_max,step,moves", [
+    # the smallest default step, 0.008, against the spacing at phase_max / 2
+    (math.nextafter(2.0 ** 48, 0.0), None, True),
+    (2.0 ** 48, None, False),
+    # a fixed step just above and just below half the spacing at 3*pi/2
+    (3.0 * math.pi, math.nextafter(_HALF_ULP, 1.0), True),
+    (3.0 * math.pi, math.nextafter(_HALF_ULP, 0.0), False),
+    (3.0 * math.pi, 0.0, True),  # fixed(0) is allowed
+])
+def test_experiment_config_rejects_a_step_that_cannot_move(
+        phase_max, step, moves):
+    cfg = dict(device=DeviceParams(tps=TpsParams(phase_max=phase_max)),
+               variants=(StepSchedule(step),))
+    if moves:
+        ExperimentConfig(**cfg)
+    else:
+        with pytest.raises(ValueError, match=re.escape(
+                "cannot move the start point tps.phase_max / 2 = "
+                f"{phase_max / 2:g} rad")):
+            ExperimentConfig(**cfg)
 
 
 # --- config files --------------------------------------------------------------------
@@ -730,6 +759,13 @@ def test_cli_sweep_noise_monotone(tmp_path, capsys):
      "--values repeats 0"),
     (["sweep", "--key", "noise_sigma", "--values", "5e-4,0.0005",
       "--trials", "2"], "--values repeats 5e-4 as 0.0005"),
+    # steps below the float spacing at the start point tps.phase_max / 2:
+    # unchecked, every lock stays at its start and the run prints numbers
+    # that look valid
+    (["sweep", "--key", "phase_max", "--values", "1e300", "--trials", "1"],
+     "variant variable: phase step 0.008 rad cannot move"),
+    (["sweep", "--key", "variants", "--values", "fixed(1e-300)",
+      "--trials", "1"], "variant fixed(1e-300): phase step 1e-300 rad cannot"),
 ])
 def test_cli_bad_input_exits_one(argv, named, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

@@ -18,13 +18,13 @@ from hypothesis import (HealthCheck, assume, example, given, settings,
                         strategies as st)
 
 from polarlock import (AnnealConfig, DeviceParams, DisturbanceModel,
-                       DisturbedObjective, ExperimentConfig, JonesVector,
-                       PhaseQuad, StepSchedule, TpsParams,
-                       bind_objective, dpc_transform, load_experiment_config,
-                       measure, port_intensity, propose, random_sop, run_lock,
-                       step_for_gap)
+                       ExperimentConfig, JonesVector, PhaseQuad, StepSchedule,
+                       TpsParams, bind_objective, dpc_transform,
+                       load_experiment_config, measure, port_intensity,
+                       random_sop, run_lock)
 from polarlock import cli
-from polarlock.anneal import _er_db, _er_db_array, _move
+from polarlock.anneal import _er_db, _er_db_array, _move, propose, step_for_gap
+from polarlock.disturbance import DisturbedObjective
 from polarlock.config import KEYS
 from polarlock.device import _cascade
 from polarlock.harness import (_NUMBER, _WORD, CSV_COLUMNS, ResultsTable,
@@ -274,10 +274,11 @@ _NON_NEGATIVE = st.floats(0.0, allow_infinity=False)
 # valid values of every float and int key, given defaults for the rest and
 # the disturbance kind that reads the key (_KIND_OF): the temperature bounds
 # keep the last outer loop's temperature above 0 at the default cooling and
-# m0, phase_max holds the largest default step, and jump_at stays below the
-# default run length
+# m0, phase_max holds the largest default step and stays below 2**48, where
+# the smallest default step (0.008) could no longer move the start point
+# phase_max / 2, and jump_at stays below the default run length
 _VALID = {
-    "tps.phase_max": st.floats(0.16, allow_infinity=False),
+    "tps.phase_max": st.floats(0.16, 2.0 ** 48, exclude_max=True),
     "device.static_er_db": _POSITIVE,
     "device.noise_sigma": st.floats(0.0, 1e294),
     "anneal.t0": st.floats(1e-300, allow_infinity=False),
@@ -311,6 +312,34 @@ def test_config_override_sets_field_exactly(key, data):
              "experiment": cfg}[section]
     got = getattr(owner, field)
     assert got == x and repr(got) == repr(x)
+
+
+def _last_loop_temperature(t0: float, cooling_p: float, m0: int) -> float:
+    """The reference rule: the last of m0 outer-loop temperatures, t0
+    cooled m0 - 1 times by cooling_p, listed one by one."""
+    temps = [t0]
+    for _ in range(m0 - 1):
+        temps.append(temps[-1] * cooling_p)
+    return temps[-1]
+
+
+@given(t0=st.floats(5e-324, 1.7e308),
+       cooling_p=st.sampled_from([0.5, math.nextafter(0.5, 0.0),
+                                  math.nextafter(0.5, 1.0)])
+       | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       m0=st.integers(1, 3000))
+@example(t0=5e-324, cooling_p=0.5, m0=1)  # the first boundary: m0 = 2
+@example(t0=5e-324, cooling_p=0.5, m0=2)
+@example(t0=1.7e308, cooling_p=0.5, m0=2099)  # the last: m0 = 2100
+@example(t0=1.7e308, cooling_p=0.5, m0=2100)
+@example(t0=5e-324, cooling_p=math.nextafter(0.5, 1.0), m0=3000)
+def test_temperature_check_equals_list_rule(t0, cooling_p, m0):
+    try:
+        AnnealConfig(t0=t0, m0=m0, cooling_p=cooling_p)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == (_last_loop_temperature(t0, cooling_p, m0) > 0.0)
 
 
 # --- trace fields derived after the loop --------------------------------------
@@ -554,7 +583,7 @@ def _anneal_configs(draw):
 @given(acfg=_anneal_configs(), trials=st.integers(1, 3),
        base=st.integers(0, 2 ** 32),
        variants=st.lists(st.sampled_from(_SCHEDULES + (
-           StepSchedule(0.0), StepSchedule(5e-324))),
+           StepSchedule(0.0), StepSchedule(math.ulp(1.5 * math.pi)))),
            min_size=1, max_size=4, unique_by=lambda v: v.label))
 def test_write_csv_equals_one_format_per_row(acfg, trials, base, variants):
     table = run_experiment(ExperimentConfig(
@@ -743,9 +772,11 @@ def _config_files(draw):
     finite = dict(allow_nan=False, allow_infinity=False)
     positive = st.floats(0.0, exclude_min=True, **finite)
     non_negative = st.just(0.0) | st.floats(0.0, **finite)
+    # a nonzero step of at least ulp(phase_max / 2) moves the start point
     variant = st.one_of(
         st.just(StepSchedule.default()),
-        st.builds(StepSchedule, st.floats(0.0, _DEFAULT_STEP)))
+        st.builds(StepSchedule, st.just(0.0)
+                  | st.floats(math.ulp(phase_max / 2.0), _DEFAULT_STEP)))
     values = {
         "tps.phase_max": st.just(phase_max),
         "device.static_er_db": st.none() | positive,
@@ -864,12 +895,8 @@ def _cli_values(key: str):
         "experiment.output": st.sampled_from(["out.csv", "sub/out.csv",
                                               ".", "nowhere/x/y.csv"]),
     }[key].map(_text)
-    if key == "anneal.m0":
-        # no huge m0: AnnealConfig lists one temperature per outer loop
-        # before any check can stop it
-        extreme = _SMALL_INT.map(str)
-    elif key in ("anneal.n0", "disturbance.jump_at", "experiment.trials",
-                 "experiment.base_seed"):
+    if key in ("anneal.m0", "anneal.n0", "disturbance.jump_at",
+               "experiment.trials", "experiment.base_seed"):
         extreme = (_SMALL_INT | _HUGE).map(str)
     elif key in ("disturbance.kind", "experiment.variants",
                  "experiment.output"):
