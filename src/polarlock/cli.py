@@ -19,8 +19,8 @@ import numpy as np
 
 from .config import ConfigError, load_experiment_config, resolve_key
 from .device import DeviceParams
-from .harness import (_CHUNK_TRIALS, run_experiment, run_identity_checks,
-                      summarize)
+from .harness import (_CELL_BYTES, _CHUNK_TRIALS, run_experiment,
+                      run_identity_checks, summarize)
 from .jones import JonesVector, random_sop
 from .oracle import oracle_best
 
@@ -101,11 +101,9 @@ def _check_output(path: str) -> None:
 
 
 # peaks under tracemalloc, rounded up: one lock held 961 bytes per iteration
-# on a static channel and 1,121 under drift, run_experiment 68-79 bytes per
-# (variant, trial, iteration) while it stacked the trials' blocks, and
-# write_csv 430-445 bytes per row of its chunk at one trial, 291-294 at ten
+# on a static channel and 1,121 under drift, and write_csv 430-445 bytes per
+# row of its chunk at one trial, 291-294 at ten
 _LOCK_BYTES = 1200
-_CELL_BYTES = 80
 _ROW_BYTES = 500
 
 

@@ -11,6 +11,7 @@ runs) produce byte-identical output.  Rows are always assembled in
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,7 @@ CSV_COLUMNS = ("variant", "trial", "iteration", "temperature", "step_rad",
 
 # the per-iteration fields kept from each trial, in CSV column order
 _FIELDS = CSV_COLUMNS[4:]
+_CELL_BYTES = 33  # four float64 and one bool per (variant, trial, iteration)
 
 # --- rows as bytes -----------------------------------------------------------
 # write_csv fills a matrix of little-endian uint32 words, one row of the file
@@ -201,7 +203,8 @@ class ResultsTable:
         return iters, p10, p50, p90
 
     def median_er_curve(self, label: str) -> np.ndarray:
-        return np.median(self.er_db[self._index(label)], axis=0)
+        """The p50 curve of ``percentile_curves``, the aggregate file's."""
+        return np.percentile(self.er_db[self._index(label)], 50.0, axis=0)
 
     def first_crossing(self, label: str, threshold_db: float) -> int | None:
         """First iteration at which the median ER reaches the threshold."""
@@ -212,7 +215,8 @@ class ResultsTable:
         return float(np.mean(self.accepted[self._index(label)]))
 
     def median_final_er(self, label: str) -> float:
-        return float(np.median(self.er_db[self._index(label), :, -1]))
+        return float(np.percentile(self.er_db[self._index(label), :, -1],
+                                   50.0))
 
     def write_csv(self, path: str) -> None:
         """Rows in the documented column order, variant by variant, then
@@ -271,51 +275,49 @@ class ResultsTable:
 
 
 def _run_trial(cfg: ExperimentConfig, schedule: StepSchedule, trial: int):
-    """One seeded trial; the rng stream depends only on base_seed + trial."""
+    """One trial's ``_FIELDS``; its rng depends on base_seed + trial alone."""
     rng = np.random.default_rng(cfg.base_seed + trial)
     sop = random_sop(rng)
     if cfg.disturbance.kind == "static":
         objective = bind_objective(sop, cfg.device, rng)
     else:
         objective = DisturbedObjective(sop, cfg.device, cfg.disturbance, rng)
-    return run_lock(objective, cfg.anneal, cfg.device.tps, rng, schedule)
-
-
-def _run_job(args):
-    trace = _run_trial(*args)
+    trace = run_lock(objective, cfg.anneal, cfg.device.tps, rng, schedule)
     return [getattr(trace, name) for name in _FIELDS]
 
 
 def run_experiment(cfg: ExperimentConfig,
                    max_workers: int = 1) -> ResultsTable:
-    """Run every (variant, trial) pair and assemble the results table.
+    """Run every (variant, trial) pair into a results table allocated
+    before the first lock, each trial's fields landing in its row.
 
     Trial seeds are ``base_seed + trial`` (shared across variants, making
     the comparison paired on input SOPs).  A ``max_workers`` above 1 runs
     trials in a process pool of at most one worker per job, with output
     identical to the serial order.
     """
-    # built in (variant, trial) order, which both map paths keep
-    jobs = [(cfg, schedule, trial)
-            for schedule in cfg.variants
-            for trial in range(cfg.trials)]
+    shape = (len(cfg.variants), cfg.trials, cfg.anneal.total_iterations)
+    blocks = [np.empty(shape) for _ in _FIELDS[:-1]] + [np.empty(shape, bool)]
+    table = ResultsTable(tuple(v.label for v in cfg.variants),
+                         cfg.anneal.temperature, *blocks)
+    # the (variant, trial) cells in order, which both map paths keep
+    cells = list(np.ndindex(shape[:2]))
+    jobs = (_run_trial, [cfg] * len(cells),
+            [cfg.variants[v] for v, _ in cells], [t for _, t in cells])
 
     # the pool forks all its workers at the first submit, so cap them
-    workers = min(max_workers, len(jobs))
+    workers = min(max_workers, len(cells))
+    pool = nullcontext()
     if workers > 1:
-        # imported here: the pool pulls in multiprocessing, which a serial
-        # run never needs
+        # imported here: a serial run never needs multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_job, jobs, chunksize=4))
-    else:
-        results = [_run_job(j) for j in jobs]
-
-    shape = (len(cfg.variants), cfg.trials, cfg.anneal.total_iterations)
-    return ResultsTable(tuple(v.label for v in cfg.variants),
-                        cfg.anneal.temperature,
-                        *(np.stack(col).reshape(shape)
-                          for col in zip(*results)))
+        pool = ProcessPoolExecutor(max_workers=workers)
+    with pool:
+        results = pool.map(*jobs, chunksize=4) if workers > 1 else map(*jobs)
+        for (v, t), fields in zip(cells, results):
+            for block, values in zip(blocks, fields):
+                block[v, t] = values
+    return table
 
 
 def summarize(table: ResultsTable) -> str:

@@ -16,10 +16,10 @@ from polarlock import (AnnealConfig, ConfigError, DeviceParams,
                        StepSchedule, TpsParams, load_experiment_config,
                        oracle_best, port_intensity, random_sop,
                        run_experiment, run_identity_checks, summarize)
-from polarlock.cli import _CELL_BYTES, _LOCK_BYTES, _ROW_BYTES, _check_size
+from polarlock.cli import _LOCK_BYTES, _ROW_BYTES, _check_size
 from polarlock.cli import main as cli_main
 from polarlock.config import KEYS, parse_config_text
-from polarlock.harness import _run_trial
+from polarlock.harness import _CELL_BYTES, _FIELDS, ResultsTable, _run_trial
 
 SMALL = ExperimentConfig(
     anneal=AnnealConfig(m0=4, n0=25),
@@ -120,13 +120,20 @@ def test_run_experiment_row_count_and_order(tmp_path):
                     for t in range(3) for i in range(1, n + 1)]
 
 
-def test_table_blocks_match_trial_traces():
-    table = run_experiment(SMALL)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_table_blocks_match_trial_traces(workers):
+    # three trials a variant: the pool's chunks of four cross a variant
+    table = run_experiment(SMALL, max_workers=workers)
+    # the size check counts a cell at the table's own bytes
+    assert _CELL_BYTES == sum(getattr(table, name).itemsize
+                              for name in _FIELDS)
     for v, variant in enumerate(SMALL.variants):
         for t in range(SMALL.trials):
-            trace = _run_trial(SMALL, variant, t)
-            assert np.array_equal(table.er_db[v, t], trace.er_db)
-            assert np.array_equal(table.accepted[v, t], trace.accepted)
+            fields = _run_trial(SMALL, variant, t)
+            for name, values in zip(_FIELDS, fields, strict=True):
+                block = getattr(table, name)
+                assert block.dtype == values.dtype
+                assert np.array_equal(block[v, t], values)
 
 
 def test_run_experiment_deterministic_csv(tmp_path):
@@ -165,8 +172,8 @@ def test_run_experiment_caps_pool_at_job_count(tmp_path, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs, chunksize=1):
-            return map(fn, jobs)
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     cfg = replace(SMALL, trials=1)
@@ -256,6 +263,23 @@ def test_oracle_dominates_controller_traces():
 
 
 # --- summaries ---------------------------------------------------------------------
+
+def test_medians_are_the_aggregate_files_p50(tmp_path):
+    # np.median puts the mean of these two readings one bit above the p50
+    # that np.percentile interpolates
+    er = np.array([6.080316100901482, 36.94981429500725]).reshape(1, 2, 1)
+    table = ResultsTable(("variable",), np.ones(1), np.zeros_like(er),
+                         np.zeros_like(er), np.zeros_like(er), er,
+                         np.zeros(er.shape, bool))
+    p50 = table.percentile_curves("variable")[2][0]
+    assert p50 == 21.515065197954364
+    assert table.median_er_curve("variable")[0] == p50
+    assert table.median_final_er("variable") == p50
+    path = tmp_path / "agg.csv"
+    table.write_aggregate_csv(str(path))
+    row = path.read_text().splitlines()[1].split(",")
+    assert row[3] == "%.9g" % table.median_final_er("variable")
+
 
 def test_summarize_keys_and_crossing():
     cfg = replace(SMALL, anneal=AnnealConfig(), trials=2,
@@ -587,22 +611,22 @@ def _fake_memory(monkeypatch, pages: int) -> None:
 
 
 def test_size_check_counts_one_lock_per_worker(monkeypatch):
-    # 1,500 cells and 500 iterations: 720,000 bytes with one worker,
-    # 1,320,000 with two, and 250 pages hold 1,024,000
+    # 1,500 cells and 500 iterations: 649,500 bytes with one worker,
+    # 1,249,500 with two, and 250 pages hold 1,024,000
     _fake_memory(monkeypatch, 250)
     cfg = ExperimentConfig(trials=1)
     _check_size(cfg, 1)
-    with pytest.raises(ConfigError, match="needs at least 1320000 bytes"):
+    with pytest.raises(ConfigError, match="needs at least 1249500 bytes"):
         _check_size(cfg, 2)
     # three jobs keep at most three locks live
-    with pytest.raises(ConfigError, match="needs at least 1920000 bytes"):
+    with pytest.raises(ConfigError, match="needs at least 1849500 bytes"):
         _check_size(cfg, 200)
 
 
 @pytest.mark.parametrize("threads, pages", [("1", 100), ("2", 250)])
 def test_cli_lock_too_large_for_memory_fails_before_any_lock(
         threads, pages, tmp_path, monkeypatch, capsys):
-    # the 1,500 result cells, 120,000 bytes, fit in either memory; one
+    # the 1,500 result cells, 49,500 bytes, fit in either memory; one
     # 500-iteration lock too many does not
     def no_lock(*args, **kwargs):
         raise AssertionError("locked before checking the run's size")
@@ -619,8 +643,8 @@ def test_cli_lock_too_large_for_memory_fails_before_any_lock(
 def test_cli_write_too_large_for_memory_fails_before_any_lock(
         tmp_path, monkeypatch, capsys):
     # ten trials of the three default variants: the 15,000 cells and one
-    # lock, 1,800,000 bytes, fit in 500 pages (2,048,000); the cells and the
-    # row writer's ten-trial chunk, 3,700,000 bytes, do not
+    # lock, 1,095,000 bytes, fit in 500 pages (2,048,000); the cells and the
+    # row writer's ten-trial chunk, 2,995,000 bytes, do not
     def no_lock(*args, **kwargs):
         raise AssertionError("locked before checking the run's size")
     monkeypatch.setattr("polarlock.cli.run_experiment", no_lock)
@@ -629,7 +653,7 @@ def test_cli_write_too_large_for_memory_fails_before_any_lock(
     out = tmp_path / "out.csv"
     assert cli_main(["run", "--trials", "10", "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "needs at least 3700000 bytes" in err
+    assert "needs at least 2995000 bytes" in err
     assert list(tmp_path.iterdir()) == []
 
 
