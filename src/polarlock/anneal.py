@@ -192,11 +192,6 @@ class LockTrace:
         return len(self.i_px)
 
     @property
-    def iteration(self) -> np.ndarray:
-        """Iteration numbers, counted from 1 across the outer loops."""
-        return np.arange(1, len(self) + 1, dtype=np.int64)
-
-    @property
     def i_max(self) -> np.ndarray:
         """The running best reading after each iteration: the running
         maximum over the initial reading followed by ``i_px``."""

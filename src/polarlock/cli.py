@@ -19,8 +19,8 @@ import numpy as np
 
 from .config import ConfigError, load_experiment_config, resolve_key
 from .device import DeviceParams
-from .harness import (_CELL_BYTES, _CHUNK_TRIALS, run_experiment,
-                      run_identity_checks, summarize)
+from .harness import (_run_bytes, run_experiment, run_identity_checks,
+                      summarize)
 from .jones import JonesVector, random_sop
 from .oracle import oracle_best
 
@@ -100,22 +100,10 @@ def _check_output(path: str) -> None:
                           "does not exist or is not writable")
 
 
-# peaks under tracemalloc, rounded up: one lock held 961 bytes per iteration
-# on a static channel and 1,121 under drift, and write_csv 430-445 bytes per
-# row of its chunk at one trial, 291-294 at ten
-_LOCK_BYTES = 1200
-_ROW_BYTES = 500
-
-
 def _check_size(cfg, workers: int) -> None:
-    """Fail before the first lock if the run cannot fit in the host's
-    memory: its result blocks, and one live lock per worker or the row
-    writer's chunk, whichever is larger, since the two never run at once."""
-    n = cfg.anneal.total_iterations
-    jobs = len(cfg.variants) * cfg.trials
-    need = (_CELL_BYTES * jobs
-            + max(_LOCK_BYTES * min(workers, jobs),
-                  _ROW_BYTES * min(cfg.trials, _CHUNK_TRIALS))) * n
+    """Fail before the first lock if the run needs more than the host's
+    memory (``harness._run_bytes``)."""
+    need = _run_bytes(cfg, workers)
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
@@ -123,8 +111,8 @@ def _check_size(cfg, workers: int) -> None:
     if 0 < have < need:
         raise ConfigError(
             f"the run needs at least {need} bytes (variants "
-            f"{len(cfg.variants)}, trials {cfg.trials}, iterations {n}, "
-            f"workers {workers}), "
+            f"{len(cfg.variants)}, trials {cfg.trials}, iterations "
+            f"{cfg.anneal.total_iterations}, workers {workers}), "
             f"more than the {have} bytes of memory on this host")
 
 

@@ -136,6 +136,8 @@ class DisturbedObjective:
 
 # samples in the trailing mean that re-lock scoring smooths the ER over
 _WINDOW = 5
+# smoothed ER (dB) below which re-lock scoring counts the lock as lost
+_RECOVERY_DB = 20.0
 
 
 def _smoothed_er_db(trace: LockTrace) -> np.ndarray:
@@ -159,7 +161,6 @@ def _smoothed_er_db(trace: LockTrace) -> np.ndarray:
 
 def relock_experiment(params: DeviceParams, cfg: AnnealConfig,
                       model: DisturbanceModel, rng,
-                      recovery_db: float = 20.0,
                       input_sop: JonesVector | None = None,
                       ) -> tuple[LockTrace, int | None]:
     """Lock against a jumping channel and report how long re-locking took.
@@ -168,16 +169,14 @@ def relock_experiment(params: DeviceParams, cfg: AnnealConfig,
     is drawn from ``rng`` unless one is given).  Recovery is judged on the
     ER of 5-sample trailing-mean intensities, so isolated noise spikes
     neither signal nor veto a re-lock.  The returned count is the number of
-    iterations past ``jump_at`` until that ER, having first dipped below the
-    finite ``recovery_db`` within 5 iterations of the jump, is back at or
-    above it: 0 if it did not dip there (never unlocked; a later dip is not
-    the jump's), None if it never got back.  ``jump_at`` must lie below
+    iterations past ``jump_at`` until that ER, having first dipped below
+    20 dB within 5 iterations of the jump, is back at or above it: 0 if it
+    did not dip there (never unlocked; a later dip is not the jump's), None
+    if it never got back.  ``jump_at`` must lie below
     ``cfg.total_iterations``, so the jump happens within the run.
     """
     if model.kind != "jump":
         raise ValueError("relock_experiment needs a jump disturbance model")
-    if not math.isfinite(recovery_db):
-        raise ValueError(f"recovery_db must be finite, got {recovery_db!r}")
     model.check_run_length(cfg.total_iterations)
     if input_sop is None:
         input_sop = random_sop(rng)
@@ -185,14 +184,14 @@ def relock_experiment(params: DeviceParams, cfg: AnnealConfig,
     trace = run_lock(objective, cfg, params.tps, rng)
 
     post = _smoothed_er_db(trace)[model.jump_at:]  # after jump_at
-    return trace, _relock_count(post, recovery_db)
+    return trace, _relock_count(post)
 
 
-def _relock_count(post: np.ndarray, recovery_db: float) -> int | None:
+def _relock_count(post: np.ndarray) -> int | None:
     """``relock_experiment``'s count over ``post``, the smoothed ER from one
     iteration past the jump: a dip must start in its first ``_WINDOW``."""
-    dips = np.nonzero(post[:_WINDOW] < recovery_db)[0]
+    dips = np.nonzero(post[:_WINDOW] < _RECOVERY_DB)[0]
     if dips.size == 0:
         return 0
-    hits = np.nonzero(post[dips[0]:] >= recovery_db)[0]
+    hits = np.nonzero(post[dips[0]:] >= _RECOVERY_DB)[0]
     return None if hits.size == 0 else int(dips[0] + hits[0]) + 1

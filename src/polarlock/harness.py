@@ -30,6 +30,11 @@ CSV_COLUMNS = ("variant", "trial", "iteration", "temperature", "step_rad",
 # the per-iteration fields kept from each trial, in CSV column order
 _FIELDS = CSV_COLUMNS[4:]
 _CELL_BYTES = 33  # four float64 and one bool per (variant, trial, iteration)
+# peaks under tracemalloc, rounded up: one lock held 961 bytes per iteration
+# on a static channel and 1,121 under drift, and write_csv 430-445 bytes per
+# row of its chunk at one trial, 291-294 at ten
+_LOCK_BYTES = 1200
+_ROW_BYTES = 500
 
 # --- rows as bytes -----------------------------------------------------------
 # write_csv fills a matrix of little-endian uint32 words, one row of the file
@@ -284,6 +289,15 @@ def _run_trial(cfg: ExperimentConfig, schedule: StepSchedule, trial: int):
         objective = DisturbedObjective(sop, cfg.device, cfg.disturbance, rng)
     trace = run_lock(objective, cfg.anneal, cfg.device.tps, rng, schedule)
     return [getattr(trace, name) for name in _FIELDS]
+
+
+def _run_bytes(cfg: ExperimentConfig, workers: int) -> int:
+    """Least memory a run needs: its result blocks, plus one live lock per
+    worker or the row writer's chunk, whichever is larger (never both)."""
+    jobs = len(cfg.variants) * cfg.trials
+    live = max(_LOCK_BYTES * min(workers, jobs),
+               _ROW_BYTES * min(cfg.trials, _CHUNK_TRIALS))
+    return (_CELL_BYTES * jobs + live) * cfg.anneal.total_iterations
 
 
 def run_experiment(cfg: ExperimentConfig,

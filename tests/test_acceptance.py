@@ -202,7 +202,7 @@ def test_c7_relock_after_quarter_turn_jump():
     recovered = 0
     for seed in range(100):
         rng = np.random.default_rng(1000 + seed)
-        _, rec = relock_experiment(dev, cfg, model, rng, recovery_db=20.0)
+        _, rec = relock_experiment(dev, cfg, model, rng)
         if rec is not None and rec <= 200:
             recovered += 1
     ok = recovered >= 90

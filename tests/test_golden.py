@@ -24,11 +24,14 @@ _TRACE_ARRAYS = ("iteration", "temperature", "step_rad", "phases", "i_px",
 
 
 def trace_digest(trace) -> str:
-    """Every array of the trace (dtype, shape and bytes), then the lock
-    point and the initial reading as float64."""
+    """The iteration numbers counted from 1 and every array of the trace
+    (dtype, shape and bytes), then the lock point and the initial reading
+    as float64."""
     h = hashlib.sha256()
     for name in _TRACE_ARRAYS:
-        arr = np.ascontiguousarray(getattr(trace, name))
+        arr = (np.arange(1, len(trace) + 1, dtype=np.int64)
+               if name == "iteration"
+               else np.ascontiguousarray(getattr(trace, name)))
         h.update(f"{name}:{arr.dtype.str}:{arr.shape}".encode())
         h.update(arr.tobytes())
     h.update(struct.pack("<4d", *(float(x) for x in trace.best_phases)))

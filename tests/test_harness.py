@@ -16,10 +16,11 @@ from polarlock import (AnnealConfig, ConfigError, DeviceParams,
                        StepSchedule, TpsParams, load_experiment_config,
                        oracle_best, port_intensity, random_sop,
                        run_experiment, run_identity_checks, summarize)
-from polarlock.cli import _LOCK_BYTES, _ROW_BYTES, _check_size
+from polarlock.cli import _check_size
 from polarlock.cli import main as cli_main
 from polarlock.config import KEYS, parse_config_text
-from polarlock.harness import _CELL_BYTES, _FIELDS, ResultsTable, _run_trial
+from polarlock.harness import (_CELL_BYTES, _FIELDS, _LOCK_BYTES, _ROW_BYTES,
+                               ResultsTable, _run_bytes, _run_trial)
 
 SMALL = ExperimentConfig(
     anneal=AnnealConfig(m0=4, n0=25),
@@ -615,6 +616,9 @@ def test_size_check_counts_one_lock_per_worker(monkeypatch):
     # 1,249,500 with two, and 250 pages hold 1,024,000
     _fake_memory(monkeypatch, 250)
     cfg = ExperimentConfig(trials=1)
+    assert _run_bytes(cfg, 1) == 649_500
+    assert _run_bytes(cfg, 2) == 1_249_500
+    assert _run_bytes(cfg, 200) == 1_849_500
     _check_size(cfg, 1)
     with pytest.raises(ConfigError, match="needs at least 1249500 bytes"):
         _check_size(cfg, 2)
@@ -651,6 +655,7 @@ def test_cli_write_too_large_for_memory_fails_before_any_lock(
     monkeypatch.delenv("POLARLOCK_THREADS", raising=False)
     _fake_memory(monkeypatch, 500)
     out = tmp_path / "out.csv"
+    assert _run_bytes(ExperimentConfig(trials=10), 1) == 2_995_000
     assert cli_main(["run", "--trials", "10", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "needs at least 2995000 bytes" in err
@@ -790,6 +795,10 @@ def test_cli_sweep_noise_monotone(tmp_path, capsys):
      "variant variable: phase step 0.008 rad cannot move"),
     (["sweep", "--key", "variants", "--values", "fixed(1e-300)",
       "--trials", "1"], "variant fixed(1e-300): phase step 1e-300 rad cannot"),
+    (["oracle", "--sop", "1,2,3"], "--sop needs four numbers"),
+    (["sweep", "--key", "n0", "--values", ","],
+     "--values must list at least one value"),
+    (["sweep", "--key", "t0", "--values", "nan"], "anneal.t0"),
 ])
 def test_cli_bad_input_exits_one(argv, named, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
