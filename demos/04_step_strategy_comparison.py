@@ -31,7 +31,7 @@ for label in table.variant_order:
 
 print("\n25 dB crossings of the median curve:")
 for label in table.variant_order:
-    crossing = table.first_crossing(label, 25.0)
+    crossing = table.first_crossing(label)
     print(f"  {label:14s}: {crossing if crossing else 'not within the run'}")
 
 table.write_csv(cfg.output_path)

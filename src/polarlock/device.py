@@ -9,7 +9,7 @@ realizes a small phase increment at operating point V:
 
     dV = R dtheta / (2 c V)
 
-which shrinks as V grows; its value at V_max is the safest (smallest)
+which shrinks as V grows; its value at V_MAX is the safest (smallest)
 quantization step for a drive updated in fixed voltage ticks.
 """
 
@@ -24,6 +24,15 @@ from .jones import JonesMatrix, JonesVector, make_m0, make_m45
 
 #: default full controllable span of one heater, radians
 PHASE_SPAN = 3.0 * math.pi
+
+#: the measured calibration of the fabricated heater: a 0-10 V drive moves
+#: its phase from the zero-power bias to about 9.30 rad
+RESISTANCE = 1970.0     # ohm
+C_SLOPE = 164.85        # rad per watt
+THETA_BIAS = 0.93       # rad at zero power
+V_MAX = 10.0            # volt
+TAU_RISE = 11e-6        # s, 10-90% rise time
+TAU_FALL = 5.9e-6       # s, 10-90% fall time
 
 # first-order step response: a 10-90% transition time t maps to the
 # exponential time constant t / ln 9
@@ -41,28 +50,13 @@ def _check_field(params, name: str, positive: bool) -> None:
 
 @dataclass(frozen=True, slots=True)
 class TpsParams:
-    """Electrical and dynamic constants of one thermal phase shifter.
+    """The controllable phase span of each heater, the one heater setting a
+    lock reads; the calibration is the module's constants."""
 
-    Defaults are the measured values of the fabricated heater: 1.97 kOhm
-    resistance, 164.85 rad/W phase-per-power slope with a 0.93 rad zero-power
-    offset, a 0-10 V drive producing roughly a 3*pi span, and 11 us / 5.9 us
-    10-90% rise and fall times.
-    """
-
-    resistance: float = 1970.0      # ohm
-    c_slope: float = 164.85         # rad per watt
-    theta_bias: float = 0.93        # rad at zero power
-    v_max: float = 10.0             # volt
     phase_max: float = PHASE_SPAN   # rad
-    tau_rise: float = 11e-6         # s, 10-90% rise time
-    tau_fall: float = 5.9e-6        # s, 10-90% fall time
 
     def __post_init__(self):
-        for name in ("resistance", "c_slope", "v_max", "phase_max",
-                     "tau_rise", "tau_fall"):
-            _check_field(self, name, positive=True)
-        if not 0.0 <= self.theta_bias < 2.0 * math.pi:
-            raise ValueError("theta_bias must lie in [0, 2*pi)")
+        _check_field(self, "phase_max", positive=True)
 
 
 class PhaseQuad(NamedTuple):
@@ -104,38 +98,38 @@ class DeviceParams:
                            else 10.0 ** (-self.static_er_db / 10.0))
 
     @classmethod
-    def ideal(cls, tps: TpsParams = TpsParams()) -> "DeviceParams":
+    def ideal(cls) -> "DeviceParams":
         """Noise-free device with no extinction-ratio floor."""
-        return cls(tps=tps, static_er_db=None, noise_sigma=0.0)
+        return cls(static_er_db=None, noise_sigma=0.0)
 
 
-def voltage_to_power(v: float, tps: TpsParams) -> float:
-    """Heater power V^2 / R in watts; ``v`` must lie in [0, v_max]."""
-    if not 0.0 <= v <= tps.v_max:
-        raise ValueError(f"voltage {v} outside drive range [0, {tps.v_max}]")
-    return v * v / tps.resistance
+def voltage_to_power(v: float) -> float:
+    """Heater power V^2 / R in watts; ``v`` must lie in [0, V_MAX]."""
+    if not 0.0 <= v <= V_MAX:
+        raise ValueError(f"voltage {v} outside drive range [0, {V_MAX}]")
+    return v * v / RESISTANCE
 
 
-def power_to_phase(p: float, tps: TpsParams) -> float:
+def power_to_phase(p: float) -> float:
     """Linear heater calibration theta = c P + theta_bias (radians)."""
     if p < 0.0:
         raise ValueError(f"power must be >= 0, got {p}")
-    return tps.c_slope * p + tps.theta_bias
+    return C_SLOPE * p + THETA_BIAS
 
 
-def voltage_to_phase(v: float, tps: TpsParams) -> float:
+def voltage_to_phase(v: float) -> float:
     """Composition of the two calibrations above."""
-    return power_to_phase(voltage_to_power(v, tps), tps)
+    return power_to_phase(voltage_to_power(v))
 
 
-def phase_step_to_voltage_step(dtheta: float, v: float, tps: TpsParams) -> float:
+def phase_step_to_voltage_step(dtheta: float, v: float) -> float:
     """Voltage increment realizing phase increment ``dtheta`` at operating
     point ``v``: R dtheta / (2 c V).  Singular at v = 0 (use the minimum
     operating voltage instead)."""
     if v <= 0.0:
         raise ValueError("voltage step is singular at v = 0; "
                          "evaluate at the minimum operating voltage")
-    return tps.resistance * dtheta / (2.0 * tps.c_slope * v)
+    return RESISTANCE * dtheta / (2.0 * C_SLOPE * v)
 
 
 def dpc_transform(phases: PhaseQuad) -> JonesMatrix:
@@ -229,8 +223,7 @@ def measure(input_sop: JonesVector, phases: PhaseQuad, params: DeviceParams,
     return i_px, i_py
 
 
-def thermal_step_response(v_from: float, v_to: float, t: float,
-                          tps: TpsParams) -> float:
+def thermal_step_response(v_from: float, v_to: float, t: float) -> float:
     """Phase at time ``t`` after stepping the drive from ``v_from`` to
     ``v_to`` at t = 0.
 
@@ -241,8 +234,8 @@ def thermal_step_response(v_from: float, v_to: float, t: float,
     """
     if t < 0.0:
         raise ValueError("time must be >= 0")
-    phi0 = voltage_to_phase(v_from, tps)
-    phi1 = voltage_to_phase(v_to, tps)
-    t1090 = tps.tau_rise if phi1 >= phi0 else tps.tau_fall
+    phi0 = voltage_to_phase(v_from)
+    phi1 = voltage_to_phase(v_to)
+    t1090 = TAU_RISE if phi1 >= phi0 else TAU_FALL
     tau = t1090 / _LN9
     return phi1 + (phi0 - phi1) * math.exp(-t / tau)

@@ -35,6 +35,8 @@ _CELL_BYTES = 33  # four float64 and one bool per (variant, trial, iteration)
 # row of its chunk at one trial, 291-294 at ten
 _LOCK_BYTES = 1200
 _ROW_BYTES = 500
+# median ER (dB) whose first crossing the summary reports, the paper's claim
+_LOCK_DB = 25.0
 
 # --- rows as bytes -----------------------------------------------------------
 # write_csv fills a matrix of little-endian uint32 words, one row of the file
@@ -211,9 +213,9 @@ class ResultsTable:
         """The p50 curve of ``percentile_curves``, the aggregate file's."""
         return np.percentile(self.er_db[self._index(label)], 50.0, axis=0)
 
-    def first_crossing(self, label: str, threshold_db: float) -> int | None:
-        """First iteration at which the median ER reaches the threshold."""
-        hits = np.nonzero(self.median_er_curve(label) >= threshold_db)[0]
+    def first_crossing(self, label: str) -> int | None:
+        """First iteration at which the median ER reaches ``_LOCK_DB``."""
+        hits = np.nonzero(self.median_er_curve(label) >= _LOCK_DB)[0]
         return int(hits[0]) + 1 if hits.size else None
 
     def acceptance_rate(self, label: str) -> float:
@@ -341,7 +343,7 @@ def summarize(table: ResultsTable) -> str:
     lines = [f"trials: {table.trials}",
              f"iterations_per_trial: {table.iterations_per_trial}"]
     for label in table.variant_order:
-        crossing = table.first_crossing(label, 25.0)
+        crossing = table.first_crossing(label)
         lines.append(f"{label}.median_final_er_db: "
                      f"{_fmt(table.median_final_er(label))}")
         lines.append(f"{label}.crossing_25db: "

@@ -67,9 +67,9 @@ def test_c1_algebraic_identity_suite():
 
 
 def test_c2_actuator_arithmetic():
-    dv_big = phase_step_to_voltage_step(0.16, 10.0, TPS)
-    dv_small = phase_step_to_voltage_step(0.008, 10.0, TPS)
-    theta = power_to_phase(0.05056, TPS)
+    dv_big = phase_step_to_voltage_step(0.16, 10.0)
+    dv_small = phase_step_to_voltage_step(0.008, 10.0)
+    theta = power_to_phase(0.05056)
     ok = (abs(dv_big - 0.1) / 0.1 < 0.05
           and abs(dv_small - 0.005) / 0.005 < 0.05
           and abs(theta - 9.27) / 9.27 < 0.005
@@ -95,8 +95,8 @@ def test_c4_step_strategy_reproduction(fig5_ensemble):
     med_var = table.median_er_curve("variable")
     med_big = table.median_er_curve("fixed(0.16)")
     med_small = table.median_er_curve("fixed(0.008)")
-    cross_var = table.first_crossing("variable", 25.0)
-    cross_small = table.first_crossing("fixed(0.008)", 25.0)
+    cross_var = table.first_crossing("variable")
+    cross_small = table.first_crossing("fixed(0.008)")
 
     ok_a = cross_var is not None and cross_var <= 100
     ok_b = med_var[499] - med_big[499] >= 1.0
@@ -171,14 +171,14 @@ def test_c5_extinction_ratio_ceiling():
 
 
 def _crossing_time(v_from, v_to, frac):
-    phi0 = voltage_to_phase(v_from, TPS)
-    phi1 = voltage_to_phase(v_to, TPS)
+    phi0 = voltage_to_phase(v_from)
+    phi1 = voltage_to_phase(v_to)
     target = phi0 + frac * (phi1 - phi0)
     sign = 1.0 if phi1 >= phi0 else -1.0
     lo, hi = 0.0, 500e-6
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if sign * (thermal_step_response(v_from, v_to, mid, TPS) - target) < 0:
+        if sign * (thermal_step_response(v_from, v_to, mid) - target) < 0:
             lo = mid
         else:
             hi = mid

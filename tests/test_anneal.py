@@ -10,6 +10,7 @@ from polarlock import (AnnealConfig, DeviceParams, JonesVector, PhaseQuad,
                        port_intensity, random_sop, run_lock)
 from polarlock import anneal
 from polarlock.anneal import accept, propose, step_for_gap
+from polarlock.device import V_MAX
 
 TPS = TpsParams()
 SPAN = TPS.phase_max
@@ -187,6 +188,31 @@ def test_run_lock_temperature_schedule_exact():
         assert np.all(block == cfg.t0 * cfg.cooling_p ** outer)
 
 
+@pytest.mark.parametrize("t0", [1e-5, 1e-3])
+def test_lock_verdicts_recompute_from_trace(t0):
+    # every verdict of the loop, redone from the trace and the redrawn
+    # uniform block: a better-or-equal reading passes, a worse one when the
+    # block's ninth uniform is below exp((i_px - ref) / t), ref being the
+    # previous reading.  math.exp, as the loop; at the paper's t0 = 1e-5 the
+    # rule almost never decides, so only the t0 = 1e-3 case pins the
+    # temperature in the exponent
+    cfg = AnnealConfig(t0=t0)
+    dev = DeviceParams()
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        objective = bind_objective(random_sop(rng), dev, rng)
+        redraw = np.random.default_rng(seed)
+        random_sop(redraw)
+        u = redraw.random((cfg.total_iterations, 9)).tolist()
+        trace = run_lock(objective, cfg, dev.tps, rng)
+        ref = trace.initial_sample[0]
+        for i, (px, t) in enumerate(zip(trace.i_px.tolist(),
+                                        cfg.temperature.tolist())):
+            assert trace.accepted[i] == (
+                px >= ref or u[i][8] < math.exp((px - ref) / t)), (seed, i)
+            ref = px
+
+
 def test_run_lock_deterministic():
     def one():
         rng = np.random.default_rng(13)
@@ -232,9 +258,9 @@ def test_run_lock_fixed_zero_step_is_constant():
 
 
 def test_voltage_domain_step_values():
-    # phase steps quantize to volts at v_max, where the gain is largest
+    # phase steps quantize to volts at V_MAX, where the gain is largest
     def tick(st):
-        return phase_step_to_voltage_step(st, TPS.v_max, TPS)
+        return phase_step_to_voltage_step(st, V_MAX)
     assert tick(0.008) == pytest.approx(0.004780103124052169, rel=1e-12)
     assert tick(0.16) == pytest.approx(0.09560206248104337, rel=1e-12)
     assert tick(0.0) == 0.0

@@ -9,6 +9,7 @@ from polarlock import (AnnealConfig, DeviceParams, JonesVector, PhaseQuad,
                        power_to_phase, random_sop, run_lock,
                        thermal_step_response, voltage_to_phase,
                        voltage_to_power)
+from polarlock.device import V_MAX
 
 TPS = TpsParams()
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -17,70 +18,70 @@ SQ2 = 1.0 / math.sqrt(2.0)
 # --- electrical calibration -------------------------------------------------
 
 def test_voltage_to_power_zero():
-    assert voltage_to_power(0.0, TPS) == 0.0
+    assert voltage_to_power(0.0) == 0.0
 
 
 def test_voltage_to_power_at_full_drive():
     # direct V^2/R: 100 / 1970 = 50.76 mW
-    assert voltage_to_power(10.0, TPS) == pytest.approx(0.050761421319796954,
-                                                        rel=1e-12)
+    assert voltage_to_power(10.0) == pytest.approx(0.050761421319796954,
+                                                   rel=1e-12)
 
 
 def test_voltage_to_power_mid_drive():
-    assert voltage_to_power(5.6, TPS) == pytest.approx(0.01591878172588832,
-                                                       rel=1e-12)
+    assert voltage_to_power(5.6) == pytest.approx(0.01591878172588832,
+                                                  rel=1e-12)
 
 
 @pytest.mark.parametrize("v", [-0.1, 10.01, 100.0])
 def test_voltage_to_power_rejects_out_of_range(v):
     with pytest.raises(ValueError):
-        voltage_to_power(v, TPS)
+        voltage_to_power(v)
 
 
 def test_power_to_phase_zero_power_gives_bias():
-    assert power_to_phase(0.0, TPS) == 0.93
+    assert power_to_phase(0.0) == 0.93
 
 
 def test_power_to_phase_full_span():
     # 164.85 * 0.05056 + 0.93 = 9.2648 rad, just under the nominal 3*pi span
-    theta = power_to_phase(0.05056, TPS)
+    theta = power_to_phase(0.05056)
     assert theta == pytest.approx(9.264816, rel=1e-12)
     assert abs(theta - 3.0 * math.pi) / (3.0 * math.pi) < 0.02
 
 
 def test_power_to_phase_half_span():
-    assert power_to_phase(0.02528, TPS) == pytest.approx(5.097408, rel=1e-12)
+    assert power_to_phase(0.02528) == pytest.approx(5.097408, rel=1e-12)
 
 
 def test_power_to_phase_rejects_negative():
     with pytest.raises(ValueError):
-        power_to_phase(-1e-6, TPS)
+        power_to_phase(-1e-6)
 
 
 def test_calibrations_monotone():
-    v = np.linspace(0.0, TPS.v_max, 200)
-    p = np.array([voltage_to_power(x, TPS) for x in v])
+    v = np.linspace(0.0, V_MAX, 200)
+    p = np.array([voltage_to_power(x) for x in v])
     assert np.all(np.diff(p) > 0)
-    theta = np.array([power_to_phase(x, TPS) for x in p])
+    theta = np.array([power_to_phase(x) for x in p])
     assert np.all(np.diff(theta) > 0)
 
 
 def test_phase_step_to_voltage_step_values():
     # R dtheta / (2 c V); the 0.16 / 0.008 rad steps land within 5% of the
     # 0.1 V / 0.005 V drive ticks
-    dv = phase_step_to_voltage_step(0.16, 10.0, TPS)
+    dv = phase_step_to_voltage_step(0.16, 10.0)
     assert dv == pytest.approx(0.09560206248104337, rel=1e-12)
     assert abs(dv - 0.1) / 0.1 < 0.05
-    dv = phase_step_to_voltage_step(0.008, 10.0, TPS)
+    dv = phase_step_to_voltage_step(0.008, 10.0)
     assert dv == pytest.approx(0.004780103124052169, rel=1e-12)
     assert abs(dv - 0.005) / 0.005 < 0.05
-    assert phase_step_to_voltage_step(0.16, 5.0, TPS) == pytest.approx(
+    assert phase_step_to_voltage_step(0.16, 5.0) == pytest.approx(
         0.19120412496208675, rel=1e-12)
 
 
 def test_phase_step_singular_at_zero_voltage():
     with pytest.raises(ValueError):
-        phase_step_to_voltage_step(0.1, 0.0, TPS)
+        phase_step_to_voltage_step(0.1, 0.0)
 
 
 @pytest.mark.parametrize("dtheta", [0.01, 0.005])
@@ -88,8 +89,8 @@ def test_voltage_step_linearizes_phase_response(dtheta):
     # applying the returned dV at v = 8 V must move the phase by dtheta
     # within 2% relative error
     v = 8.0
-    dv = phase_step_to_voltage_step(dtheta, v, TPS)
-    got = voltage_to_phase(v + dv, TPS) - voltage_to_phase(v, TPS)
+    dv = phase_step_to_voltage_step(dtheta, v)
+    got = voltage_to_phase(v + dv) - voltage_to_phase(v)
     assert abs(got - dtheta) / dtheta < 0.02
 
 
@@ -215,14 +216,14 @@ def test_measure_noisy_reading_draws_one_normal_pair():
 def _crossing_time(v_from, v_to, frac, t_hi=200e-6):
     """Bisection for the time at which the phase crosses ``frac`` of its
     swing; independent of the closed-form settling expression."""
-    phi0 = voltage_to_phase(v_from, TPS)
-    phi1 = voltage_to_phase(v_to, TPS)
+    phi0 = voltage_to_phase(v_from)
+    phi1 = voltage_to_phase(v_to)
     target = phi0 + frac * (phi1 - phi0)
     sign = 1.0 if phi1 >= phi0 else -1.0
     lo, hi = 0.0, t_hi
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if sign * (thermal_step_response(v_from, v_to, mid, TPS) - target) < 0:
+        if sign * (thermal_step_response(v_from, v_to, mid) - target) < 0:
             lo = mid
         else:
             hi = mid
@@ -230,10 +231,10 @@ def _crossing_time(v_from, v_to, frac, t_hi=200e-6):
 
 
 def test_thermal_initial_and_steady_state():
-    assert thermal_step_response(0.0, 5.6, 0.0, TPS) == pytest.approx(
-        voltage_to_phase(0.0, TPS), rel=1e-12)
-    assert thermal_step_response(0.0, 5.6, 1.0, TPS) == pytest.approx(
-        voltage_to_phase(5.6, TPS), abs=1e-9)
+    assert thermal_step_response(0.0, 5.6, 0.0) == pytest.approx(
+        voltage_to_phase(0.0), rel=1e-12)
+    assert thermal_step_response(0.0, 5.6, 1.0) == pytest.approx(
+        voltage_to_phase(5.6), abs=1e-9)
 
 
 def test_thermal_rise_time_10_90():
@@ -250,15 +251,12 @@ def test_thermal_fall_time_10_90():
 
 def test_thermal_rejects_negative_time():
     with pytest.raises(ValueError):
-        thermal_step_response(0.0, 5.6, -1e-9, TPS)
+        thermal_step_response(0.0, 5.6, -1e-9)
 
 
 # --- parameter validation ----------------------------------------------------
 
-@pytest.mark.parametrize("kwargs", [
-    {"resistance": 0.0}, {"c_slope": -1.0}, {"theta_bias": 7.0},
-    {"v_max": 0.0}, {"phase_max": -1.0}, {"tau_rise": 0.0},
-])
+@pytest.mark.parametrize("kwargs", [{"phase_max": -1.0}])
 def test_tps_validation(kwargs):
     with pytest.raises(ValueError):
         TpsParams(**kwargs)
@@ -285,13 +283,7 @@ def test_noise_at_its_bound_keeps_every_er_finite():
 
 
 @pytest.mark.parametrize("make, field, value", [
-    (TpsParams, "resistance", math.nan),
-    (TpsParams, "c_slope", math.inf),
-    (TpsParams, "theta_bias", math.nan),
-    (TpsParams, "v_max", math.inf),
     (TpsParams, "phase_max", math.nan),
-    (TpsParams, "tau_rise", math.inf),
-    (TpsParams, "tau_fall", math.nan),
     (DeviceParams, "static_er_db", math.nan),
     (DeviceParams, "static_er_db", math.inf),
     (DeviceParams, "noise_sigma", math.nan),

@@ -72,6 +72,6 @@ def test_oracle_property_arbitrary_sop(a, b, c, d):
 
 
 def test_oracle_rejects_span_below_full_turn():
-    dev = DeviceParams.ideal(TpsParams(phase_max=1.9 * math.pi))
+    dev = DeviceParams(TpsParams(phase_max=1.9 * math.pi), None, 0.0)
     with pytest.raises(ValueError, match="phase_max"):
         oracle_best(JonesVector(SQ2, 1j * SQ2), dev)

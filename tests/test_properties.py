@@ -370,7 +370,7 @@ def test_er_db_array_equals_scalar_er_db(pairs):
 def test_derived_trace_fields_equal_per_iteration_definitions(
         seed, phase_max, ideal, kind, schedule, m0, n0):
     tps = TpsParams(phase_max=phase_max)
-    device = DeviceParams.ideal(tps) if ideal else DeviceParams(tps=tps)
+    device = DeviceParams(tps, None, 0.0) if ideal else DeviceParams(tps=tps)
     cfg = AnnealConfig(m0=m0, n0=n0)
     n = m0 * n0
     rng = np.random.default_rng(seed)
