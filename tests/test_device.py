@@ -256,7 +256,12 @@ def test_thermal_rejects_negative_time():
 
 # --- parameter validation ----------------------------------------------------
 
-@pytest.mark.parametrize("kwargs", [{"phase_max": -1.0}])
+# the edges of phase_max > 0 and finite: zero of either sign, the least
+# negative double, both infinities and a plain negative span
+@pytest.mark.parametrize("kwargs", [
+    {"phase_max": 0.0}, {"phase_max": -0.0}, {"phase_max": -5e-324},
+    {"phase_max": -math.inf}, {"phase_max": -1.0}, {"phase_max": math.inf},
+])
 def test_tps_validation(kwargs):
     with pytest.raises(ValueError):
         TpsParams(**kwargs)
