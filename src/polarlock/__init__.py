@@ -4,8 +4,8 @@ integrated-photonic dynamic polarization controller."""
 from .jones import (ALGEBRA_TOL, COUPLER_IN, COUPLER_OUT, JonesMatrix,
                     JonesVector, extinction_ratio_db, make_m0, make_m45,
                     random_sop, to_stokes)
-from .device import (DeviceParams, PhaseQuad, TpsParams, dpc_transform,
-                     measure, phase_step_to_voltage_step, power_to_phase,
+from .device import (DeviceParams, PhaseQuad, dpc_transform, measure,
+                     phase_step_to_voltage_step, power_to_phase,
                      thermal_step_response, voltage_to_phase, voltage_to_power)
 from .anneal import (AnnealConfig, LockTrace, StepSchedule, bind_objective,
                      run_lock)
@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ALGEBRA_TOL", "COUPLER_IN", "COUPLER_OUT", "JonesMatrix", "JonesVector",
     "extinction_ratio_db", "make_m0", "make_m45", "random_sop", "to_stokes",
-    "DeviceParams", "PhaseQuad", "TpsParams", "dpc_transform", "measure",
+    "DeviceParams", "PhaseQuad", "dpc_transform", "measure",
     "phase_step_to_voltage_step", "power_to_phase", "thermal_step_response",
     "voltage_to_phase", "voltage_to_power",
     "AnnealConfig", "LockTrace", "StepSchedule", "bind_objective", "run_lock",

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 from .anneal import AnnealConfig, StepSchedule
-from .device import DeviceParams, TpsParams
+from .device import DeviceParams
 from .disturbance import DisturbanceModel
 from .harness import ExperimentConfig
 
@@ -44,7 +44,6 @@ def _variants(s: str):
 
 # key -> (section, field, parser)
 KEYS = {
-    "tps.phase_max": ("tps", "phase_max", _float),
     "device.static_er_db": ("device", "static_er_db", _float_or_none),
     "device.noise_sigma": ("device", "noise_sigma", _float),
     "anneal.t0": ("anneal", "t0", _float),
@@ -115,7 +114,7 @@ def load_experiment_config(path: str | None = None,
     for key, value in (overrides or {}).items():
         raw[resolve_key(key)] = value
 
-    sections: dict[str, dict] = {"tps": {}, "device": {}, "anneal": {},
+    sections: dict[str, dict] = {"device": {}, "anneal": {},
                                  "disturbance": {}, "experiment": {}}
     for key, value in raw.items():
         section, field, parser = KEYS[key]
@@ -125,8 +124,7 @@ def load_experiment_config(path: str | None = None,
             raise ConfigError(f"bad value for '{key}': {value!r} ({exc})") from None
 
     try:
-        tps = TpsParams(**sections["tps"])
-        device = DeviceParams(tps=tps, **sections["device"])
+        device = DeviceParams(**sections["device"])
         anneal = AnnealConfig(**sections["anneal"])
         disturbance = DisturbanceModel(**sections["disturbance"])
         return ExperimentConfig(device=device, anneal=anneal,

@@ -18,11 +18,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 from .jones import JonesMatrix, JonesVector, make_m0, make_m45
 
-#: default full controllable span of one heater, radians
+#: the controllable span of one heater, radians
 PHASE_SPAN = 3.0 * math.pi
 
 #: the measured calibration of the fabricated heater: a 0-10 V drive moves
@@ -50,13 +50,11 @@ def _check_field(params, name: str, positive: bool) -> None:
 
 @dataclass(frozen=True, slots=True)
 class TpsParams:
-    """The controllable phase span of each heater, the one heater setting a
-    lock reads; the calibration is the module's constants."""
+    """The heater as a lock reads it: ``phase_max``, the span ``PHASE_SPAN``
+    that each stage phase searches.  Like the calibration, it is a constant,
+    so the class holds no field."""
 
-    phase_max: float = PHASE_SPAN   # rad
-
-    def __post_init__(self):
-        _check_field(self, "phase_max", positive=True)
+    phase_max: ClassVar[float] = PHASE_SPAN   # rad
 
 
 class PhaseQuad(NamedTuple):
@@ -77,10 +75,11 @@ class DeviceParams:
     polarization splitter (None disables the floor entirely);
     ``noise_sigma`` lumps detector electronics and source power fluctuation
     into one additive Gaussian deviation per reading.  Intensities are
-    normalized to unit input power.
+    normalized to unit input power.  ``tps`` is always ``TpsParams()``, not
+    an argument.
     """
 
-    tps: TpsParams = TpsParams()
+    tps: TpsParams = field(default=TpsParams(), init=False, repr=False)
     static_er_db: float | None = 28.0
     noise_sigma: float = 5e-4
     # 10^(-static_er_db/10), the splitter's floor on i_py / i_px, or None

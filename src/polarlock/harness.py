@@ -18,7 +18,7 @@ import numpy as np
 
 from .anneal import (AnnealConfig, StepSchedule, _fmt, bind_objective,
                      run_lock)
-from .device import DeviceParams, dpc_transform
+from .device import PHASE_SPAN, DeviceParams, dpc_transform
 from .disturbance import DisturbanceModel, DisturbedObjective
 from .jones import (ALGEBRA_TOL, COUPLER_IN, COUPLER_OUT, JonesVector,
                     make_m0, make_m45, random_sop, to_stokes)
@@ -155,18 +155,17 @@ class ExperimentConfig:
             raise ValueError("variant labels must be unique, "
                              f"got {', '.join(labels)}")
         self.disturbance.check_run_length(self.anneal.total_iterations)
-        phase_max = self.device.tps.phase_max
-        start = phase_max / 2.0
+        start = PHASE_SPAN / 2.0
         for label, v in zip(labels, self.variants):
             top, low = max(v.steps), min(v.steps)
-            if top > phase_max:
+            if top > PHASE_SPAN:
                 raise ValueError(
                     f"variant {label}: phase step {top:g} rad exceeds the "
-                    f"phase span tps.phase_max = {phase_max:g} rad")
+                    f"phase span PHASE_SPAN = {PHASE_SPAN:g} rad")
             if low and start + low == start:
                 raise ValueError(
                     f"variant {label}: phase step {low:g} rad cannot move "
-                    f"the start point tps.phase_max / 2 = {start:g} rad")
+                    f"the start point PHASE_SPAN / 2 = {start:g} rad")
 
 
 @dataclass(slots=True)
@@ -385,16 +384,14 @@ def run_identity_checks(seed: int = 0, n: int = 1000) -> list[IdentityCheck]:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
-    span = 3.0 * math.pi
-
-    deltas = rng.uniform(0.0, span, size=n)
+    deltas = rng.uniform(0.0, PHASE_SPAN, size=n)
     d_dec = max(_matrix_defect(make_m45(d),
                                COUPLER_OUT @ make_m0(d) @ COUPLER_IN)
                 for d in deltas)
     d_ret = max(max(make_m0(d).unitarity_defect(),
                     make_m45(d).unitarity_defect()) for d in deltas)
 
-    quads = rng.uniform(0.0, span, size=(max(n // 4, 1), 4))
+    quads = rng.uniform(0.0, PHASE_SPAN, size=(max(n // 4, 1), 4))
     cascades = [dpc_transform(q) for q in quads]
     d_cas = max(m.unitarity_defect() for m in cascades)
 

@@ -33,14 +33,10 @@ def oracle_best(sop: JonesVector, device: DeviceParams
 
     Returns ``(port_intensity(sop, phases), phases)`` for the closed-form
     phases described in the module docstring.  Requires a noiseless device
-    (the oracle is a ground-truth reference, not a simulation) and a heater
-    span of at least one full turn, which theta1 may need.
+    (the oracle is a ground-truth reference, not a simulation).
     """
     if device.noise_sigma != 0.0:
         raise ValueError("oracle_best requires a noiseless device")
-    if device.tps.phase_max < 2.0 * math.pi:
-        raise ValueError("oracle_best requires tps.phase_max >= 2*pi, got "
-                         f"{device.tps.phase_max!r}")
     d = 0.0
     if sop.ex != 0 and sop.ey != 0:
         d = cmath.phase(sop.ey) - cmath.phase(sop.ex)

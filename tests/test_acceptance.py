@@ -12,14 +12,13 @@ import numpy as np
 import pytest
 
 from polarlock import (AnnealConfig, DeviceParams, DisturbanceModel,
-                       ExperimentConfig, JonesVector, PhaseQuad, TpsParams,
-                       StepSchedule, bind_objective, dpc_transform, measure,
+                       ExperimentConfig, JonesVector, PhaseQuad, StepSchedule,
+                       bind_objective, dpc_transform, measure,
                        oracle_best, phase_step_to_voltage_step,
                        power_to_phase, random_sop, relock_experiment,
                        run_experiment, run_identity_checks, run_lock,
                        thermal_step_response, voltage_to_phase)
-
-TPS = TpsParams()
+from polarlock.device import PHASE_SPAN
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -145,10 +144,10 @@ def test_c5_extinction_ratio_ceiling():
     states = []
     for _ in range(200):
         sop = random_sop(rng)
-        phases = PhaseQuad(*rng.uniform(0.0, TPS.phase_max, size=4))
+        phases = PhaseQuad(*rng.uniform(0.0, PHASE_SPAN, size=4))
         states.append((sop, phases))
     for _ in range(30):  # aligned states sit exactly on the floor
-        phases = PhaseQuad(*rng.uniform(0.0, TPS.phase_max, size=4))
+        phases = PhaseQuad(*rng.uniform(0.0, PHASE_SPAN, size=4))
         sop = dpc_transform(phases).dagger() @ JonesVector(1.0, 0.0)
         states.append((sop, phases))
     for sop, phases in states:

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from polarlock import (AnnealConfig, DeviceParams, JonesVector, PhaseQuad,
-                       StepSchedule, TpsParams, bind_objective,
+                       StepSchedule, bind_objective,
                        dpc_transform, phase_step_to_voltage_step,
                        port_intensity, random_sop, run_lock)
 from polarlock import anneal
 from polarlock.anneal import accept, propose, step_for_gap
-from polarlock.device import V_MAX
+from polarlock.device import V_MAX, TpsParams
 
 TPS = TpsParams()
 SPAN = TPS.phase_max

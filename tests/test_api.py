@@ -18,7 +18,7 @@ def test_public_names_are_pinned():
         "ALGEBRA_TOL", "COUPLER_IN", "COUPLER_OUT", "JonesMatrix",
         "JonesVector", "extinction_ratio_db", "make_m0", "make_m45",
         "random_sop", "to_stokes",
-        "DeviceParams", "PhaseQuad", "TpsParams", "dpc_transform", "measure",
+        "DeviceParams", "PhaseQuad", "dpc_transform", "measure",
         "phase_step_to_voltage_step", "power_to_phase",
         "thermal_step_response", "voltage_to_phase", "voltage_to_power",
         "AnnealConfig", "LockTrace", "StepSchedule", "bind_objective",

@@ -1,17 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from polarlock import (AnnealConfig, DeviceParams, JonesVector, PhaseQuad,
-                       TpsParams, bind_objective, dpc_transform, measure,
+                       bind_objective, dpc_transform, measure,
                        oracle_best, phase_step_to_voltage_step,
                        power_to_phase, random_sop, run_lock,
                        thermal_step_response, voltage_to_phase,
                        voltage_to_power)
-from polarlock.device import V_MAX
+from polarlock.device import PHASE_SPAN, V_MAX, TpsParams
 
-TPS = TpsParams()
 SQ2 = 1.0 / math.sqrt(2.0)
 
 
@@ -104,7 +104,7 @@ def test_dpc_transform_identity_at_zero():
 def test_dpc_transform_unitary():
     rng = np.random.default_rng(0)
     for _ in range(300):
-        phases = PhaseQuad(*rng.uniform(0.0, TPS.phase_max, size=4))
+        phases = PhaseQuad(*rng.uniform(0.0, PHASE_SPAN, size=4))
         assert dpc_transform(phases).unitarity_defect() <= 1e-12
 
 
@@ -161,7 +161,7 @@ def test_measure_energy_conserved_without_floor_or_noise():
     rng = np.random.default_rng(12)
     for _ in range(100):
         i_px, i_py = measure(random_sop(rng),
-                             PhaseQuad(*rng.uniform(0, TPS.phase_max, 4)),
+                             PhaseQuad(*rng.uniform(0, PHASE_SPAN, 4)),
                              dev, rng=None)
         assert abs(i_px + i_py - 1.0) <= 1e-12
 
@@ -171,7 +171,7 @@ def test_measure_noiseless_er_never_exceeds_floor():
     rng = np.random.default_rng(13)
     for _ in range(200):
         i_px, i_py = measure(random_sop(rng),
-                             PhaseQuad(*rng.uniform(0, TPS.phase_max, 4)),
+                             PhaseQuad(*rng.uniform(0, PHASE_SPAN, 4)),
                              dev, rng=None)
         er = 10.0 * math.log10(i_px / i_py)
         assert er <= 28.0 + 1e-9
@@ -256,15 +256,27 @@ def test_thermal_rejects_negative_time():
 
 # --- parameter validation ----------------------------------------------------
 
-# the edges of phase_max > 0 and finite: zero of either sign, the least
-# negative double, both infinities and a plain negative span
+# the span is a constant like the calibration: no value of it, not even its
+# own, and no calibration field is an argument
 @pytest.mark.parametrize("kwargs", [
-    {"phase_max": 0.0}, {"phase_max": -0.0}, {"phase_max": -5e-324},
-    {"phase_max": -math.inf}, {"phase_max": -1.0}, {"phase_max": math.inf},
+    {"phase_max": PHASE_SPAN}, {"phase_max": 1.0}, {"phase_max": 2.0 ** 48},
+    {"phase_max": 1e300}, {"phase_max": -1.0}, {"resistance": 1970.0},
 ])
 def test_tps_validation(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         TpsParams(**kwargs)
+
+
+def test_heater_span_is_a_constant():
+    assert dataclasses.fields(TpsParams) == ()
+    assert TpsParams().phase_max == PHASE_SPAN
+    assert DeviceParams().tps == TpsParams()
+    with pytest.raises(TypeError):
+        TpsParams(1.0)
+    with pytest.raises(TypeError):
+        DeviceParams(TpsParams(), None, 0.0)
+    with pytest.raises(TypeError):
+        DeviceParams(tps=TpsParams())
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -288,7 +300,6 @@ def test_noise_at_its_bound_keeps_every_er_finite():
 
 
 @pytest.mark.parametrize("make, field, value", [
-    (TpsParams, "phase_max", math.nan),
     (DeviceParams, "static_er_db", math.nan),
     (DeviceParams, "static_er_db", math.inf),
     (DeviceParams, "noise_sigma", math.nan),

@@ -118,3 +118,19 @@ def test_golden_rows_csv_default_schedule(tmp_path):
         str(path))
     assert _file_digest(path) == (
         "a45501caae56414b3c6d0fb5e4f8a5be6a144d5e83c64a9ff86345343a1666b9")
+
+
+def test_golden_hot_temperature():
+    # at the paper's t0 = 1e-5 the loop accepts about 0.1% of the readings
+    # that fell, so the digests above barely read its Metropolis rule; at
+    # 1e-3 it accepts about 9%, and the loop's temperature scaled by 1.001
+    # moves this digest
+    h = hashlib.sha256()
+    for seed in range(20):
+        trace = _bound_run(seed, AnnealConfig(t0=1e-3))
+        for name in ("accepted", "phases"):
+            arr = np.ascontiguousarray(getattr(trace, name))
+            h.update(f"{name}:{arr.dtype.str}:{arr.shape}".encode())
+            h.update(arr.tobytes())
+    assert h.hexdigest() == (
+        "a37d4eb0b64ea72f6f8e7900d46e2dda2fb39a5530fd038f17fd656eacaff55d")

@@ -13,12 +13,13 @@ from hypothesis import strategies as st
 
 from polarlock import (AnnealConfig, ConfigError, DeviceParams,
                        DisturbanceModel, ExperimentConfig, JonesVector,
-                       StepSchedule, TpsParams, load_experiment_config,
+                       StepSchedule, load_experiment_config,
                        oracle_best, port_intensity, random_sop,
                        run_experiment, run_identity_checks, summarize)
 from polarlock.cli import _check_size
 from polarlock.cli import main as cli_main
 from polarlock.config import KEYS, parse_config_text
+from polarlock.device import PHASE_SPAN
 from polarlock.harness import (_CELL_BYTES, _FIELDS, _LOCK_BYTES, _ROW_BYTES,
                                ResultsTable, _run_bytes, _run_trial)
 
@@ -334,35 +335,30 @@ def test_identity_checks_name_bad_arguments(kwargs, named):
 
 
 def test_experiment_config_rejects_base_step_beyond_phase_span():
-    with pytest.raises(ValueError, match=r"variant fixed\(10\): .*phase_max"):
+    with pytest.raises(ValueError, match=r"variant fixed\(10\): .*PHASE_SPAN"):
         ExperimentConfig(variants=(StepSchedule(10.0),))
 
 
-# half the default span, where every lock starts, and half its float spacing
-_START = 1.5 * math.pi
+# half the span, where every lock starts, and half its float spacing
+_START = PHASE_SPAN / 2.0
 _HALF_ULP = math.ulp(_START) / 2.0
 
 
-@pytest.mark.parametrize("phase_max,step,moves", [
-    # the smallest default step, 0.008, against the spacing at phase_max / 2
-    (math.nextafter(2.0 ** 48, 0.0), None, True),
-    (2.0 ** 48, None, False),
+@pytest.mark.parametrize("span,step,moves", [
     # a fixed step just above and just below half the spacing at 3*pi/2
-    (3.0 * math.pi, math.nextafter(_HALF_ULP, 1.0), True),
-    (3.0 * math.pi, math.nextafter(_HALF_ULP, 0.0), False),
-    (3.0 * math.pi, 0.0, True),  # fixed(0) is allowed
+    (PHASE_SPAN, math.nextafter(_HALF_ULP, 1.0), True),
+    (PHASE_SPAN, math.nextafter(_HALF_ULP, 0.0), False),
+    (PHASE_SPAN, 0.0, True),  # fixed(0) is allowed
 ])
-def test_experiment_config_rejects_a_step_that_cannot_move(
-        phase_max, step, moves):
-    cfg = dict(device=DeviceParams(tps=TpsParams(phase_max=phase_max)),
-               variants=(StepSchedule(step),))
+def test_experiment_config_rejects_a_step_that_cannot_move(span, step, moves):
+    variants = (StepSchedule(step),)
     if moves:
-        ExperimentConfig(**cfg)
+        ExperimentConfig(variants=variants)
     else:
         with pytest.raises(ValueError, match=re.escape(
-                "cannot move the start point tps.phase_max / 2 = "
-                f"{phase_max / 2:g} rad")):
-            ExperimentConfig(**cfg)
+                "cannot move the start point PHASE_SPAN / 2 = "
+                f"{span / 2:g} rad")):
+            ExperimentConfig(variants=variants)
 
 
 # --- config files --------------------------------------------------------------------
@@ -380,7 +376,6 @@ def test_config_round_trip(tmp_path):
         "# device under test\n"
         "device.noise_sigma = 1e-3\n"
         "device.static_er_db = none\n"
-        "tps.phase_max = 7.0\n"
         "anneal.m0 = 5\n"
         "anneal.n0 = 20\n"
         "disturbance.kind = jump\n"
@@ -394,7 +389,6 @@ def test_config_round_trip(tmp_path):
     cfg = load_experiment_config(str(path))
     assert cfg.device.noise_sigma == 1e-3
     assert cfg.device.static_er_db is None
-    assert cfg.device.tps.phase_max == 7.0
     assert cfg.anneal.m0 == 5 and cfg.anneal.n0 == 20
     assert cfg.disturbance.kind == "jump" and cfg.disturbance.jump_at == 40
     assert cfg.variants == (StepSchedule.default(), StepSchedule(0.02))
@@ -788,20 +782,30 @@ def test_cli_sweep_noise_monotone(tmp_path, capsys):
      "--values repeats 0"),
     (["sweep", "--key", "noise_sigma", "--values", "5e-4,0.0005",
       "--trials", "2"], "--values repeats 5e-4 as 0.0005"),
-    # steps below the float spacing at the start point tps.phase_max / 2:
+    # steps below the float spacing at the start point PHASE_SPAN / 2:
     # unchecked, every lock stays at its start and the run prints numbers
     # that look valid
-    (["sweep", "--key", "phase_max", "--values", "1e300", "--trials", "1"],
-     "variant variable: phase step 0.008 rad cannot move"),
+    (["sweep", "--key", "experiment.variants", "--values", "fixed(1e-300)",
+      "--trials", "1"], "cannot move the start point PHASE_SPAN / 2"),
     (["sweep", "--key", "variants", "--values", "fixed(1e-300)",
       "--trials", "1"], "variant fixed(1e-300): phase step 1e-300 rad cannot"),
     (["oracle", "--sop", "1,2,3"], "--sop needs four numbers"),
     (["sweep", "--key", "n0", "--values", ","],
      "--values must list at least one value"),
     (["sweep", "--key", "t0", "--values", "nan"], "anneal.t0"),
+    # the span left the config: a file, an override or a sweep naming it
+    (["run", "--config", "../span.ini", "--trials", "1"],
+     "../span.ini:1: unknown config key 'tps.phase_max'"),
+    (["sweep", "--key", "phase_max", "--values", "7.0"],
+     "unknown config key 'phase_max'"),
+    (["sweep", "--key", "tps.phase_max", "--values", "7.0"],
+     "unknown config key 'tps.phase_max'"),
 ])
 def test_cli_bad_input_exits_one(argv, named, tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
+    (tmp_path / "span.ini").write_text("tps.phase_max = 7.0\n")
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
     try:
         code = cli_main(argv)
     except SystemExit as exc:  # argparse usage errors
@@ -809,7 +813,7 @@ def test_cli_bad_input_exits_one(argv, named, tmp_path, monkeypatch, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
-    assert not list(tmp_path.iterdir())
+    assert not list(cwd.iterdir())
 
 
 def test_cli_sweep_rejects_unknown_key(tmp_path, capsys):

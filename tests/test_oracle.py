@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from polarlock import (DeviceParams, JonesVector, TpsParams, oracle_best,
+from polarlock import (DeviceParams, JonesVector, oracle_best,
                        port_intensity, random_sop)
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -69,9 +69,3 @@ def test_oracle_property_arbitrary_sop(a, b, c, d):
     assert all(0.0 <= t <= span for t in phases)
     assert best >= 1.0 - 1e-12
     assert port_intensity(sop, phases) == best
-
-
-def test_oracle_rejects_span_below_full_turn():
-    dev = DeviceParams(TpsParams(phase_max=1.9 * math.pi), None, 0.0)
-    with pytest.raises(ValueError, match="phase_max"):
-        oracle_best(JonesVector(SQ2, 1j * SQ2), dev)

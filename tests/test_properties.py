@@ -19,14 +19,14 @@ from hypothesis import (HealthCheck, assume, example, given, settings,
 
 from polarlock import (AnnealConfig, DeviceParams, DisturbanceModel,
                        ExperimentConfig, JonesVector, PhaseQuad, StepSchedule,
-                       TpsParams, bind_objective, dpc_transform,
+                       bind_objective, dpc_transform,
                        load_experiment_config, measure, port_intensity,
                        random_sop, run_lock)
 from polarlock import cli
 from polarlock.anneal import _er_db, _er_db_array, _move, propose, step_for_gap
 from polarlock.disturbance import DisturbedObjective
 from polarlock.config import KEYS
-from polarlock.device import _cascade
+from polarlock.device import PHASE_SPAN, TpsParams, _cascade
 from polarlock.harness import (_NUMBER, _WORD, CSV_COLUMNS, ResultsTable,
                                _g9_words, run_experiment)
 
@@ -274,11 +274,8 @@ _NON_NEGATIVE = st.floats(0.0, allow_infinity=False)
 # valid values of every float and int key, given defaults for the rest and
 # the disturbance kind that reads the key (_KIND_OF): the temperature bounds
 # keep the last outer loop's temperature above 0 at the default cooling and
-# m0, phase_max holds the largest default step and stays below 2**48, where
-# the smallest default step (0.008) could no longer move the start point
-# phase_max / 2, and jump_at stays below the default run length
+# m0, and jump_at stays below the default run length
 _VALID = {
-    "tps.phase_max": st.floats(0.16, 2.0 ** 48, exclude_max=True),
     "device.static_er_db": _POSITIVE,
     "device.noise_sigma": st.floats(0.0, 1e294),
     "anneal.t0": st.floats(1e-300, allow_infinity=False),
@@ -307,9 +304,8 @@ def test_config_override_sets_field_exactly(key, data):
         over["disturbance.kind"] = _KIND_OF[key]
     cfg = load_experiment_config(overrides=over)
     section, field, _ = KEYS[key]
-    owner = {"tps": cfg.device.tps, "device": cfg.device,
-             "anneal": cfg.anneal, "disturbance": cfg.disturbance,
-             "experiment": cfg}[section]
+    owner = {"device": cfg.device, "anneal": cfg.anneal,
+             "disturbance": cfg.disturbance, "experiment": cfg}[section]
     got = getattr(owner, field)
     assert got == x and repr(got) == repr(x)
 
@@ -361,16 +357,15 @@ def test_er_db_array_equals_scalar_er_db(pairs):
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=_seed, phase_max=st.floats(1.0, 3.0 * math.pi),
-       ideal=st.booleans(), kind=st.sampled_from(["static", "drift", "jump"]),
+@given(seed=_seed, ideal=st.booleans(),
+       kind=st.sampled_from(["static", "drift", "jump"]),
        schedule=st.sampled_from([StepSchedule.default(),
                                  StepSchedule(0.16),
                                  StepSchedule(0.0)]),
        m0=st.integers(1, 4), n0=st.integers(1, 40))
 def test_derived_trace_fields_equal_per_iteration_definitions(
-        seed, phase_max, ideal, kind, schedule, m0, n0):
-    tps = TpsParams(phase_max=phase_max)
-    device = DeviceParams(tps, None, 0.0) if ideal else DeviceParams(tps=tps)
+        seed, ideal, kind, schedule, m0, n0):
+    device = DeviceParams.ideal() if ideal else DeviceParams()
     cfg = AnnealConfig(m0=m0, n0=n0)
     n = m0 * n0
     rng = np.random.default_rng(seed)
@@ -387,13 +382,13 @@ def test_derived_trace_fields_equal_per_iteration_definitions(
     def spy(phases, *rows):
         evaluated.append(tuple(phases))
         return objective(phases, *rows)
-    trace = run_lock(spy, cfg, tps, rng, schedule)
+    trace = run_lock(spy, cfg, device.tps, rng, schedule)
 
     # every evaluated point lies in the span, starting from its middle
-    init = phase_max / 2.0
+    init = PHASE_SPAN / 2.0
     assert evaluated[0] == (init,) * 4
     assert evaluated[1:] == [tuple(p) for p in trace.phases.tolist()]
-    assert trace.phases.min() >= 0.0 and trace.phases.max() <= phase_max
+    assert trace.phases.min() >= 0.0 and trace.phases.max() <= PHASE_SPAN
 
     px, py = trace.i_px.tolist(), trace.i_py.tolist()
     assert trace.er_db.tolist() == [_er_db(a, b) for a, b in zip(px, py)]
@@ -768,17 +763,15 @@ def _config_files(draw):
     together (and with the defaults of the keys left out)."""
     m0, n0 = draw(st.integers(1, 20)), draw(st.integers(1, 50))
     kind = draw(st.sampled_from(["static", "drift", "jump"]))
-    phase_max = draw(st.floats(_DEFAULT_STEP, 1e6))
     finite = dict(allow_nan=False, allow_infinity=False)
     positive = st.floats(0.0, exclude_min=True, **finite)
     non_negative = st.just(0.0) | st.floats(0.0, **finite)
-    # a nonzero step of at least ulp(phase_max / 2) moves the start point
+    # a nonzero step of at least ulp(PHASE_SPAN / 2) moves the start point
     variant = st.one_of(
         st.just(StepSchedule.default()),
         st.builds(StepSchedule, st.just(0.0)
-                  | st.floats(math.ulp(phase_max / 2.0), _DEFAULT_STEP)))
+                  | st.floats(math.ulp(PHASE_SPAN / 2.0), _DEFAULT_STEP)))
     values = {
-        "tps.phase_max": st.just(phase_max),
         "device.static_er_db": st.none() | positive,
         "device.noise_sigma": non_negative,
         "anneal.t0": st.floats(1e-200, 1e200),
@@ -829,15 +822,14 @@ def _assert_fields_equal(got, want):
 @settings(max_examples=150, deadline=None)
 @given(_config_files(), st.randoms())
 def test_config_file_round_trips(values, random):
-    sections = {"tps": {}, "device": {}, "anneal": {}, "disturbance": {},
+    sections = {"device": {}, "anneal": {}, "disturbance": {},
                 "experiment": {}}
     for key, value in values.items():
         section, field, _ = KEYS[key]
         sections[section][field] = value
     try:
         want = ExperimentConfig(
-            device=DeviceParams(tps=TpsParams(**sections["tps"]),
-                                **sections["device"]),
+            device=DeviceParams(**sections["device"]),
             anneal=AnnealConfig(**sections["anneal"]),
             disturbance=DisturbanceModel(**sections["disturbance"]),
             **sections["experiment"])
@@ -875,7 +867,6 @@ def _cli_values(key: str):
     """Well-formed, extreme and malformed value strings for one key.  A
     well-formed run stays small: m0 * n0 <= 50 and at most 3 trials."""
     well = {
-        "tps.phase_max": st.floats(0.16, 20.0),
         "device.static_er_db": st.just(None) | st.floats(1.0, 60.0),
         "device.noise_sigma": st.floats(0.0, 1e-2),
         "anneal.t0": st.floats(1e-8, 1e-2),
