@@ -221,8 +221,7 @@ class ResultsTable:
         return float(np.mean(self.accepted[self._index(label)]))
 
     def median_final_er(self, label: str) -> float:
-        return float(np.percentile(self.er_db[self._index(label), :, -1],
-                                   50.0))
+        return float(self.median_er_curve(label)[-1])
 
     def write_csv(self, path: str) -> None:
         """Rows in the documented column order, variant by variant, then

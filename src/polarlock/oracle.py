@@ -17,14 +17,13 @@ from __future__ import annotations
 import cmath
 import math
 
-from .device import DeviceParams, PhaseQuad, _cascade
+from .device import DeviceParams, PhaseQuad, measure
 from .jones import JonesVector
 
 
 def port_intensity(sop: JonesVector, phases: PhaseQuad) -> float:
-    """Ideal maximized-port power |out_x|^2 (no floor, loss, or noise)."""
-    ex, _ = _cascade(sop, phases)
-    return ex.real ** 2 + ex.imag ** 2
+    """Ideal port power |out_x|^2: ``measure``'s i_px on the ideal device."""
+    return measure(sop, phases, DeviceParams.ideal(), None)[0]
 
 
 def oracle_best(sop: JonesVector, device: DeviceParams

@@ -283,6 +283,19 @@ def test_medians_are_the_aggregate_files_p50(tmp_path):
     assert row[3] == "%.9g" % table.median_final_er("variable")
 
 
+def test_median_final_er_is_the_median_curves_last_point():
+    # the table above has one iteration, so it cannot tell the last point
+    # from the first; four trials make each p50 interpolate two readings
+    cfg = replace(SMALL, trials=4, variants=ExperimentConfig().variants)
+    table = run_experiment(cfg)
+    assert len(table.variant_order) == 3
+    for label in table.variant_order:
+        assert (table.median_final_er(label)
+                == table.median_er_curve(label)[-1]
+                == np.percentile(table.er_db[table._index(label), :, -1],
+                                 50.0))
+
+
 def test_summarize_keys_and_crossing():
     cfg = replace(SMALL, anneal=AnnealConfig(), trials=2,
                   variants=(StepSchedule.default(),))
