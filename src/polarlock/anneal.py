@@ -123,28 +123,25 @@ class AnnealConfig:
     """Annealing loop parameters.
 
     Defaults: initial temperature 1e-5, 10 outer loops of 50 inner
-    iterations, halving cooling.  The step schedule is ``run_lock``'s own
-    argument, and the start point is not a setting: ``run_lock`` always
-    starts all four phases at half the controllable span.
+    iterations.  The temperature is halved after each outer loop, and the
+    step schedule is ``run_lock``'s own argument.  Neither the cooling nor
+    the start point is a setting: ``run_lock`` always starts all four
+    phases at half the controllable span.
     """
 
     t0: float = 1e-5
     m0: int = 10
     n0: int = 50
-    cooling_p: float = 0.5
 
     def __post_init__(self):
         _check_field(self, "t0", positive=True)
         if self.m0 < 1 or self.n0 < 1:
             raise ValueError("m0 and n0 must be >= 1")
-        if not 0.0 < self.cooling_p < 1.0:
-            raise ValueError("cooling_p must lie in (0, 1)")
-        # above 1/2 a product stops at the smallest subnormal, never at 0; at
-        # or below, it at least halves each loop, reaching 0 in ~2,100 loops
-        if self.cooling_p <= 0.5 and 0.0 in self._loop_temperatures():
-            raise ValueError(f"t0={self.t0!r}, cooling_p={self.cooling_p!r} "
-                             f"and m0={self.m0} cool the last outer loop's "
-                             "temperature to 0.0; it must be > 0")
+        # halving reaches 0 within ~2,100 loops from any finite t0, so a
+        # huge m0 is checked without listing its temperatures
+        if 0.0 in self._loop_temperatures():
+            raise ValueError(f"t0={self.t0!r} and m0={self.m0} cool the last "
+                             "outer loop's temperature to 0.0; it must be > 0")
 
     @property
     def total_iterations(self) -> int:
@@ -157,12 +154,12 @@ class AnnealConfig:
                                      self.m0), self.n0)
 
     def _loop_temperatures(self) -> Iterator[float]:
-        """Each outer loop's temperature, t0 cooled by ``cooling_p`` after
-        every loop, as ``run_lock`` anneals."""
+        """Each outer loop's temperature, t0 halved after every loop, as
+        ``run_lock`` anneals."""
         t = self.t0
         for _ in range(self.m0):
             yield t
-            t *= self.cooling_p
+            t *= 0.5
 
 
 @dataclass(slots=True)
@@ -264,7 +261,7 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
     The search point starts with all four phases at half the span,
     ``tps.phase_max / 2``, and is evaluated once; then ``m0`` outer loops of
     ``n0`` inner iterations run, as one loop over ``cfg.temperature`` (the
-    temperature is multiplied by ``cooling_p`` after each outer loop).  Each
+    temperature is halved after each outer loop).  Each
     iteration looks up the step in ``schedule`` (the variable-step table
     unless given) from the gap 1 - (latest reading) as ``step_for_gap``
     does, moves all four phases within [0, phase_max] (``_move``), evaluates

@@ -49,7 +49,6 @@ KEYS = {
     "anneal.t0": ("anneal", "t0", _float),
     "anneal.m0": ("anneal", "m0", _int),
     "anneal.n0": ("anneal", "n0", _int),
-    "anneal.cooling_p": ("anneal", "cooling_p", _float),
     "disturbance.kind": ("disturbance", "kind", _str),
     "disturbance.drift_rate": ("disturbance", "drift_rate", _float),
     "disturbance.jump_at": ("disturbance", "jump_at", _int),

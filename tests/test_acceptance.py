@@ -57,7 +57,7 @@ def oracle_controller_trials():
 
 def test_c1_algebraic_identity_suite():
     t0 = time.perf_counter()
-    checks = run_identity_checks(seed=0, n=1000)
+    checks = run_identity_checks()
     elapsed = time.perf_counter() - t0
     worst = max(c.defect for c in checks)
     ok = all(c.passed for c in checks) and elapsed < 1.0

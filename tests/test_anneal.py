@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -185,7 +186,7 @@ def test_run_lock_temperature_schedule_exact():
     trace = run_lock(objective, cfg, TPS, rng)
     for outer in range(cfg.m0):
         block = trace.temperature[outer * cfg.n0:(outer + 1) * cfg.n0]
-        assert np.all(block == cfg.t0 * cfg.cooling_p ** outer)
+        assert np.all(block == cfg.t0 * 0.5 ** outer)
 
 
 @pytest.mark.parametrize("t0", [1e-5, 1e-3])
@@ -275,30 +276,43 @@ def test_step_reopens_after_intensity_collapse():
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"t0": 0.0}, {"m0": 0}, {"n0": 0}, {"cooling_p": 0.0},
-    {"cooling_p": 1.0}, {"t0": -1e-5}, {"cooling_p": 1.5},
-    {"cooling_p": 1e-200}, {"m0": 1100, "n0": 1},  # temperature underflows
+    {"t0": 0.0}, {"m0": 0}, {"n0": 0}, {"m0": -1}, {"n0": -1}, {"t0": -1e-5},
+    # the last outer loop's temperature underflows to 0
+    {"t0": 5e-324, "m0": 2}, {"t0": 1.7e308, "m0": 2100},
+    {"m0": 1100, "n0": 1},
 ])
 def test_anneal_config_validation(kwargs):
     with pytest.raises(ValueError):
         AnnealConfig(**kwargs)
 
 
-@pytest.mark.parametrize("cooling_p,accepted", [(0.5, False), (0.9, True)])
-def test_huge_m0_is_checked_in_constant_memory(cooling_p, accepted):
-    # the check stops at the first zero temperature, or needs no loop at
-    # all above 1/2, so a billion outer loops are never listed
+@pytest.mark.parametrize("t0", [1e-5, 1.7e308])
+def test_huge_m0_is_checked_in_constant_memory(t0):
+    # the check stops at the first zero temperature, which halving reaches
+    # within about 2,100 loops even from 1.7e308, the slowest start, so a
+    # billion outer loops are never listed
     tracemalloc.start()
     try:
-        if accepted:
-            AnnealConfig(m0=10 ** 9, cooling_p=cooling_p)
-        else:
-            with pytest.raises(ValueError, match="temperature to 0.0;"):
-                AnnealConfig(m0=10 ** 9, cooling_p=cooling_p)
+        with pytest.raises(ValueError, match="temperature to 0.0;"):
+            AnnealConfig(t0=t0, m0=10 ** 9)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+def test_cooling_is_a_constant_halving():
+    assert [f.name for f in dataclasses.fields(AnnealConfig)] == [
+        "t0", "m0", "n0"]
+    with pytest.raises(TypeError):
+        AnnealConfig(cooling_p=0.5)
+    for t0 in (1e-5, 1e-3):
+        cfg = AnnealConfig(t0=t0)
+        temps, t = [], t0
+        for _ in range(cfg.m0):
+            temps += [t] * cfg.n0
+            t = t * 0.5
+        assert cfg.temperature.tobytes() == np.array(temps).tobytes()
 
 
 def test_anneal_config_default_init_phase_is_half_span():

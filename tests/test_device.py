@@ -306,7 +306,6 @@ def test_noise_at_its_bound_keeps_every_er_finite():
     (DeviceParams, "noise_sigma", math.inf),
     (AnnealConfig, "t0", math.inf),
     (AnnealConfig, "t0", math.nan),
-    (AnnealConfig, "cooling_p", math.nan),
 ])
 def test_non_finite_parameter_raises_naming_field(make, field, value):
     # the config file's parser rejects these too; a library caller must not

@@ -334,17 +334,10 @@ def test_writers_name_missing_variant_before_opening(write, tmp_path):
 # --- identity suite -----------------------------------------------------------------
 
 def test_identity_checks_all_pass():
-    checks = run_identity_checks(seed=0, n=1000)
+    checks = run_identity_checks()
     assert len(checks) == 6
     for chk in checks:
         assert chk.passed, f"{chk.name} defect {chk.defect}"
-
-
-@pytest.mark.parametrize("kwargs,named", [
-    ({"n": 0}, "n must"), ({"seed": -1}, "seed must")])
-def test_identity_checks_name_bad_arguments(kwargs, named):
-    with pytest.raises(ValueError, match=named):
-        run_identity_checks(**kwargs)
 
 
 def test_experiment_config_rejects_base_step_beyond_phase_span():
@@ -444,6 +437,13 @@ def test_config_unknown_key_named(tmp_path):
     path.write_text("device.noise = 1\n")
     with pytest.raises(ConfigError, match="device.noise"):
         load_experiment_config(str(path))
+    # the cooling factor is a constant: a file or an override naming it
+    path.write_text("anneal.cooling_p = 0.5\n")
+    unknown = "unknown config key 'anneal.cooling_p'"
+    with pytest.raises(ConfigError, match=unknown):
+        load_experiment_config(str(path))
+    with pytest.raises(ConfigError, match=unknown):
+        load_experiment_config(None, {"anneal.cooling_p": "0.5"})
 
 
 def test_config_bad_value_named(tmp_path):
@@ -455,8 +455,8 @@ def test_config_bad_value_named(tmp_path):
 
 def test_config_invalid_combination_reported(tmp_path):
     path = tmp_path / "bad.cfg"
-    path.write_text("anneal.cooling_p = 2\n")
-    with pytest.raises(ConfigError, match="cooling_p"):
+    path.write_text("anneal.m0 = 1100\nanneal.n0 = 1\n")
+    with pytest.raises(ConfigError, match="invalid configuration: .*m0=1100"):
         load_experiment_config(str(path))
 
 
@@ -512,6 +512,30 @@ def test_cli_run_writes_artifacts(tmp_path, capsys):
     first = (tmp_path / "out.csv").read_bytes()
     assert cli_main(["run", "--config", str(cfg)]) == 0
     assert (tmp_path / "out.csv").read_bytes() == first
+
+
+@pytest.mark.parametrize("libc", ["glibc", "no malloc_trim", "no C library"])
+def test_cli_run_trims_the_heap_where_it_can(libc, tmp_path, monkeypatch):
+    cfg = _write_small_cfg(tmp_path)
+    assert cli_main(["run", "--config", str(cfg)]) == 0
+    calls = []
+
+    class Glibc:
+        def malloc_trim(self, pad):
+            calls.append(pad)
+
+    def cdll(name):
+        if libc == "no C library":
+            raise OSError(f"{name}: cannot open shared object file")
+        return Glibc() if libc == "glibc" else object()
+    monkeypatch.setattr("ctypes.CDLL", cdll)
+    assert cli_main(["run", "--config", str(cfg),
+                     "--out", str(tmp_path / "trimmed.csv")]) == 0
+    # once before the table is allocated, once after it is freed
+    assert calls == ([0, 0] if libc == "glibc" else [])
+    for suffix in (".csv", "_aggregate.csv", "_summary.txt"):
+        plain = (tmp_path / f"out{suffix}").read_bytes()
+        assert plain == (tmp_path / f"trimmed{suffix}").read_bytes()
 
 
 def test_cli_run_missing_config(capsys):
@@ -771,12 +795,13 @@ def test_cli_sweep_noise_monotone(tmp_path, capsys):
      "voltage-fixed"),
     (["oracle", "--seed", "-1"], "--seed"),
     (["validate", "--seed", "-1"], "--seed"),
-    (["validate", "--samples", "0"], "--samples"),
+    (["validate", "--samples", "10"], "--samples"),
     (["validate", "--samples", "-1"], "--samples"),
     (["sweep", "--key", "mode", "--values", "voltage"],
      "unknown config key 'mode'"),
     (["sweep", "--key", "variants", "--values", "fixed(10)"], "fixed(10)"),
-    (["sweep", "--key", "cooling_p", "--values", "1e-200"], "cooling_p"),
+    (["sweep", "--key", "cooling_p", "--values", "1e-200"],
+     "unknown config key 'cooling_p'"),
     (["sweep", "--key", "coupling_loss_db", "--values", "0,7,40"],
      "coupling_loss_db"),
     (["sweep", "--key", "output", "--values", "a.csv,b.csv"],
@@ -813,9 +838,16 @@ def test_cli_sweep_noise_monotone(tmp_path, capsys):
      "unknown config key 'phase_max'"),
     (["sweep", "--key", "tps.phase_max", "--values", "7.0"],
      "unknown config key 'tps.phase_max'"),
+    # so did the cooling factor, and validate takes no option
+    (["run", "--config", "../cooling.ini", "--trials", "1"],
+     "../cooling.ini:1: unknown config key 'anneal.cooling_p'"),
+    (["sweep", "--key", "anneal.cooling_p", "--values", "0.5"],
+     "unknown config key 'anneal.cooling_p'"),
+    (["validate", "--seed", "1"], "unrecognized arguments: --seed 1"),
 ])
 def test_cli_bad_input_exits_one(argv, named, tmp_path, monkeypatch, capsys):
     (tmp_path / "span.ini").write_text("tps.phase_max = 7.0\n")
+    (tmp_path / "cooling.ini").write_text("anneal.cooling_p = 0.5\n")
     cwd = tmp_path / "cwd"
     cwd.mkdir()
     monkeypatch.chdir(cwd)

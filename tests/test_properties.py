@@ -4,6 +4,7 @@ identities its rng draw order relies on."""
 import cmath
 import contextlib
 import dataclasses
+import functools
 import io
 import locale
 import math
@@ -287,15 +288,14 @@ _NON_NEGATIVE = st.floats(0.0, allow_infinity=False)
 
 # valid values of every float and int key, given defaults for the rest and
 # the disturbance kind that reads the key (_KIND_OF): the temperature bounds
-# keep the last outer loop's temperature above 0 at the default cooling and
-# m0, and jump_at stays below the default run length
+# keep the last outer loop's temperature above 0 at the default m0, and
+# jump_at stays below the default run length
 _VALID = {
     "device.static_er_db": _POSITIVE,
     "device.noise_sigma": st.floats(0.0, 1e294),
     "anneal.t0": st.floats(1e-300, allow_infinity=False),
     "anneal.m0": st.integers(1, 1000),
     "anneal.n0": st.integers(1, 10 ** 9),
-    "anneal.cooling_p": st.floats(1e-30, 1.0, exclude_max=True),
     "disturbance.drift_rate": _NON_NEGATIVE,
     "disturbance.jump_at": st.integers(0, AnnealConfig().total_iterations - 1),
     "disturbance.jump_magnitude": st.floats(0.0, math.pi),
@@ -324,32 +324,27 @@ def test_config_override_sets_field_exactly(key, data):
     assert got == x and repr(got) == repr(x)
 
 
-def _last_loop_temperature(t0: float, cooling_p: float, m0: int) -> float:
+def _last_loop_temperature(t0: float, m0: int) -> float:
     """The reference rule: the last of m0 outer-loop temperatures, t0
-    cooled m0 - 1 times by cooling_p, listed one by one."""
+    halved m0 - 1 times, listed one by one."""
     temps = [t0]
     for _ in range(m0 - 1):
-        temps.append(temps[-1] * cooling_p)
+        temps.append(temps[-1] * 0.5)
     return temps[-1]
 
 
-@given(t0=st.floats(5e-324, 1.7e308),
-       cooling_p=st.sampled_from([0.5, math.nextafter(0.5, 0.0),
-                                  math.nextafter(0.5, 1.0)])
-       | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-       m0=st.integers(1, 3000))
-@example(t0=5e-324, cooling_p=0.5, m0=1)  # the first boundary: m0 = 2
-@example(t0=5e-324, cooling_p=0.5, m0=2)
-@example(t0=1.7e308, cooling_p=0.5, m0=2099)  # the last: m0 = 2100
-@example(t0=1.7e308, cooling_p=0.5, m0=2100)
-@example(t0=5e-324, cooling_p=math.nextafter(0.5, 1.0), m0=3000)
-def test_temperature_check_equals_list_rule(t0, cooling_p, m0):
+@given(t0=st.floats(5e-324, 1.7e308), m0=st.integers(1, 3000))
+@example(t0=5e-324, m0=1)  # the first boundary: m0 = 2
+@example(t0=5e-324, m0=2)
+@example(t0=1.7e308, m0=2099)  # the last: m0 = 2100
+@example(t0=1.7e308, m0=2100)
+def test_temperature_check_equals_list_rule(t0, m0):
     try:
-        AnnealConfig(t0=t0, m0=m0, cooling_p=cooling_p)
+        AnnealConfig(t0=t0, m0=m0)
         accepted = True
     except ValueError:
         accepted = False
-    assert accepted == (_last_loop_temperature(t0, cooling_p, m0) > 0.0)
+    assert accepted == (_last_loop_temperature(t0, m0) > 0.0)
 
 
 # --- trace fields derived after the loop --------------------------------------
@@ -410,7 +405,7 @@ def test_derived_trace_fields_equal_per_iteration_definitions(
     temperatures, t = [], cfg.t0
     for _ in range(m0):
         temperatures += [t] * n0
-        t *= cfg.cooling_p
+        t *= 0.5
     assert trace.temperature.tolist() == temperatures
 
     # the running best, tracked one iteration at a time from the initial
@@ -581,7 +576,7 @@ def _written_rows_csv(table) -> str:
 @st.composite
 def _anneal_configs(draw):
     m0, n0 = draw(st.integers(1, 4)), draw(st.integers(1, 6))
-    # the smallest t0 whose last outer loop stays above 0 at cooling 1/2,
+    # the smallest t0 whose last outer loop stays above 0 after halving,
     # beside arbitrary ones
     t0 = draw(st.just(math.ldexp(1.0, -1074 + m0 - 1))
               | st.floats(1e-300, 1e-2))
@@ -791,7 +786,6 @@ def _config_files(draw):
         "anneal.t0": st.floats(1e-200, 1e200),
         "anneal.m0": st.just(m0),
         "anneal.n0": st.just(n0),
-        "anneal.cooling_p": st.floats(1e-3, 1.0, exclude_max=True),
         # each parameter is nonzero only under the kind that reads it, and
         # that kind is always in the file (below)
         "disturbance.kind": st.just(kind),
@@ -848,7 +842,7 @@ def test_config_file_round_trips(values, random):
             disturbance=DisturbanceModel(**sections["disturbance"]),
             **sections["experiment"])
     except ValueError:
-        assume(False)  # e.g. a t0, cooling_p and m0 that cool to 0
+        assume(False)  # e.g. a t0 and m0 that cool to 0
 
     lines = ["# generated config", ""]
     lines += [f"{key} = {_text(value)}" for key, value in values.items()]
@@ -886,7 +880,6 @@ def _cli_values(key: str):
         "anneal.t0": st.floats(1e-8, 1e-2),
         "anneal.m0": st.integers(1, 5),
         "anneal.n0": st.integers(1, 10),
-        "anneal.cooling_p": st.floats(0.1, 0.9),
         "disturbance.kind": st.sampled_from(["static", "drift", "jump",
                                              "Drift"]),
         "disturbance.drift_rate": st.floats(0.0, 0.1),
@@ -927,8 +920,6 @@ def _cli_calls(draw):
     command = draw(st.sampled_from(["run", "sweep", "validate", "oracle"]))
     argv = [command]
     if command == "validate":
-        argv += ["--seed", str(draw(_SMALL_INT)),
-                 "--samples", str(draw(st.integers(-1, 20)))]
         return argv, text
     if command == "oracle":
         if draw(st.booleans()):
@@ -955,6 +946,8 @@ def _cli_calls(draw):
 
 # the host memory the size check sees, whatever the host reports
 _EIGHT_GIB = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2 ** 21}
+# validate reads no input, so its identity suite runs once for all examples
+_IDENTITY_CHECKS = functools.cache(cli.run_identity_checks)
 
 
 def _reported_numbers(command: str, folder: str, stdout: str):
@@ -990,6 +983,8 @@ def test_cli_exits_cleanly_on_any_input(call, tmp_path):
     try:
         with mock.patch.object(cli, "run_experiment", small_run), \
                 mock.patch.object(os, "sysconf", _EIGHT_GIB.__getitem__), \
+                mock.patch.object(cli, "run_identity_checks",
+                                  _IDENTITY_CHECKS), \
                 mock.patch.dict(os.environ, {"POLARLOCK_THREADS": "1"}), \
                 contextlib.redirect_stdout(out), \
                 contextlib.redirect_stderr(err):
