@@ -13,9 +13,10 @@ so an unlucky noisy last sample cannot degrade the reported lock point.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, islice
 from typing import Callable, Iterator
 
@@ -149,9 +150,9 @@ class AnnealConfig:
 
     @property
     def temperature(self) -> np.ndarray:
-        """Each iteration's temperature, shape ``(total_iterations,)``."""
-        return np.repeat(np.fromiter(self._loop_temperatures(), float,
-                                     self.m0), self.n0)
+        """Each iteration's temperature, shape ``(total_iterations,)``: a
+        read-only array that equal configs and their locks share."""
+        return _schedule(self)[0]
 
     def _loop_temperatures(self) -> Iterator[float]:
         """Each outer loop's temperature, t0 halved after every loop, as
@@ -160,6 +161,17 @@ class AnnealConfig:
         for _ in range(self.m0):
             yield t
             t *= 0.5
+
+
+# a few entries, so that a sweep over configs cannot grow the cache
+@functools.lru_cache(maxsize=4)
+def _schedule(cfg: AnnealConfig) -> tuple[np.ndarray, tuple[float, ...]]:
+    """``cfg``'s temperature per iteration, as a read-only array and as a
+    tuple of floats, computed once per (t0, m0, n0)."""
+    temps = np.repeat(np.fromiter(cfg._loop_temperatures(), float, cfg.m0),
+                      cfg.n0)
+    temps.flags.writeable = False
+    return temps, tuple(temps.tolist())
 
 
 @dataclass(slots=True)
@@ -171,11 +183,13 @@ class LockTrace:
     highest reading, the initial one included, and the phases that gave it;
     ``best_iteration`` is the first iteration that reached it (0 for the
     initial reading); ``initial_sample`` is the initial ``(i_px, i_py)``.
+    ``candidates`` holds each iteration's applied phases as a 4-tuple, and
+    ``phases`` is the same as an ``(n, 4)`` array, built on first read.
     """
 
     temperature: np.ndarray
     step_rad: np.ndarray
-    phases: np.ndarray            # (n, 4) applied stage phases
+    candidates: list[tuple[float, float, float, float]]
     i_px: np.ndarray
     i_py: np.ndarray
     er_db: np.ndarray
@@ -184,9 +198,17 @@ class LockTrace:
     best_intensity: float
     best_iteration: int
     initial_sample: tuple[float, float]
+    _phases: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.i_px)
+
+    @property
+    def phases(self) -> np.ndarray:
+        """The ``(n, 4)`` applied stage phases."""
+        if self._phases is None:
+            self._phases = np.array(self.candidates, float).reshape(-1, 4)
+        return self._phases
 
     @property
     def i_max(self) -> np.ndarray:
@@ -204,21 +226,32 @@ class LockTrace:
         return float(self.er_db[-1])
 
 
+def _signed(d: np.ndarray) -> np.ndarray:
+    """The signed steps of uniforms ``d`` whose last axis holds r then u for
+    each of the four stages in its first eight entries: r where u < 0.5,
+    else -r, four per row."""
+    r = d[..., 0:8:2]
+    return np.where(d[..., 1:8:2] < 0.5, r, -r)
+
+
 def _move(s_p, st: float, d, hi: float) -> tuple[float, float, float, float]:
-    """The boundary-reflecting move of the 4-tuple s_p by step st, with r
-    then u per component from the first eight of ``d``: move by +st*r at or
-    below 0, by -st*r at or above ``hi``, and in the interior by +st*r if
-    u < 0.5, else by -st*r; then clamp into [0, hi].  Unrolled, since the
-    lock loop calls it on every iteration."""
+    """The boundary-reflecting move of the 4-tuple s_p by step st and the
+    four signed steps ``d`` of ``_signed``: by st*d in the interior (0, hi),
+    by +st*|d| at or below 0 and by -st*|d| at or above ``hi``; then clamp
+    into [0, hi].  It equals the move by +-st*r that the raw (r, u) draws
+    give, bit for bit: st*(-r) == -(st*r) and x + (-y) == x - y in IEEE
+    arithmetic.  Unrolled, since the lock loop calls it on every
+    iteration."""
     x1, x2, x3, x4 = s_p
-    r = st * d[0]
-    x1 = x1 + r if x1 <= 0.0 or (x1 < hi and d[1] < 0.5) else x1 - r
-    r = st * d[2]
-    x2 = x2 + r if x2 <= 0.0 or (x2 < hi and d[3] < 0.5) else x2 - r
-    r = st * d[4]
-    x3 = x3 + r if x3 <= 0.0 or (x3 < hi and d[5] < 0.5) else x3 - r
-    r = st * d[6]
-    x4 = x4 + r if x4 <= 0.0 or (x4 < hi and d[7] < 0.5) else x4 - r
+    d1, d2, d3, d4 = d
+    x1 = (x1 + st * d1 if 0.0 < x1 < hi else
+          x1 + st * abs(d1) if x1 <= 0.0 else x1 - st * abs(d1))
+    x2 = (x2 + st * d2 if 0.0 < x2 < hi else
+          x2 + st * abs(d2) if x2 <= 0.0 else x2 - st * abs(d2))
+    x3 = (x3 + st * d3 if 0.0 < x3 < hi else
+          x3 + st * abs(d3) if x3 <= 0.0 else x3 - st * abs(d3))
+    x4 = (x4 + st * d4 if 0.0 < x4 < hi else
+          x4 + st * abs(d4) if x4 <= 0.0 else x4 - st * abs(d4))
     return (0.0 if x1 < 0.0 else hi if x1 > hi else x1,
             0.0 if x2 < 0.0 else hi if x2 > hi else x2,
             0.0 if x3 < 0.0 else hi if x3 > hi else x3,
@@ -231,7 +264,7 @@ def propose(s_p, st: float, rng, hi: float = PHASE_SPAN
     its eight uniforms drawn in one ``rng.random(8)``, r then u per stage."""
     if st < 0:
         raise ValueError("step must be >= 0")
-    return _move(s_p, st, rng.random(8).tolist(), hi)
+    return _move(s_p, st, _signed(rng.random(8)).tolist(), hi)
 
 
 def accept(i_new: float, i_old: float, temperature: float, rng) -> bool:
@@ -264,9 +297,11 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
     temperature is halved after each outer loop).  Each
     iteration looks up the step in ``schedule`` (the variable-step table
     unless given) from the gap 1 - (latest reading) as ``step_for_gap``
-    does, moves all four phases within [0, phase_max] (``_move``), evaluates
-    them (a plain 4-tuple), and applies ``accept``'s Metropolis rule against
-    the latest reading.
+    does, moves all four phases within [0, phase_max] (``_move``, by the
+    signed steps that one ``_signed`` pass forms from the whole uniform
+    block), evaluates them (a plain 4-tuple), and applies ``accept``'s
+    Metropolis rule against the latest reading.  The temperatures are
+    ``cfg.temperature``, the read-only array that the trace shares.
 
     Stream contract: before the first evaluation, and never after, three
     blocks are drawn from ``rng`` whatever the device, channel and schedule,
@@ -281,10 +316,11 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
 
     The loop records only each iteration's step, phases, reading and
     verdict; ``er_db`` and the lock point are derived from those once the
-    loop ends, with the same values a per-iteration computation gives.
+    loop ends, with the same values a per-iteration computation gives, and
+    the ``phases`` array when it is first read.
     """
     n_iter = cfg.total_iterations
-    uniforms = rng.random((n_iter, 9)).tolist()
+    uniforms = rng.random((n_iter, 9))
     noise = rng.standard_normal((n_iter + 1, 2)).tolist()
     channel = rng.standard_normal((n_iter, 3))
 
@@ -298,14 +334,15 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
     s0, s1, s2, s3 = schedule.steps
     exp = math.exp
 
-    temperature = cfg.temperature
+    temperature, temps = _schedule(cfg)
     cands, records = [], []  # the phases, and (step, i_px, i_py, verdict)
-    for t, u, z in zip(temperature.tolist(), uniforms, islice(noise, 1, None)):
+    for t, d, u, z in zip(temps, _signed(uniforms).tolist(),
+                          uniforms[:, 8].tolist(), islice(noise, 1, None)):
         gap = 1.0 - i_ref
         st = s0 if gap > e1 else s1 if gap > e2 else s2 if gap > e3 else s3
-        cand = _move(state, st, u, hi)
+        cand = _move(state, st, d, hi)
         i_px, i_py = objective(cand, z, channel)
-        ok = i_px >= i_ref or u[8] < exp((i_px - i_ref) / t)
+        ok = i_px >= i_ref or u < exp((i_px - i_ref) / t)
         if ok:
             state = cand
         i_ref = i_px
@@ -314,8 +351,6 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
 
     table = np.fromiter(chain.from_iterable(records), float,
                         4 * n_iter).reshape(n_iter, 4)
-    phases = np.fromiter(chain.from_iterable(cands), float,
-                         4 * n_iter).reshape(n_iter, 4)
     # one array per field, so that a caller keeping a few fields does not
     # keep the whole table alive
     px, py = table[:, 1].copy(), table[:, 2].copy()
@@ -323,9 +358,8 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
     # included, i.e. where the running best (i_max) reaches its final value
     readings = np.concatenate((initial_sample[:1], px))
     best_iter = int(np.argmax(readings))
-    best_thetas = (phases[best_iter - 1].tolist() if best_iter
-                   else initial_thetas)
-    return LockTrace(temperature, table[:, 0].copy(), phases, px, py,
+    best_thetas = cands[best_iter - 1] if best_iter else initial_thetas
+    return LockTrace(temperature, table[:, 0].copy(), cands, px, py,
                      _er_db_array(px, py), table[:, 3].astype(bool),
                      PhaseQuad(*best_thetas), float(readings[best_iter]),
                      best_iter, initial_sample)

@@ -157,18 +157,23 @@ def _cascade(sop: JonesVector, phases: PhaseQuad) -> tuple[complex, complex]:
     conj(x * y) holds exactly; and IEEE sums and products commute.  So the
     result equals the matrix chain's, except at most in the sign of a zero,
     which no reading sees.
+
+    A NaN or infinite phase or SOP component raises ValueError naming
+    both.  One test of ex finds them all: the trig raises on an infinite
+    phase, which then stands as NaN, and a NaN or an infinity times any
+    factor, or summed with anything, is NaN or infinite.
     """
     t1, t2, t3, t4 = phases
-    if not (math.isfinite(t1) and math.isfinite(t2)
-            and math.isfinite(t3) and math.isfinite(t4)):
-        raise ValueError(f"stage phases must be finite, got {phases!r}")
-    # the stage elements, exactly as make_m0 and make_m45 build them
-    p1 = cmath.exp(-0.5j * t1)
-    p3 = cmath.exp(-0.5j * t3)
-    c2 = math.cos(0.5 * t2)
-    s2 = -1.0j * math.sin(0.5 * t2)
-    c4 = math.cos(0.5 * t4)
-    s4 = -1.0j * math.sin(0.5 * t4)
+    try:
+        # the stage elements, exactly as make_m0 and make_m45 build them
+        p1 = cmath.exp(-0.5j * t1)
+        p3 = cmath.exp(-0.5j * t3)
+        c2 = math.cos(0.5 * t2)
+        s2 = -1.0j * math.sin(0.5 * t2)
+        c4 = math.cos(0.5 * t4)
+        s4 = -1.0j * math.sin(0.5 * t4)
+    except ValueError:
+        p1 = p3 = c2 = s2 = c4 = s4 = math.nan
     # the first row of M45(t4) @ M0(t3), then @ M45(t2), then @ M0(t1)
     a00 = c4 * p3
     a01 = s4 * p3.conjugate()
@@ -176,7 +181,11 @@ def _cascade(sop: JonesVector, phases: PhaseQuad) -> tuple[complex, complex]:
     b01 = (a00 * s2 + a01 * c2) * p1.conjugate()
     # @ sop
     ex, ey = sop.ex, sop.ey
-    return b00 * ex + b01 * ey, b00.conjugate() * ey - b01.conjugate() * ex
+    e_x = b00 * ex + b01 * ey
+    if not cmath.isfinite(e_x):
+        raise ValueError("stage phases and input SOP must be finite, got "
+                         f"{phases!r} and {sop!r}")
+    return e_x, b00.conjugate() * ey - b01.conjugate() * ex
 
 
 def measure(input_sop: JonesVector, phases: PhaseQuad, params: DeviceParams,

@@ -90,7 +90,15 @@ def _g9_words(x: np.ndarray, out: np.ndarray) -> None:
     rounded mantissa.  Python formats the rest, value by value: each y
     outside [_LO, _HI) (a misplaced decade included) or within 2**-20 of a
     half, 0, -0.0, NaN, +-inf and every value in exponent notation.
+
+    Values that are all one bit pattern, as a fixed step's column is, are
+    formatted once; comparing bits keeps -0.0 apart from 0.0.
     """
+    bits = x.view(np.uint64)
+    if bits.size > 1 and (bits == bits[0]).all():
+        out[:] = np.array(["%.9g," % float(x[0])],
+                          f"S{4 * _NUMBER}").view(_WORD)
+        return
     a = np.abs(x)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         decade = np.fmin(np.fmax(np.floor(np.log10(a)), -4), 8).astype(np.intp)

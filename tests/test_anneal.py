@@ -315,6 +315,22 @@ def test_cooling_is_a_constant_halving():
         assert cfg.temperature.tobytes() == np.array(temps).tobytes()
 
 
+def test_temperature_schedule_is_one_read_only_array_per_config():
+    cfg = AnnealConfig()
+    with pytest.raises(ValueError):
+        cfg.temperature[0] = 1.0
+    assert AnnealConfig().temperature is cfg.temperature
+    _, objective, rng = _noiseless_objective(18)
+    assert run_lock(objective, AnnealConfig(), TPS, rng).temperature is (
+        cfg.temperature)
+    hot = AnnealConfig(t0=1e-3).temperature
+    assert hot[0] == 1e-3 and cfg.temperature[0] == 1e-5
+    # a sweep over configs keeps only the last few schedules
+    for m0 in range(1, 20):
+        AnnealConfig(m0=m0).temperature
+    assert anneal._schedule.cache_info().currsize <= 4
+
+
 def test_anneal_config_default_init_phase_is_half_span():
     sop, objective, rng = _noiseless_objective(19)
     trace = run_lock(objective, AnnealConfig(m0=1, n0=1), TPS, rng)

@@ -24,7 +24,8 @@ from polarlock import (AnnealConfig, DeviceParams, DisturbanceModel,
                        load_experiment_config, measure, port_intensity,
                        random_sop, run_lock)
 from polarlock import cli
-from polarlock.anneal import _er_db, _er_db_array, _move, propose, step_for_gap
+from polarlock.anneal import (_er_db, _er_db_array, _move, _signed, propose,
+                              step_for_gap)
 from polarlock.disturbance import DisturbedObjective
 from polarlock.config import KEYS
 from polarlock.device import PHASE_SPAN, TpsParams, _cascade
@@ -148,7 +149,8 @@ def test_unrolled_move_at_the_edges(hi):
             draws = [x for k in range(4)
                      for x in (_R[k], _EDGE_U[(j + k) % len(_EDGE_U)])]
             for step in (0.0, -0.0, 0.3, 2.0 * hi):
-                assert (_bits(_move(s_p, step, draws + [0.5], hi))
+                signed = _signed(np.array(draws)).tolist()
+                assert (_bits(_move(s_p, step, signed, hi))
                         == _bits(_move_reference(s_p, step, draws, hi)))
 
 
@@ -165,7 +167,7 @@ def _moves(draw):
 @given(_moves())
 def test_unrolled_move_equals_per_component_reference(move):
     s_p, step, draws, hi = move
-    got = _move(s_p, step, draws, hi)
+    got = _move(s_p, step, _signed(np.array(draws)).tolist(), hi)
     assert _bits(got) == _bits(_move_reference(s_p, step, draws, hi))
     assert all(0.0 <= x <= hi for x in got)
 
@@ -199,6 +201,42 @@ def test_cascade_rejects_nonfinite_phase(bad):
                                      (0.0, 0.0))):
             with pytest.raises(ValueError, match="finite"):
                 read()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_cascade_rejects_nonfinite_sop(bad):
+    # a NaN or infinite component would otherwise read as a NaN or infinite
+    # intensity; the error names the SOP as well as the phases
+    phases = PhaseQuad(0.1, 0.2, 0.3, 0.4)
+    cfg = AnnealConfig(m0=3, n0=7)
+    for part in range(4):
+        xs = [bad if k == part else x
+              for k, x in enumerate((0.6, 0.0, 0.8, 0.0))]
+        sop = JonesVector(complex(xs[0], xs[1]), complex(xs[2], xs[3]))
+        rng = np.random.default_rng(part)
+        for read in (lambda: measure(sop, phases, DeviceParams(), None,
+                                     (0.0, 0.0)),
+                     lambda: port_intensity(sop, phases),
+                     lambda: run_lock(bind_objective(sop, DeviceParams(), rng),
+                                      cfg, TpsParams(), rng)):
+            with pytest.raises(ValueError, match="SOP must be finite") as e:
+                read()
+            assert repr(sop) in str(e.value)
+
+
+@given(_seed, _quads(st.floats(0.0, PHASE_SPAN)), st.integers(0, 3),
+       st.sampled_from((-2.0 * math.pi, 2.0 * math.pi)))
+def test_a_full_turn_of_one_stage_keeps_both_readings(seed, phases, stage,
+                                                      turn):
+    # M0(t + 2 pi) = -M0(t) and M45(t + 2 pi) = -M45(t): the field only
+    # changes sign, so the readings move by rounding alone
+    sop = random_sop(np.random.default_rng(seed))
+    turned = PhaseQuad(*(t + turn if k == stage else t
+                         for k, t in enumerate(phases)))
+    ideal = DeviceParams.ideal()
+    before = measure(sop, phases, ideal, None)
+    after = measure(sop, turned, ideal, None)
+    assert all(abs(a - b) <= 1e-14 for a, b in zip(before, after))
 
 
 def _schedules():
@@ -666,6 +704,12 @@ _G9_EDGES = [math.nextafter(1e-4, 0.0), 1e-4, math.nextafter(1e-4, 1.0),
           999999.995, 9999999.95])
 @example([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
           -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308])
+# one bit pattern throughout, as a fixed step's column, and values that are
+# equal as floats but not as bits
+@example([0.16] * 3)
+@example([-0.0] * 3)
+@example([0.0, -0.0, 0.0])
+@example([math.nan, -math.nan])
 def test_g9_kernel_equals_percent_format(values):
     assert _g9(values) == _percent_g9(values)
 
