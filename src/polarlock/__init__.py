@@ -2,8 +2,7 @@
 integrated-photonic dynamic polarization controller."""
 
 from .jones import (ALGEBRA_TOL, COUPLER_IN, COUPLER_OUT, JonesMatrix,
-                    JonesVector, extinction_ratio_db, make_m0, make_m45,
-                    random_sop, to_stokes)
+                    JonesVector, make_m0, make_m45, random_sop, to_stokes)
 from .device import (DeviceParams, PhaseQuad, dpc_transform, measure,
                      phase_step_to_voltage_step, power_to_phase,
                      thermal_step_response, voltage_to_phase, voltage_to_power)
@@ -19,7 +18,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALGEBRA_TOL", "COUPLER_IN", "COUPLER_OUT", "JonesMatrix", "JonesVector",
-    "extinction_ratio_db", "make_m0", "make_m45", "random_sop", "to_stokes",
+    "make_m0", "make_m45", "random_sop", "to_stokes",
     "DeviceParams", "PhaseQuad", "dpc_transform", "measure",
     "phase_step_to_voltage_step", "power_to_phase", "thermal_step_response",
     "voltage_to_phase", "voltage_to_power",

@@ -17,7 +17,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import islice
 from typing import Callable, Iterator
 
 import numpy as np
@@ -315,9 +315,9 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
     rows up to ``max(k - 1, 0)``), and unpacks the (i_px, i_py) pair.
 
     The loop records only each iteration's step, phases, reading and
-    verdict; ``er_db`` and the lock point are derived from those once the
-    loop ends, with the same values a per-iteration computation gives, and
-    the ``phases`` array when it is first read.
+    verdict, one list per field; ``er_db`` and the lock point are derived
+    from those once the loop ends, with the same values a per-iteration
+    computation gives, and the ``phases`` array when it is first read.
     """
     n_iter = cfg.total_iterations
     uniforms = rng.random((n_iter, 9))
@@ -335,7 +335,7 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
     exp = math.exp
 
     temperature, temps = _schedule(cfg)
-    cands, records = [], []  # the phases, and (step, i_px, i_py, verdict)
+    cands, steps, pxs, pys, oks = [], [], [], [], []
     for t, d, u, z in zip(temps, _signed(uniforms).tolist(),
                           uniforms[:, 8].tolist(), islice(noise, 1, None)):
         gap = 1.0 - i_ref
@@ -347,19 +347,18 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
             state = cand
         i_ref = i_px
         cands.append(cand)
-        records.append((st, i_px, i_py, ok))
+        steps.append(st)
+        pxs.append(i_px)
+        pys.append(i_py)
+        oks.append(ok)
 
-    table = np.fromiter(chain.from_iterable(records), float,
-                        4 * n_iter).reshape(n_iter, 4)
-    # one array per field, so that a caller keeping a few fields does not
-    # keep the whole table alive
-    px, py = table[:, 1].copy(), table[:, 2].copy()
+    px, py = np.array(pxs, float), np.array(pys, float)
     # the lock point: the first of the highest readings, the initial one
     # included, i.e. where the running best (i_max) reaches its final value
     readings = np.concatenate((initial_sample[:1], px))
     best_iter = int(np.argmax(readings))
     best_thetas = cands[best_iter - 1] if best_iter else initial_thetas
-    return LockTrace(temperature, table[:, 0].copy(), cands, px, py,
-                     _er_db_array(px, py), table[:, 3].astype(bool),
+    return LockTrace(temperature, np.array(steps, float), cands, px, py,
+                     _er_db_array(px, py), np.array(oks, bool),
                      PhaseQuad(*best_thetas), float(readings[best_iter]),
                      best_iter, initial_sample)

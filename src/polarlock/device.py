@@ -11,12 +11,16 @@ realizes a small phase increment at operating point V:
 
 which shrinks as V grows; its value at V_MAX is the safest (smallest)
 quantization step for a drive updated in fixed voltage ticks.
+
+``measure``, which every lock evaluation calls, forms ``dpc_transform``'s
+field in plain float arithmetic, equal to the matrix chain's up to the sign
+of a zero; its docstring gives the argument.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
+from math import cos, isfinite, sin
 from dataclasses import dataclass, field
 from typing import ClassVar, NamedTuple
 
@@ -141,72 +145,82 @@ def dpc_transform(phases: PhaseQuad) -> JonesMatrix:
     return make_m45(t4) @ make_m0(t3) @ make_m45(t2) @ make_m0(t1)
 
 
-def _cascade(sop: JonesVector, phases: PhaseQuad) -> tuple[complex, complex]:
-    """Output field (ex, ey) of ``dpc_transform(phases) @ sop`` in scalar
-    complex arithmetic, without building the matrices.
-
-    The first row (b00, b01) is formed in the same order as the matrix
-    chain: M45(t4) @ M0(t3), then @ M45(t2), then @ M0(t1).  The terms left
-    out are those multiplying the exact zero off-diagonals of the M0 stages;
-    for finite phases such a term is a signed zero, and adding it changes at
-    most the sign of a zero.  The cascade is special unitary, so its second
-    row is (-conj(b01), conj(b00)), and forming it so is exact too: each
-    factor of the chain's second row is the conjugate, or the negated
-    conjugate, of one in its first row (c2 and c4 are real, s2 and s4
-    imaginary); negating or conjugating is exact; conj(x) * conj(y) ==
-    conj(x * y) holds exactly; and IEEE sums and products commute.  So the
-    result equals the matrix chain's, except at most in the sign of a zero,
-    which no reading sees.
-
-    A NaN or infinite phase or SOP component raises ValueError naming
-    both.  One test of ex finds them all: the trig raises on an infinite
-    phase, which then stands as NaN, and a NaN or an infinity times any
-    factor, or summed with anything, is NaN or infinite.
-    """
-    t1, t2, t3, t4 = phases
-    try:
-        # the stage elements, exactly as make_m0 and make_m45 build them
-        p1 = cmath.exp(-0.5j * t1)
-        p3 = cmath.exp(-0.5j * t3)
-        c2 = math.cos(0.5 * t2)
-        s2 = -1.0j * math.sin(0.5 * t2)
-        c4 = math.cos(0.5 * t4)
-        s4 = -1.0j * math.sin(0.5 * t4)
-    except ValueError:
-        p1 = p3 = c2 = s2 = c4 = s4 = math.nan
-    # the first row of M45(t4) @ M0(t3), then @ M45(t2), then @ M0(t1)
-    a00 = c4 * p3
-    a01 = s4 * p3.conjugate()
-    b00 = (a00 * c2 + a01 * s2) * p1
-    b01 = (a00 * s2 + a01 * c2) * p1.conjugate()
-    # @ sop
-    ex, ey = sop.ex, sop.ey
-    e_x = b00 * ex + b01 * ey
-    if not cmath.isfinite(e_x):
-        raise ValueError("stage phases and input SOP must be finite, got "
-                         f"{phases!r} and {sop!r}")
-    return e_x, b00.conjugate() * ey - b01.conjugate() * ex
-
-
 def measure(input_sop: JonesVector, phases: PhaseQuad, params: DeviceParams,
             rng, noise=None) -> tuple[float, float]:
     """Simulate one detector reading pair for a given input SOP and phase
     setting: a plain tuple of i_px (maximized port), i_py (minimized port).
 
-    The ideal port powers come from the cascade transform; the minimized
-    port is then floored at i_px * 10^(-static_er_db/10) (finite splitter
-    extinction), Gaussian noise of deviation ``noise_sigma`` is added per
-    detector, and the readings are clamped at zero.
+    The ideal port powers are those of ``dpc_transform(phases) @
+    input_sop``; the minimized port is then floored at i_px *
+    10^(-static_er_db/10) (finite splitter extinction), Gaussian noise of
+    deviation ``noise_sigma`` is added per detector, and the readings are
+    clamped at zero.
 
     The noise is ``noise_sigma`` times a pair of standard normals, i_px's
     first: ``noise`` when given (a lock passes its pre-drawn row), else, on
     a bare call, one ``rng.standard_normal(2)`` (the same stream and bits as
     ``rng.normal(0.0, noise_sigma, 2)``).  A noiseless device reads neither,
     and ``rng`` may then be None.  Readings are Python floats in every case.
+
+    The field is formed in real float arithmetic, and equals the complex
+    matrix chain's (M45(t4) @ M0(t3), then @ M45(t2), @ M0(t1), @ sop) up
+    to the sign of a zero, which no reading sees:
+
+    * each complex product is CPython's, (a+bi)(c+di) = (ac - bd) +
+      (ad + bc)i, written out term by term in the chain's order;
+    * the terms left out multiply an exact zero: the M0 stages' zero
+      off-diagonals, and the zero imaginary part of the M45 diagonal and
+      real part of its off-diagonal.  For finite phases each is a signed
+      zero, and adding one changes at most the sign of a zero;
+    * cmath.exp(-0.5j * t) is cos and sin of -0.5 t times exp(0.0) == 1.0;
+    * negation is exact, so signs move freely between factors and sums;
+    * the cascade is special unitary, so its second row is (-conj(b01),
+      conj(b00)) of its first (b00, b01).  That is exact too: each factor
+      of the chain's second row is the conjugate, or the negated conjugate,
+      of one in its first row, and conj(x) * conj(y) == conj(x * y).
+
+    A NaN or infinite phase or SOP component, or an SOP whose port powers
+    overflow, raises ValueError naming both.  One test of i_px + i_py finds
+    them all: the trig raises on an infinite phase, which then stands as
+    NaN, and a NaN or an infinity propagates through every product and sum.
     """
-    e_x, e_y = _cascade(input_sop, phases)
-    i_px = e_x.real * e_x.real + e_x.imag * e_x.imag
-    i_py = e_y.real * e_y.real + e_y.imag * e_y.imag
+    t1, t2, t3, t4 = phases
+    try:
+        # M0(t) = diag(c + s i, c - s i), c, s = cos, sin of -0.5 t, and
+        # M45(t) = [[c, -s i], [-s i, c]], c, s = cos, sin of 0.5 t
+        h = -0.5 * t1
+        c1, s1 = cos(h), sin(h)
+        h = -0.5 * t3
+        c3, s3 = cos(h), sin(h)
+        h = 0.5 * t2
+        c2, s2 = cos(h), sin(h)
+        h = 0.5 * t4
+        c4, s4 = cos(h), sin(h)
+    except ValueError:
+        c1 = s1 = c2 = s2 = c3 = s3 = c4 = s4 = math.nan
+    # the first row of M45(t4) @ M0(t3): (a + b i, -(c + d i))
+    a, b = c4 * c3, c4 * s3
+    c, d = s4 * s3, s4 * c3
+    # @ M45(t2): (ur + ui i, vr - v i)
+    ur, ui = a * c2 - d * s2, b * c2 + c * s2
+    vr, v = b * s2 - c * c2, a * s2 + d * c2
+    # @ M0(t1): (b00r + b00i i, b01r - g i)
+    b00r, b00i = ur * c1 - ui * s1, ur * s1 + ui * c1
+    b01r, g = vr * c1 - v * s1, vr * s1 + v * c1
+    # @ sop
+    ex, ey = input_sop.ex, input_sop.ey
+    xr, xi = ex.real, ex.imag
+    yr, yi = ey.real, ey.imag
+    e = (b00r * xr - b00i * xi) + (b01r * yr + g * yi)
+    f = (b00r * xi + b00i * xr) + (b01r * yi - g * yr)
+    i_px = e * e + f * f
+    e = (b00r * yr + b00i * yi) - (b01r * xr - g * xi)
+    f = (b00r * yi - b00i * yr) - (b01r * xi + g * xr)
+    i_py = e * e + f * f
+    if not isfinite(i_px + i_py):
+        raise ValueError("stage phases and input SOP must be finite, and "
+                         f"so must their port powers, got {phases!r} and "
+                         f"{input_sop!r}")
 
     floor = params._py_floor
     if floor is not None:

@@ -1,5 +1,5 @@
-"""Jones-calculus kernel: polarization states, 2x2 transfer matrices, Stokes
-diagnostics, and extinction-ratio arithmetic.
+"""Jones-calculus kernel: polarization states, 2x2 transfer matrices and
+Stokes diagnostics.
 
 Conventions used throughout the package:
 
@@ -186,15 +186,3 @@ def random_sop(rng) -> JonesVector:
     """
     a, b, c, d = _unit(rng.normal(size=4).tolist())
     return JonesVector(complex(a, b), complex(c, d))
-
-
-def extinction_ratio_db(i_px: float, i_py: float) -> float:
-    """Power extinction ratio 10 log10(i_px / i_py) in dB.
-
-    Both intensities must be strictly positive; callers are expected to clamp
-    with their noise floor first.
-    """
-    if i_px <= 0.0 or i_py <= 0.0:
-        raise ValueError(
-            f"extinction ratio needs positive intensities, got ({i_px}, {i_py})")
-    return 10.0 * math.log10(i_px / i_py)

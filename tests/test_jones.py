@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from polarlock import (ALGEBRA_TOL, COUPLER_IN, COUPLER_OUT, JonesMatrix,
-                       JonesVector, extinction_ratio_db, make_m0,
-                       make_m45, random_sop, to_stokes)
+                       JonesVector, make_m0, make_m45, random_sop, to_stokes)
 from polarlock.jones import _unit
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -182,18 +181,6 @@ def test_random_sop_uniform_on_sphere():
         s = to_stokes(random_sop(rng))
         acc += (s.s1, s.s2, s.s3)
     assert np.all(np.abs(acc / n) < 0.02)
-
-
-def test_extinction_ratio_values():
-    assert extinction_ratio_db(0.4, 0.4) == 0.0
-    assert extinction_ratio_db(1.0, 10.0 ** -2.8) == pytest.approx(28.0, abs=1e-12)
-    assert extinction_ratio_db(1.0, 10.0 ** -2.5) == pytest.approx(25.0, abs=1e-12)
-
-
-@pytest.mark.parametrize("i_px,i_py", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)])
-def test_extinction_ratio_rejects_nonpositive(i_px, i_py):
-    with pytest.raises(ValueError):
-        extinction_ratio_db(i_px, i_py)
 
 
 def test_same_sop_distinguishes_states():

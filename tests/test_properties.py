@@ -28,7 +28,7 @@ from polarlock.anneal import (_er_db, _er_db_array, _move, _signed, propose,
                               step_for_gap)
 from polarlock.disturbance import DisturbedObjective
 from polarlock.config import KEYS
-from polarlock.device import PHASE_SPAN, TpsParams, _cascade
+from polarlock.device import PHASE_SPAN, TpsParams
 from polarlock.harness import (_NUMBER, _WORD, CSV_COLUMNS, ResultsTable,
                                _g9_words, run_experiment)
 
@@ -48,10 +48,88 @@ def _quads(draw, phase=_phase):
     return PhaseQuad(*(draw(phase) for _ in range(4)))
 
 
+def _reference_cascade(sop, phases):
+    """Output field (ex, ey) of ``dpc_transform(phases) @ sop`` in scalar
+    complex arithmetic, without building the matrices.
+
+    The first row (b00, b01) is formed in the same order as the matrix
+    chain: M45(t4) @ M0(t3), then @ M45(t2), then @ M0(t1).  The terms left
+    out are those multiplying the exact zero off-diagonals of the M0 stages;
+    for finite phases such a term is a signed zero, and adding it changes at
+    most the sign of a zero.  The cascade is special unitary, so its second
+    row is (-conj(b01), conj(b00)), and forming it so is exact too: each
+    factor of the chain's second row is the conjugate, or the negated
+    conjugate, of one in its first row (c2 and c4 are real, s2 and s4
+    imaginary); negating or conjugating is exact; conj(x) * conj(y) ==
+    conj(x * y) holds exactly; and IEEE sums and products commute.  So the
+    result equals the matrix chain's, except at most in the sign of a zero,
+    which no reading sees.
+
+    A NaN or infinite phase or SOP component raises ValueError naming
+    both.  One test of ex finds them all: the trig raises on an infinite
+    phase, which then stands as NaN, and a NaN or an infinity times any
+    factor, or summed with anything, is NaN or infinite.
+    """
+    t1, t2, t3, t4 = phases
+    try:
+        # the stage elements, exactly as make_m0 and make_m45 build them
+        p1 = cmath.exp(-0.5j * t1)
+        p3 = cmath.exp(-0.5j * t3)
+        c2 = math.cos(0.5 * t2)
+        s2 = -1.0j * math.sin(0.5 * t2)
+        c4 = math.cos(0.5 * t4)
+        s4 = -1.0j * math.sin(0.5 * t4)
+    except ValueError:
+        p1 = p3 = c2 = s2 = c4 = s4 = math.nan
+    # the first row of M45(t4) @ M0(t3), then @ M45(t2), then @ M0(t1)
+    a00 = c4 * p3
+    a01 = s4 * p3.conjugate()
+    b00 = (a00 * c2 + a01 * s2) * p1
+    b01 = (a00 * s2 + a01 * c2) * p1.conjugate()
+    # @ sop
+    ex, ey = sop.ex, sop.ey
+    e_x = b00 * ex + b01 * ey
+    if not cmath.isfinite(e_x):
+        raise ValueError("stage phases and input SOP must be finite, got "
+                         f"{phases!r} and {sop!r}")
+    return e_x, b00.conjugate() * ey - b01.conjugate() * ex
+
+
+def _reference_measure(input_sop, phases, params, rng, noise=None):
+    """``measure`` in scalar complex arithmetic: the ports of
+    ``_reference_cascade``, then the splitter floor, the noise and the clamp
+    at zero."""
+    e_x, e_y = _reference_cascade(input_sop, phases)
+    i_px = e_x.real * e_x.real + e_x.imag * e_x.imag
+    i_py = e_y.real * e_y.real + e_y.imag * e_y.imag
+
+    floor = params._py_floor
+    if floor is not None:
+        floor = i_px * floor
+        if floor > i_py:
+            i_py = floor
+
+    sigma = params.noise_sigma
+    if sigma > 0.0:
+        if noise is None:
+            if rng is None:
+                raise ValueError("measure needs an rng when noise_sigma > 0")
+            noise = rng.standard_normal(2).tolist()
+        z_px, z_py = noise
+        i_px += sigma * z_px
+        i_py += sigma * z_py
+
+    if i_px < 0.0:
+        i_px = 0.0
+    if i_py < 0.0:
+        i_py = 0.0
+    return i_px, i_py
+
+
 @given(_sops(), _quads())
 def test_cascade_equals_matrix_chain_exactly(sop, phases):
     ref = dpc_transform(phases) @ sop
-    assert _cascade(sop, phases) == (ref.ex, ref.ey)
+    assert _reference_cascade(sop, phases) == (ref.ex, ref.ey)
 
 
 def _four_product_cascade(sop, phases):
@@ -78,9 +156,37 @@ _EDGE_PHASES = (0.0, -0.0, math.pi / 2, math.pi, 2 * math.pi, 3 * math.pi,
 
 @given(_sops(), _quads(st.sampled_from(_EDGE_PHASES) | _phase))
 def test_cascade_second_row_equals_four_product_reference(sop, phases):
-    # _cascade derives the second row from the first (special unitary); only
-    # the sign of a zero may differ, and == does not see it
-    assert _cascade(sop, phases) == _four_product_cascade(sop, phases)
+    # _reference_cascade derives the second row from the first (special
+    # unitary); only the sign of a zero may differ, and == does not see it
+    assert (_reference_cascade(sop, phases)
+            == _four_product_cascade(sop, phases))
+
+
+_DEVICES = (DeviceParams.ideal(), DeviceParams(noise_sigma=0.0),
+            DeviceParams())
+
+
+@pytest.mark.parametrize("device", _DEVICES, ids=("ideal", "floor", "noisy"))
+@given(sop=_sops(), phases=_quads(st.sampled_from(_EDGE_PHASES) | _phase),
+       noise=st.tuples(st.floats(-40.0, 40.0), st.floats(-40.0, 40.0)))
+@example(sop=JonesVector(0.6, 0.8j), phases=PhaseQuad(0.0, 0.0, 0.0, 0.0),
+         noise=(0.0, 0.0))
+@example(sop=JonesVector(0.6, 0.8j), phases=PhaseQuad(*(PHASE_SPAN,) * 4),
+         noise=(0.5, -0.5))
+@example(sop=JonesVector(complex(-0.0, 0.6), complex(0.8, -0.0)),
+         phases=PhaseQuad(0.1, 0.2, 0.3, 0.4), noise=(-1.0, 1.0))
+@example(sop=JonesVector(complex(0.6, 0.0), complex(0.0, 0.8)),
+         phases=PhaseQuad(0.1 + 2 * math.pi, 0.2, 0.3 - 2 * math.pi, 0.4),
+         noise=(2.0, -3.0))
+def test_measure_equals_complex_reference_bit_for_bit(device, sop, phases,
+                                                      noise):
+    # SOPs up to 1e100 a component keep the port powers finite, where the
+    # reference and measure both read; the noise row is the one a lock
+    # passes, and a noiseless device ignores it
+    got = measure(sop, phases, device, None, noise)
+    want = _reference_measure(sop, phases, device, None, noise)
+    assert all(type(x) is float for x in got)
+    assert _bits(got) == _bits(want)
 
 
 @given(_sops(), _quads())
@@ -195,7 +301,7 @@ def test_cascade_rejects_nonfinite_phase(bad):
     for stage in range(4):
         phases = PhaseQuad(*(bad if k == stage else 0.1 * (k + 1)
                              for k in range(4)))
-        for read in (lambda: _cascade(sop, phases),
+        for read in (lambda: measure(sop, phases, DeviceParams.ideal(), None),
                      lambda: port_intensity(sop, phases),
                      lambda: measure(sop, phases, DeviceParams(), None,
                                      (0.0, 0.0))):
@@ -222,6 +328,24 @@ def test_cascade_rejects_nonfinite_sop(bad):
             with pytest.raises(ValueError, match="SOP must be finite") as e:
                 read()
             assert repr(sop) in str(e.value)
+
+
+def test_sop_whose_port_powers_overflow_is_rejected_as_nonfinite():
+    # the field stays finite here, but its squares overflow: the readings
+    # would be (inf, inf), which look like a reading and are not one
+    sop = JonesVector(1e200 + 0j, 0j)
+    phases = PhaseQuad(1.0, 2.0, 3.0, 4.0)
+    cfg = AnnealConfig(m0=3, n0=7)
+    rng = np.random.default_rng(0)
+    for read in (lambda: measure(sop, phases, DeviceParams.ideal(), None),
+                 lambda: measure(sop, phases, DeviceParams(), None,
+                                 (0.0, 0.0)),
+                 lambda: port_intensity(sop, phases),
+                 lambda: run_lock(bind_objective(sop, DeviceParams(), rng),
+                                  cfg, TpsParams(), rng)):
+        with pytest.raises(ValueError, match="SOP must be finite") as e:
+            read()
+        assert repr(sop) in str(e.value)
 
 
 @given(_seed, _quads(st.floats(0.0, PHASE_SPAN)), st.integers(0, 3),
