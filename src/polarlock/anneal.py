@@ -17,7 +17,6 @@ import functools
 import math
 import re
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Callable, Iterator
 
 import numpy as np
@@ -25,9 +24,9 @@ import numpy as np
 from .device import (PHASE_SPAN, PhaseQuad, TpsParams, DeviceParams,
                      _check_field, measure)
 
-#: objective protocol: a phase 4-tuple, the evaluation's noise row and the
-#: lock's whole channel block (see ``run_lock``) in, a plain (i_px, i_py)
-#: tuple out
+#: objective protocol: a phase 4-tuple, the evaluation's noise pair (two
+#: floats, i_px's first) and the lock's whole channel block (see
+#: ``run_lock``) in, a plain (i_px, i_py) tuple out
 Objective = Callable[..., tuple[float, float]]
 
 # intensities are clamped here before dB conversion in traces, so a reading
@@ -240,8 +239,8 @@ def _move(s_p, st: float, d, hi: float) -> tuple[float, float, float, float]:
     by +st*|d| at or below 0 and by -st*|d| at or above ``hi``; then clamp
     into [0, hi].  It equals the move by +-st*r that the raw (r, u) draws
     give, bit for bit: st*(-r) == -(st*r) and x + (-y) == x - y in IEEE
-    arithmetic.  Unrolled, since the lock loop calls it on every
-    iteration."""
+    arithmetic.  ``run_lock`` writes the same expressions out in its loop
+    body."""
     x1, x2, x3, x4 = s_p
     d1, d2, d3, d4 = d
     x1 = (x1 + st * d1 if 0.0 < x1 < hi else
@@ -297,8 +296,8 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
     temperature is halved after each outer loop).  Each
     iteration looks up the step in ``schedule`` (the variable-step table
     unless given) from the gap 1 - (latest reading) as ``step_for_gap``
-    does, moves all four phases within [0, phase_max] (``_move``, by the
-    signed steps that one ``_signed`` pass forms from the whole uniform
+    does, moves all four phases within [0, phase_max] as ``_move`` does (by
+    the signed steps that one ``_signed`` pass forms from the whole uniform
     block), evaluates them (a plain 4-tuple), and applies ``accept``'s
     Metropolis rule against the latest reading.  The temperatures are
     ``cfg.temperature``, the read-only array that the trace shares.
@@ -309,39 +308,62 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
     then u for stages 1-4 and the Metropolis uniform of iteration i; then
     standard normals (n + 1, 2), the noise of evaluation k in row k (k = 0
     the initial one), i_px's first; then standard normals (n, 3), the
-    channel's.  Evaluation k calls ``objective(phases, noise_row, channel)``
-    with the whole channel block, the same array on every call (a new block
-    restarts ``DisturbedObjective``'s SOP sequence, whose evaluation k reads
-    rows up to ``max(k - 1, 0)``), and unpacks the (i_px, i_py) pair.
+    channel's.  Evaluation k calls ``objective(phases, noise, channel)``
+    with row k as a pair of floats (a 2-tuple in the loop, a list for the
+    initial evaluation) and the whole channel block, the same array on every
+    call (a new block restarts ``DisturbedObjective``'s SOP sequence, whose
+    evaluation k reads rows up to ``max(k - 1, 0)``), and unpacks the
+    (i_px, i_py) pair.
 
-    The loop records only each iteration's step, phases, reading and
-    verdict, one list per field; ``er_db`` and the lock point are derived
-    from those once the loop ends, with the same values a per-iteration
-    computation gives, and the ``phases`` array when it is first read.
+    The loop takes its inputs as flat lists of floats, one per column of
+    the signed steps, the Metropolis uniforms and noise rows 1..n, and
+    writes ``_move`` out in place over four local floats; so the only
+    containers a default lock keeps are its 500 candidate tuples, which
+    stay under the collector's generation-0 threshold.  It records only
+    each iteration's step, phases, reading and verdict, one list per
+    field; ``er_db`` and the lock point are derived from those once the
+    loop ends, with the same values a per-iteration computation gives, and
+    the ``phases`` array when it is first read.
     """
     n_iter = cfg.total_iterations
     uniforms = rng.random((n_iter, 9))
-    noise = rng.standard_normal((n_iter + 1, 2)).tolist()
+    noise = rng.standard_normal((n_iter + 1, 2))
     channel = rng.standard_normal((n_iter, 3))
 
     hi = tps.phase_max
     state = initial_thetas = (hi / 2.0,) * 4
 
-    i_ref, i_py = objective(state, noise[0], channel)
+    i_ref, i_py = objective(state, noise[0].tolist(), channel)
     initial_sample = (i_ref, i_py)
 
     e1, e2, e3 = _EDGES
     s0, s1, s2, s3 = schedule.steps
     exp = math.exp
 
+    # iteration i's signed steps, Metropolis uniform and noise, row i - 1 of
+    # one (n, 7) block, entering the loop as seven flat lists of floats
+    cols = np.concatenate((_signed(uniforms), uniforms[:, 8:], noise[1:]),
+                          axis=1).T.tolist()
     temperature, temps = _schedule(cfg)
     cands, steps, pxs, pys, oks = [], [], [], [], []
-    for t, d, u, z in zip(temps, _signed(uniforms).tolist(),
-                          uniforms[:, 8].tolist(), islice(noise, 1, None)):
+    for t, d1, d2, d3, d4, u, zx, zy in zip(temps, *cols):
         gap = 1.0 - i_ref
         st = s0 if gap > e1 else s1 if gap > e2 else s2 if gap > e3 else s3
-        cand = _move(state, st, d, hi)
-        i_px, i_py = objective(cand, z, channel)
+        # _move(state, st, (d1, d2, d3, d4), hi)
+        x1, x2, x3, x4 = state
+        x1 = (x1 + st * d1 if 0.0 < x1 < hi else
+              x1 + st * abs(d1) if x1 <= 0.0 else x1 - st * abs(d1))
+        x2 = (x2 + st * d2 if 0.0 < x2 < hi else
+              x2 + st * abs(d2) if x2 <= 0.0 else x2 - st * abs(d2))
+        x3 = (x3 + st * d3 if 0.0 < x3 < hi else
+              x3 + st * abs(d3) if x3 <= 0.0 else x3 - st * abs(d3))
+        x4 = (x4 + st * d4 if 0.0 < x4 < hi else
+              x4 + st * abs(d4) if x4 <= 0.0 else x4 - st * abs(d4))
+        cand = (0.0 if x1 < 0.0 else hi if x1 > hi else x1,
+                0.0 if x2 < 0.0 else hi if x2 > hi else x2,
+                0.0 if x3 < 0.0 else hi if x3 > hi else x3,
+                0.0 if x4 < 0.0 else hi if x4 > hi else x4)
+        i_px, i_py = objective(cand, (zx, zy), channel)
         ok = i_px >= i_ref or u < exp((i_px - i_ref) / t)
         if ok:
             state = cand

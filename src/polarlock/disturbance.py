@@ -90,7 +90,7 @@ def _channel(sop: JonesVector, model: DisturbanceModel, block, rng):
         sop = rotate_sop(sop, _unit(row(max(model.jump_at - 1, 0))),
                          model.jump_magnitude)
     elif model.drift_rate:  # drift: no other kind may set a rate
-        rows = map(row, count()) if block is None else iter(block.tolist())
+        rows = map(row, count()) if block is None else zip(*block.T.tolist())
         yield sop
         x, y, z = _unit(next(rows))
         while True:

@@ -30,9 +30,9 @@ CSV_COLUMNS = ("variant", "trial", "iteration", "temperature", "step_rad",
 # the per-iteration fields kept from each trial, in CSV column order
 _FIELDS = CSV_COLUMNS[4:]
 _CELL_BYTES = 33  # four float64 and one bool per (variant, trial, iteration)
-# peaks under tracemalloc, rounded up: one lock held 961 bytes per iteration
-# on a static channel and 1,121 under drift, and write_csv 430-445 bytes per
-# row of its chunk at one trial, 291-294 at ten
+# peaks under tracemalloc, rounded up: one lock of 10^4 iterations held 660
+# bytes per iteration on a static channel and 756 under drift, and write_csv
+# 430-445 bytes per row of its chunk at one trial, 291-294 at ten
 _LOCK_BYTES = 1200
 _ROW_BYTES = 500
 # median ER (dB) whose first crossing the summary reports, the paper's claim

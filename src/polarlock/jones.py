@@ -167,7 +167,7 @@ def to_stokes(v: JonesVector) -> StokesParams:
     return StokesParams(s0, ax - ay, 2.0 * cross.real, -2.0 * cross.imag)
 
 
-def _unit(q: list[float]) -> tuple[float, ...]:
+def _unit(q: list[float] | tuple[float, ...]) -> tuple[float, ...]:
     """``q`` over its norm, the square root of the left-to-right sum of
     squares in Python floats (no BLAS kernel enters it); below a norm of
     1e-12, the first axis (1, 0, ...), so that nothing is ever redrawn."""

@@ -1,17 +1,19 @@
 import dataclasses
+import gc
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from polarlock import (AnnealConfig, DeviceParams, JonesVector, PhaseQuad,
-                       StepSchedule, bind_objective,
+from polarlock import (AnnealConfig, DeviceParams, DisturbanceModel,
+                       JonesVector, PhaseQuad, StepSchedule, bind_objective,
                        dpc_transform, phase_step_to_voltage_step,
                        port_intensity, random_sop, run_lock)
 from polarlock import anneal
 from polarlock.anneal import accept, propose, step_for_gap
 from polarlock.device import V_MAX, TpsParams
+from polarlock.disturbance import DisturbedObjective
 
 TPS = TpsParams()
 SPAN = TPS.phase_max
@@ -248,6 +250,36 @@ def test_run_lock_already_locked_input_stays_locked():
     trace = run_lock(bind_objective(sop, dev, rng), AnnealConfig(), TPS, rng)
     assert abs(trace.initial_er_db - 28.0) < 1e-6
     assert np.all(np.abs(trace.er_db - trace.initial_er_db) <= 2.0)
+
+
+@pytest.mark.skipif(gc.get_threshold()[0] < 700,
+                    reason="a generation-0 threshold below CPython's 700")
+@pytest.mark.parametrize("model", [
+    None, DisturbanceModel(kind="drift", drift_rate=0.01),
+    DisturbanceModel(kind="jump", jump_at=250,
+                     jump_magnitude=math.pi / 2)],
+    ids=("static", "drift", "jump"))
+def test_a_lock_runs_no_garbage_collection(model):
+    # the loop's inputs are flat lists of floats, which the collector does
+    # not track, so only the 500 candidate tuples and the trace count
+    # towards the generation-0 threshold of 700
+    rng = np.random.default_rng(17)
+    sop, dev = random_sop(rng), DeviceParams()
+    objective = (bind_objective(sop, dev, rng) if model is None else
+                 DisturbedObjective(sop, dev, model, rng))
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        run_lock(objective, AnnealConfig(), dev.tps, rng)
+    finally:
+        gc.callbacks.remove(count)
+    assert starts == []
 
 
 def test_run_lock_fixed_zero_step_is_constant():

@@ -10,6 +10,7 @@ import locale
 import math
 import os
 import tempfile
+from itertools import islice
 from pathlib import Path
 from unittest import mock
 
@@ -24,8 +25,8 @@ from polarlock import (AnnealConfig, DeviceParams, DisturbanceModel,
                        load_experiment_config, measure, port_intensity,
                        random_sop, run_lock)
 from polarlock import cli
-from polarlock.anneal import (_er_db, _er_db_array, _move, _signed, propose,
-                              step_for_gap)
+from polarlock.anneal import (_EDGES, LockTrace, _er_db, _er_db_array, _move,
+                              _schedule, _signed, propose, step_for_gap)
 from polarlock.disturbance import DisturbedObjective
 from polarlock.config import KEYS
 from polarlock.device import PHASE_SPAN, TpsParams
@@ -443,6 +444,106 @@ def test_loop_step_lookup_equals_step_for_gap(schedule, gaps):
     want = [step_for_gap(g, schedule) for g in gaps]
     assert _loop_steps(schedule, gaps) == want
     assert want == [_reference_step(g, schedule) for g in gaps]
+
+
+def _reference_run_lock(objective, cfg, tps, rng,
+                        schedule=StepSchedule()):
+    """``run_lock`` as it was before its loop took its inputs as flat
+    columns and wrote the move out in place: the noise block as a list of
+    rows, each iteration's signed steps as a row list, and ``_move``
+    called on every iteration."""
+    n_iter = cfg.total_iterations
+    uniforms = rng.random((n_iter, 9))
+    noise = rng.standard_normal((n_iter + 1, 2)).tolist()
+    channel = rng.standard_normal((n_iter, 3))
+
+    hi = tps.phase_max
+    state = initial_thetas = (hi / 2.0,) * 4
+
+    i_ref, i_py = objective(state, noise[0], channel)
+    initial_sample = (i_ref, i_py)
+
+    e1, e2, e3 = _EDGES
+    s0, s1, s2, s3 = schedule.steps
+    exp = math.exp
+
+    temperature, temps = _schedule(cfg)
+    cands, steps, pxs, pys, oks = [], [], [], [], []
+    for t, d, u, z in zip(temps, _signed(uniforms).tolist(),
+                          uniforms[:, 8].tolist(), islice(noise, 1, None)):
+        gap = 1.0 - i_ref
+        st = s0 if gap > e1 else s1 if gap > e2 else s2 if gap > e3 else s3
+        cand = _move(state, st, d, hi)
+        i_px, i_py = objective(cand, z, channel)
+        ok = i_px >= i_ref or u < exp((i_px - i_ref) / t)
+        if ok:
+            state = cand
+        i_ref = i_px
+        cands.append(cand)
+        steps.append(st)
+        pxs.append(i_px)
+        pys.append(i_py)
+        oks.append(ok)
+
+    px, py = np.array(pxs, float), np.array(pys, float)
+    # the lock point: the first of the highest readings, the initial one
+    # included, i.e. where the running best (i_max) reaches its final value
+    readings = np.concatenate((initial_sample[:1], px))
+    best_iter = int(np.argmax(readings))
+    best_thetas = cands[best_iter - 1] if best_iter else initial_thetas
+    return LockTrace(temperature, np.array(steps, float), cands, px, py,
+                     _er_db_array(px, py), np.array(oks, bool),
+                     PhaseQuad(*best_thetas), float(readings[best_iter]),
+                     best_iter, initial_sample)
+
+
+def _trace_bytes(trace):
+    """Every field of a trace as bytes, or as ``float.hex`` strings, which
+    tell -0.0 from 0.0."""
+    arrays = [getattr(trace, name) for name in (
+        "temperature", "step_rad", "i_px", "i_py", "er_db", "accepted",
+        "phases")]
+    return ([(a.dtype.str, a.shape, a.tobytes()) for a in arrays],
+            [_bits(c) for c in trace.candidates], type(trace.best_phases),
+            _bits(trace.best_phases), trace.best_intensity.hex(),
+            trace.best_iteration, _bits(trace.initial_sample))
+
+
+def _lock_with(run, model, device, cfg, schedule, seed):
+    """One lock by ``run`` as a harness trial runs it: its trace's bytes
+    and the generator's state after it."""
+    rng = np.random.default_rng(seed)
+    sop = random_sop(rng)
+    objective = (bind_objective(sop, device, rng) if model.kind == "static"
+                 else DisturbedObjective(sop, device, model, rng))
+    trace = run(objective, cfg, device.tps, rng, schedule)
+    return _trace_bytes(trace), rng.bit_generator.state
+
+
+_LOCK_SCHEDULES = (StepSchedule(), StepSchedule(0.16), StepSchedule(0.008),
+                   StepSchedule(0.0), StepSchedule(3.0))
+
+
+@pytest.mark.parametrize("kind", ["static", "drift", "jump"])
+@settings(deadline=None)
+@given(seed=_seed, schedule=st.sampled_from(_LOCK_SCHEDULES),
+       device=st.sampled_from(_DEVICES), t0=st.sampled_from((1e-5, 1e-3)),
+       m0=st.integers(1, 4), n0=st.integers(1, 30),
+       rate=st.floats(1e-3, 1.0), jump_at=st.integers(0, 119),
+       magnitude=st.floats(0.0, math.pi))
+@example(seed=0, schedule=StepSchedule(), device=DeviceParams(), t0=1e-5,
+         m0=10, n0=50, rate=0.01, jump_at=250, magnitude=math.pi / 2)
+def test_run_lock_equals_reference_loop_bit_for_bit(kind, seed, schedule,
+                                                    device, t0, m0, n0, rate,
+                                                    jump_at, magnitude):
+    cfg = AnnealConfig(t0=t0, m0=m0, n0=n0)
+    model = (DisturbanceModel(kind="drift", drift_rate=rate)
+             if kind == "drift" else
+             DisturbanceModel(kind="jump", jump_magnitude=magnitude,
+                              jump_at=jump_at % cfg.total_iterations)
+             if kind == "jump" else DisturbanceModel())
+    want = _lock_with(_reference_run_lock, model, device, cfg, schedule, seed)
+    assert _lock_with(run_lock, model, device, cfg, schedule, seed) == want
 
 
 _POSITIVE = st.floats(0.0, exclude_min=True, allow_infinity=False)
