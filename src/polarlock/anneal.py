@@ -239,8 +239,7 @@ def _move(s_p, st: float, d, hi: float) -> tuple[float, float, float, float]:
     by +st*|d| at or below 0 and by -st*|d| at or above ``hi``; then clamp
     into [0, hi].  It equals the move by +-st*r that the raw (r, u) draws
     give, bit for bit: st*(-r) == -(st*r) and x + (-y) == x - y in IEEE
-    arithmetic.  ``run_lock`` writes the same expressions out in its loop
-    body."""
+    arithmetic.  ``run_lock`` calls it only off its band (see there)."""
     x1, x2, x3, x4 = s_p
     d1, d2, d3, d4 = d
     x1 = (x1 + st * d1 if 0.0 < x1 < hi else
@@ -290,17 +289,13 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
              rng, schedule: StepSchedule = StepSchedule()) -> LockTrace:
     """Run the annealing lock and return its full trace.
 
-    The search point starts with all four phases at half the span,
-    ``tps.phase_max / 2``, and is evaluated once; then ``m0`` outer loops of
-    ``n0`` inner iterations run, as one loop over ``cfg.temperature`` (the
-    temperature is halved after each outer loop).  Each
-    iteration looks up the step in ``schedule`` (the variable-step table
-    unless given) from the gap 1 - (latest reading) as ``step_for_gap``
-    does, moves all four phases within [0, phase_max] as ``_move`` does (by
-    the signed steps that one ``_signed`` pass forms from the whole uniform
-    block), evaluates them (a plain 4-tuple), and applies ``accept``'s
-    Metropolis rule against the latest reading.  The temperatures are
-    ``cfg.temperature``, the read-only array that the trace shares.
+    The search point starts with all four phases at ``tps.phase_max / 2``
+    and is evaluated once; then ``m0`` outer loops of ``n0`` iterations run
+    as one loop over ``cfg.temperature``, the array the trace shares.  Each
+    iteration takes ``step_for_gap`` of 1 - (latest reading) in
+    ``schedule``, moves all four phases as ``_move`` does by the signed
+    steps of one ``_signed`` pass over the uniform block, evaluates them (a
+    plain 4-tuple) and applies ``accept``'s rule against the latest reading.
 
     Stream contract: before the first evaluation, and never after, three
     blocks are drawn from ``rng`` whatever the device, channel and schedule,
@@ -312,18 +307,25 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
     with row k as a pair of floats (a 2-tuple in the loop, a list for the
     initial evaluation) and the whole channel block, the same array on every
     call (a new block restarts ``DisturbedObjective``'s SOP sequence, whose
-    evaluation k reads rows up to ``max(k - 1, 0)``), and unpacks the
-    (i_px, i_py) pair.
+    evaluation k reads rows up to ``max(k - 1, 0)``), and unpacks (i_px, i_py).
 
     The loop takes its inputs as flat lists of floats, one per column of
-    the signed steps, the Metropolis uniforms and noise rows 1..n, and
-    writes ``_move`` out in place over four local floats; so the only
-    containers a default lock keeps are its 500 candidate tuples, which
-    stay under the collector's generation-0 threshold.  It records only
-    each iteration's step, phases, reading and verdict, one list per
+    the signed steps, the Metropolis uniforms and noise rows 1..n; so the
+    only containers a default lock keeps are its 500 candidate tuples,
+    which stay under the collector's generation-0 threshold.  It records
+    only each iteration's step, phases, reading and verdict, one list per
     field; ``er_db`` and the lock point are derived from those once the
     loop ends, with the same values a per-iteration computation gives, and
     the ``phases`` array when it is first read.
+
+    While every held phase x lies in lo < x < top, lo the schedule's
+    largest step and top = fl(phase_max - lo), the loop moves by the plain
+    x + st*d, which is ``_move`` bit for bit: |fl(st*d)| <= st <= lo as
+    |d| < 1, and x < top gives x <= phase_max - lo exactly, so x + fl(st*d)
+    lies in [0, phase_max], where ``_move`` takes the same sum and its clamp
+    is the identity.  It tests that band when it accepts a candidate and
+    calls ``_move`` off it (always, if lo >= phase_max / 2): at the default
+    config on under 0.06% of iterations, all in ``fixed(0.16)``.
     """
     n_iter = cfg.total_iterations
     uniforms = rng.random((n_iter, 9))
@@ -344,29 +346,24 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
     # one (n, 7) block, entering the loop as seven flat lists of floats
     cols = np.concatenate((_signed(uniforms), uniforms[:, 8:], noise[1:]),
                           axis=1).T.tolist()
+    # the band where no step reaches an edge, and whether x1..x4 lie in it
+    lo = max(s0, s1, s2, s3)
+    top = hi - lo
+    x1 = x2 = x3 = x4 = state[0]
+    inner = lo < x1 < top
     temperature, temps = _schedule(cfg)
     cands, steps, pxs, pys, oks = [], [], [], [], []
     for t, d1, d2, d3, d4, u, zx, zy in zip(temps, *cols):
         gap = 1.0 - i_ref
         st = s0 if gap > e1 else s1 if gap > e2 else s2 if gap > e3 else s3
-        # _move(state, st, (d1, d2, d3, d4), hi)
-        x1, x2, x3, x4 = state
-        x1 = (x1 + st * d1 if 0.0 < x1 < hi else
-              x1 + st * abs(d1) if x1 <= 0.0 else x1 - st * abs(d1))
-        x2 = (x2 + st * d2 if 0.0 < x2 < hi else
-              x2 + st * abs(d2) if x2 <= 0.0 else x2 - st * abs(d2))
-        x3 = (x3 + st * d3 if 0.0 < x3 < hi else
-              x3 + st * abs(d3) if x3 <= 0.0 else x3 - st * abs(d3))
-        x4 = (x4 + st * d4 if 0.0 < x4 < hi else
-              x4 + st * abs(d4) if x4 <= 0.0 else x4 - st * abs(d4))
-        cand = (0.0 if x1 < 0.0 else hi if x1 > hi else x1,
-                0.0 if x2 < 0.0 else hi if x2 > hi else x2,
-                0.0 if x3 < 0.0 else hi if x3 > hi else x3,
-                0.0 if x4 < 0.0 else hi if x4 > hi else x4)
+        cand = ((x1 + st * d1, x2 + st * d2, x3 + st * d3, x4 + st * d4)
+                if inner else _move(state, st, (d1, d2, d3, d4), hi))
         i_px, i_py = objective(cand, (zx, zy), channel)
         ok = i_px >= i_ref or u < exp((i_px - i_ref) / t)
         if ok:
-            state = cand
+            x1, x2, x3, x4 = state = cand
+            inner = (lo < x1 < top and lo < x2 < top and lo < x3 < top
+                     and lo < x4 < top)
         i_ref = i_px
         cands.append(cand)
         steps.append(st)

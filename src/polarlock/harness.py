@@ -220,16 +220,20 @@ class ResultsTable:
         """The p50 curve of ``percentile_curves``, the aggregate file's."""
         return np.percentile(self.er_db[self._index(label)], 50.0, axis=0)
 
+    def _median_figures(self, label: str) -> tuple[float, int | None]:
+        curve = self.median_er_curve(label)
+        hits = np.nonzero(curve >= _LOCK_DB)[0]
+        return float(curve[-1]), int(hits[0]) + 1 if hits.size else None
+
     def first_crossing(self, label: str) -> int | None:
         """First iteration at which the median ER reaches ``_LOCK_DB``."""
-        hits = np.nonzero(self.median_er_curve(label) >= _LOCK_DB)[0]
-        return int(hits[0]) + 1 if hits.size else None
+        return self._median_figures(label)[1]
 
     def acceptance_rate(self, label: str) -> float:
         return float(np.mean(self.accepted[self._index(label)]))
 
     def median_final_er(self, label: str) -> float:
-        return float(self.median_er_curve(label)[-1])
+        return self._median_figures(label)[0]
 
     def write_csv(self, path: str) -> None:
         """Rows in the documented column order, variant by variant, then
@@ -349,9 +353,8 @@ def summarize(table: ResultsTable) -> str:
     lines = [f"trials: {table.trials}",
              f"iterations_per_trial: {table.iterations_per_trial}"]
     for label in table.variant_order:
-        crossing = table.first_crossing(label)
-        lines.append(f"{label}.median_final_er_db: "
-                     f"{_fmt(table.median_final_er(label))}")
+        final, crossing = table._median_figures(label)
+        lines.append(f"{label}.median_final_er_db: {_fmt(final)}")
         lines.append(f"{label}.crossing_25db: "
                      f"{crossing if crossing is not None else 'none'}")
         lines.append(f"{label}.acceptance_rate: "

@@ -16,7 +16,7 @@ import pytest
 from polarlock import (AnnealConfig, DeviceParams, DisturbanceModel,
                        ExperimentConfig, StepSchedule, bind_objective,
                        random_sop, relock_experiment, run_experiment,
-                       run_lock)
+                       run_lock, summarize)
 from polarlock.disturbance import DisturbedObjective
 
 _TRACE_ARRAYS = ("iteration", "temperature", "step_rad", "phases", "i_px",
@@ -134,3 +134,19 @@ def test_golden_hot_temperature():
             h.update(arr.tobytes())
     assert h.hexdigest() == (
         "a37d4eb0b64ea72f6f8e7900d46e2dda2fb39a5530fd038f17fd656eacaff55d")
+
+
+def _text_digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_golden_summary(small_table):
+    # both a crossing and a variant whose median never reaches 25 dB
+    assert _text_digest(summarize(small_table)) == (
+        "bdbc429de13f92d96e651aabea214d87baad0ba54a232ffb7fbd428c907cba32")
+
+
+def test_golden_summary_default_schedule():
+    table = run_experiment(ExperimentConfig(trials=3), max_workers=1)
+    assert _text_digest(summarize(table)) == (
+        "7a06625e113102bbe3298b2ba90e63ba847b956ea88d06d6ba05bcdf709ac327")

@@ -10,8 +10,9 @@ import locale
 import math
 import os
 import tempfile
-from itertools import islice
+from itertools import count, islice
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -25,8 +26,9 @@ from polarlock import (AnnealConfig, DeviceParams, DisturbanceModel,
                        load_experiment_config, measure, port_intensity,
                        random_sop, run_lock)
 from polarlock import cli
-from polarlock.anneal import (_EDGES, LockTrace, _er_db, _er_db_array, _move,
-                              _schedule, _signed, propose, step_for_gap)
+from polarlock.anneal import (_EDGES, _STEPS, LockTrace, _er_db, _er_db_array,
+                              _move, _schedule, _signed, propose,
+                              step_for_gap)
 from polarlock.disturbance import DisturbedObjective
 from polarlock.config import KEYS
 from polarlock.device import PHASE_SPAN, TpsParams
@@ -509,14 +511,17 @@ def _trace_bytes(trace):
             trace.best_iteration, _bits(trace.initial_sample))
 
 
-def _lock_with(run, model, device, cfg, schedule, seed):
-    """One lock by ``run`` as a harness trial runs it: its trace's bytes
-    and the generator's state after it."""
+def _lock_with(run, model, device, cfg, schedule, seed, wrap=None,
+               tps=None):
+    """One lock by ``run`` as a harness trial runs it, with ``wrap`` applied
+    to its objective and ``tps`` in place of the device's, if given: its
+    trace's bytes and the generator's state after it."""
     rng = np.random.default_rng(seed)
     sop = random_sop(rng)
     objective = (bind_objective(sop, device, rng) if model.kind == "static"
                  else DisturbedObjective(sop, device, model, rng))
-    trace = run(objective, cfg, device.tps, rng, schedule)
+    trace = run(wrap(objective) if wrap else objective, cfg,
+                tps or device.tps, rng, schedule)
     return _trace_bytes(trace), rng.bit_generator.state
 
 
@@ -544,6 +549,80 @@ def test_run_lock_equals_reference_loop_bit_for_bit(kind, seed, schedule,
              if kind == "jump" else DisturbanceModel())
     want = _lock_with(_reference_run_lock, model, device, cfg, schedule, seed)
     assert _lock_with(run_lock, model, device, cfg, schedule, seed) == want
+
+
+def _rising(objective):
+    """``objective`` with i_px readings that rise from 0 towards 0.5: the
+    lock accepts every candidate, and the variable schedule keeps its first
+    step."""
+    calls = count(1)
+
+    def rising(phases, noise=None, channel=None):
+        return 0.5 - 0.5 / next(calls), objective(phases, noise, channel)[1]
+    return rising
+
+
+@pytest.mark.parametrize("kind", ["static", "drift"])
+@pytest.mark.parametrize("schedule,hi", [
+    (StepSchedule(2.0), PHASE_SPAN), (StepSchedule(3.0), PHASE_SPAN),
+    (StepSchedule(), 1.0)], ids=["fixed(2)", "fixed(3)", "variable-span-1"])
+@settings(max_examples=20, deadline=None)
+@given(seed=_seed)
+def test_run_lock_at_the_edges_equals_reference_loop_bit_for_bit(
+        kind, schedule, hi, seed):
+    # with every candidate accepted, steps of 2 and 3 rad, or of 0.16 rad
+    # on a 1 rad span, walk the held phases out of the band where the loop
+    # moves by the plain sum, so that it reflects through _move; the band's
+    # lower edge is the largest step, not the smallest
+    cfg, tps = AnnealConfig(m0=2, n0=50), SimpleNamespace(phase_max=hi)
+    model = (DisturbanceModel(kind="drift", drift_rate=0.01)
+             if kind == "drift" else DisturbanceModel())
+    want = _lock_with(_reference_run_lock, model, DeviceParams(), cfg,
+                      schedule, seed, _rising, tps)
+    got = _lock_with(run_lock, model, DeviceParams(), cfg, schedule, seed,
+                     _rising, tps)
+    assert got == want
+    arrays, cands = got[0][:2]
+    assert np.frombuffer(arrays[5][2], bool).all()  # accepted
+    held = [(hi / 2.0,) * 4] + [tuple(map(float.fromhex, c))
+                                for c in cands[:-1]]
+    lo = max(schedule.steps)
+    assert any(min(x) <= lo or max(x) >= hi - lo for x in held)
+
+
+_BAND_D = (0.0, -0.0, math.nextafter(1.0, 0.0), -math.nextafter(1.0, 0.0))
+_BAND_SCHEDULES = (StepSchedule(),) + tuple(
+    StepSchedule(s) for s in _STEPS + (0.0, 2.0, 3.0))
+
+
+@st.composite
+def _band_moves(draw):
+    """A schedule, a state whose phases sit on or one ulp off the edges of
+    the schedule's band (lo, top), one of its steps, and signed steps of
+    either zero or of the largest magnitude a uniform gives."""
+    schedule = draw(st.sampled_from(_BAND_SCHEDULES))
+    lo = max(schedule.steps)
+    top = PHASE_SPAN - lo
+    phase = st.sampled_from([y for x in (lo, top) for y in (
+        math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))])
+    s_p = tuple(draw(phase | st.just(PHASE_SPAN / 2.0)) for _ in range(4))
+    step = draw(st.sampled_from(schedule.steps))
+    return lo, top, s_p, step, tuple(draw(st.sampled_from(_BAND_D))
+                                     for _ in range(4))
+
+
+@settings(max_examples=300)
+@given(_band_moves())
+def test_plain_move_in_the_band_equals_move(move):
+    # run_lock's band test and plain move: a state that passes the test
+    # moves by x + st*d to _move's phases, bit for bit
+    lo, top, (x1, x2, x3, x4), step, (d1, d2, d3, d4) = move
+    if (lo < x1 < top and lo < x2 < top and lo < x3 < top
+            and lo < x4 < top):
+        plain = (x1 + step * d1, x2 + step * d2, x3 + step * d3,
+                 x4 + step * d4)
+        assert _bits(plain) == _bits(_move((x1, x2, x3, x4), step,
+                                           (d1, d2, d3, d4), PHASE_SPAN))
 
 
 _POSITIVE = st.floats(0.0, exclude_min=True, allow_infinity=False)
