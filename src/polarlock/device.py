@@ -162,9 +162,9 @@ def measure(input_sop: JonesVector, phases: PhaseQuad, params: DeviceParams,
     ``rng.normal(0.0, noise_sigma, 2)``).  A noiseless device reads neither,
     and ``rng`` may then be None.  Readings are Python floats in every case.
 
-    The field is formed in real float arithmetic, and equals the complex
-    matrix chain's (M45(t4) @ M0(t3), then @ M45(t2), @ M0(t1), @ sop) up
-    to the sign of a zero, which no reading sees:
+    The field is formed in real float arithmetic on the SOP's four parts,
+    and equals the matrix chain's (M45(t4) @ M0(t3), then @ M45(t2), @
+    M0(t1), @ sop) up to the sign of a zero, which no reading sees:
 
     * each complex product is CPython's, (a+bi)(c+di) = (ac - bd) +
       (ad + bc)i, written out term by term in the chain's order;
@@ -208,9 +208,7 @@ def measure(input_sop: JonesVector, phases: PhaseQuad, params: DeviceParams,
     b00r, b00i = ur * c1 - ui * s1, ur * s1 + ui * c1
     b01r, g = vr * c1 - v * s1, vr * s1 + v * c1
     # @ sop
-    ex, ey = input_sop.ex, input_sop.ey
-    xr, xi = ex.real, ex.imag
-    yr, yi = ey.real, ey.imag
+    xr, xi, yr, yi = input_sop._parts
     e = (b00r * xr - b00i * xi) + (b01r * yr + g * yi)
     f = (b00r * xi + b00i * xr) + (b01r * yi - g * yr)
     i_px = e * e + f * f

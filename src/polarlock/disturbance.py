@@ -60,13 +60,21 @@ class DisturbanceModel:
 def rotate_sop(sop: JonesVector, axis, angle: float) -> JonesVector:
     """Rotate a SOP on the Poincare sphere by ``angle`` about the unit axis
     (n1, n2, n3), right-hand rule in (s1, s2, s3) coordinates, by applying
-    the SU(2) half-angle element; preserves the norm."""
+    the SU(2) half-angle element [[c + a i, -d + b i], [d + b i, c - a i]]
+    (c, s of angle / 2, (a, b, d) = s (n1, n2, n3)); preserves the norm.
+    The SOP's parts rotate in real floats, bit for bit the complex product:
+    each CPython product (p+qi)(u+vi) = (pu - qv) + (pv + qu)i and each sum
+    is written out in its order, and a sign moves only where IEEE negation
+    is exact, (-q)v == -(qv) and u - (-v) == u + v."""
     n1, n2, n3 = axis
     c = math.cos(0.5 * angle)
     s = math.sin(0.5 * angle)
-    ex, ey = sop.ex, sop.ey
-    return _vector(complex(c, s * n1) * ex + complex(-s * n3, s * n2) * ey,
-                   complex(s * n3, s * n2) * ex + complex(c, -s * n1) * ey)
+    a, b, d = s * n1, s * n2, s * n3
+    xr, xi, yr, yi = sop._parts
+    return _vector(((c * xr - a * xi) + (-d * yr - b * yi),
+                    (c * xi + a * xr) + (b * yr - d * yi),
+                    (d * xr - b * xi) + (c * yr + a * yi),
+                    (d * xi + b * xr) + (c * yi - a * yr)))
 
 
 def _channel(sop: JonesVector, model: DisturbanceModel, block, rng):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -190,6 +190,9 @@ class ResultsTable:
     i_py: np.ndarray
     er_db: np.ndarray
     accepted: np.ndarray
+    # write_aggregate_csv's p50 curves, each taken once by _median_figures
+    _p50: dict = field(default_factory=dict, init=False, repr=False,
+                       compare=False)
 
     @property
     def trials(self) -> int:
@@ -221,7 +224,8 @@ class ResultsTable:
         return np.percentile(self.er_db[self._index(label)], 50.0, axis=0)
 
     def _median_figures(self, label: str) -> tuple[float, int | None]:
-        curve = self.median_er_curve(label)
+        curve = (self._p50.pop(label) if label in self._p50
+                 else self.median_er_curve(label))
         hits = np.nonzero(curve >= _LOCK_DB)[0]
         return float(curve[-1]), int(hits[0]) + 1 if hits.size else None
 
@@ -284,6 +288,7 @@ class ResultsTable:
         # every label is looked up before the file exists
         curves = [self.percentile_curves(label)
                   for label in self.variant_order]
+        self._p50.update(zip(self.variant_order, (c[2] for c in curves)))
         with open(path, "w", newline="") as f:
             f.write("variant,iteration,er_db_p10,er_db_p50,er_db_p90\n")
             for label, curve in zip(self.variant_order, curves):

@@ -36,17 +36,29 @@ def _require_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class JonesVector:
-    """Complex two-component field amplitude (ex, ey)."""
+    """Complex two-component field amplitude (ex, ey), stored as its four
+    real parts ``_parts = (ex.real, ex.imag, ey.real, ey.imag)``, which
+    ``measure`` and ``rotate_sop`` read.  ``ex`` and ``ey`` rebuild complex
+    numbers with the stored bits, so a real component reads back as complex
+    (``JonesVector(1.0, 0).ex`` is ``(1+0j)``), in the repr too; equality
+    and the hash are those of the parts."""
 
-    ex: complex
-    ey: complex
+    _parts: tuple[float, float, float, float]
+
+    def __init__(self, ex: complex, ey: complex) -> None:
+        _set_parts(self, (ex.real, ex.imag, ey.real, ey.imag))
+
+    ex = property(lambda self: complex(self._parts[0], self._parts[1]))
+    ey = property(lambda self: complex(self._parts[2], self._parts[3]))
+
+    def __repr__(self) -> str:
+        return f"JonesVector(ex={self.ex!r}, ey={self.ey!r})"
 
     def norm_sq(self) -> float:
-        e_x, e_y = self.ex, self.ey
-        return (e_x.real * e_x.real + e_x.imag * e_x.imag
-                + e_y.real * e_y.real + e_y.imag * e_y.imag)
+        xr, xi, yr, yi = self._parts
+        return xr * xr + xi * xi + yr * yr + yi * yi
 
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
@@ -54,7 +66,7 @@ class JonesVector:
     def normalized(self) -> "JonesVector":
         """Unit-norm copy; scaling by the largest component magnitude first
         keeps the norm from overflowing or underflowing (1e308, 1e-320)."""
-        m = max(abs(x) for z in (self.ex, self.ey) for x in (z.real, z.imag))
+        m = max(map(abs, self._parts))
         if m == 0.0:
             raise ValueError("cannot normalize a zero Jones vector")
         v = JonesVector(self.ex / m, self.ey / m)
@@ -67,16 +79,14 @@ class JonesVector:
         return abs(abs(inner) - self.norm() * other.norm()) <= tol
 
 
-# JonesVector(ex, ey) set through its slots, without the frozen dataclass
-# __init__'s object.__setattr__ per field (rotate_sop runs per evaluation)
-_set_ex = JonesVector.ex.__set__
-_set_ey = JonesVector.ey.__set__
+# the slot's own setter, past the frozen __setattr__: __init__ stores the parts
+# through it, and _vector without __init__ (rotate_sop runs per evaluation)
+_set_parts = JonesVector._parts.__set__
 
 
-def _vector(ex: complex, ey: complex) -> JonesVector:
+def _vector(parts: tuple[float, float, float, float]) -> JonesVector:
     v = object.__new__(JonesVector)
-    _set_ex(v, ex)
-    _set_ey(v, ey)
+    _set_parts(v, parts)
     return v
 
 
@@ -184,5 +194,4 @@ def random_sop(rng) -> JonesVector:
     per generator state.  Four i.i.d. Gaussians in one ``rng.normal(size=4)``,
     normalized by ``_unit`` as a quaternion, give the Haar-uniform pure state.
     """
-    a, b, c, d = _unit(rng.normal(size=4).tolist())
-    return JonesVector(complex(a, b), complex(c, d))
+    return _vector(_unit(rng.normal(size=4).tolist()))

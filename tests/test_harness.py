@@ -16,7 +16,7 @@ from polarlock import (AnnealConfig, ConfigError, DeviceParams,
                        StepSchedule, load_experiment_config,
                        oracle_best, port_intensity, random_sop,
                        run_experiment, run_identity_checks, summarize)
-from polarlock.cli import _check_size
+from polarlock.cli import _check_size, _write_outputs
 from polarlock.cli import main as cli_main
 from polarlock.config import KEYS, parse_config_text
 from polarlock.device import PHASE_SPAN
@@ -281,6 +281,28 @@ def test_medians_are_the_aggregate_files_p50(tmp_path):
     table.write_aggregate_csv(str(path))
     row = path.read_text().splitlines()[1].split(",")
     assert row[3] == "%.9g" % table.median_final_er("variable")
+
+
+def test_outputs_take_one_percentile_per_variant(tmp_path, monkeypatch):
+    # the aggregate file's p50 curves serve the summary, which reads as
+    # summarize reads without them
+    table = run_experiment(SMALL)
+    want = summarize(table)
+    calls = []
+    percentile = np.percentile
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return percentile(*args, **kwargs)
+
+    monkeypatch.setattr(np, "percentile", counted)
+    cfg = replace(SMALL, output_path=str(tmp_path / "run.csv"))
+    assert _write_outputs(cfg, table) == want
+    assert calls == [[10.0, 50.0, 90.0]] * len(table.variant_order)
+    assert (tmp_path / "run_summary.txt").read_text() == want
+    # each curve is taken once: the next figure computes its own
+    assert table._p50 == {}
+    assert summarize(table) == want and len(calls) == 4
 
 
 def test_median_final_er_is_the_median_curves_last_point():

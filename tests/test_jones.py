@@ -1,4 +1,8 @@
+import copy
+import dataclasses
 import math
+import pickle
+import struct
 
 import numpy as np
 import pytest
@@ -187,3 +191,78 @@ def test_same_sop_distinguishes_states():
     v = JonesVector(1.0, 0.0)
     assert v.same_sop(JonesVector(1j, 0.0))
     assert not v.same_sop(JonesVector(SQ2, SQ2))
+
+
+# --- the stored parts ----------------------------------------------------------
+
+def _part_bits(*xs):
+    return [struct.pack("<d", x) for x in xs]  # tells -0.0 and NaNs apart
+
+
+@pytest.mark.parametrize("ex,ey", [
+    (complex(0.6, -0.8), complex(-0.0, 1e-300)),
+    (0.6, -0.0),
+    (1, 0),
+    (np.complex128(0.6 - 0.8j), np.float64(-0.0)),
+    (np.float32(0.5), np.int64(-3)),
+])
+def test_jones_vector_value_from_complex_float_int_and_numpy(ex, ey):
+    v = JonesVector(ex, ey)
+    assert v._parts == (ex.real, ex.imag, ey.real, ey.imag)
+    assert type(v.ex) is complex and type(v.ey) is complex
+    assert _part_bits(v.ex.real, v.ex.imag, v.ey.real, v.ey.imag) == \
+        _part_bits(*v._parts)
+    assert (v.ex, v.ey) == (complex(ex), complex(ey))
+
+
+def test_jones_vector_value_components_round_trip_by_bytes():
+    nan = struct.unpack("<d", struct.pack("<Q", 0xFFF8_0000_DEAD_BEEF))[0]
+    for ex, ey in [(complex(-0.0, -0.0), complex(0.0, -0.0)),
+                   (complex(nan, -0.0), complex(-0.0, math.nan)),
+                   (complex(-math.inf, 5e-324), complex(1e308, nan))]:
+        v = JonesVector(ex, ey)
+        assert _part_bits(v.ex.real, v.ex.imag, v.ey.real, v.ey.imag) == \
+            _part_bits(ex.real, ex.imag, ey.real, ey.imag)
+
+
+def test_jones_vector_value_equality_and_hash():
+    # == compares the components as complex numbers did: -0.0 == 0.0, and a
+    # real component equals the complex one with a zero imaginary part
+    values = [0.0, -0.0, 1, 1.0, 1 + 0j, complex(1, -0.0), 0.5j, 2.5,
+              np.float64(2.5), np.complex128(0.5j)]
+    for a in values:
+        for b in values:
+            for c in (0.0, 1j):
+                u, w = JonesVector(a, c), JonesVector(b, c)
+                assert (u == w) == (a == b)
+                if u == w:
+                    assert hash(u) == hash(w)
+    assert JonesVector(1.0, 0.0) != JonesVector(0.0, 1.0)
+    assert JonesVector(1.0, 0.0) != (1.0, 0.0)
+
+
+def test_jones_vector_value_repr_is_the_complex_pair():
+    # the string printed before the vector stored its parts
+    assert repr(random_sop(np.random.default_rng(0))) == (
+        "JonesVector(ex=(0.1865168763949313-0.19597346002732666j), "
+        "ey=(0.950047103190218+0.15561606441711276j))")
+    assert repr(JonesVector(1.0, 0)) == "JonesVector(ex=(1+0j), ey=0j)"
+
+
+def test_jones_vector_value_pickle_and_copy_round_trip():
+    v = JonesVector(complex(0.6, -0.0), complex(-0.0, 0.8))
+    for w in (pickle.loads(pickle.dumps(v)), copy.copy(v), copy.deepcopy(v)):
+        assert type(w) is JonesVector and w == v
+        assert _part_bits(*w._parts) == _part_bits(*v._parts)
+
+
+def test_jones_vector_value_is_immutable():
+    v = random_sop(np.random.default_rng(1))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        v._parts = (1.0, 0.0, 0.0, 0.0)
+    # ex and ey are properties, not fields: CPython's frozen slots dataclass
+    # (3.10 to 3.12 at least) refuses any name but a field's with TypeError
+    for name in ("ex", "ey"):
+        with pytest.raises(TypeError):
+            setattr(v, name, 1.0)
+    assert v == random_sop(np.random.default_rng(1))

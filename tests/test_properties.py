@@ -24,7 +24,7 @@ from polarlock import (AnnealConfig, DeviceParams, DisturbanceModel,
                        ExperimentConfig, JonesVector, PhaseQuad, StepSchedule,
                        bind_objective, dpc_transform,
                        load_experiment_config, measure, port_intensity,
-                       random_sop, run_lock)
+                       random_sop, rotate_sop, run_lock)
 from polarlock import cli
 from polarlock.anneal import (_EDGES, _STEPS, LockTrace, _er_db, _er_db_array,
                               _move, _schedule, _signed, propose,
@@ -34,6 +34,7 @@ from polarlock.config import KEYS
 from polarlock.device import PHASE_SPAN, TpsParams
 from polarlock.harness import (_NUMBER, _WORD, CSV_COLUMNS, ResultsTable,
                                _g9_words, run_experiment)
+from polarlock.jones import _unit
 
 _phase = st.floats(allow_nan=False, allow_infinity=False)
 _component = st.floats(-1e100, 1e100)
@@ -190,6 +191,68 @@ def test_measure_equals_complex_reference_bit_for_bit(device, sop, phases,
     want = _reference_measure(sop, phases, device, None, noise)
     assert all(type(x) is float for x in got)
     assert _bits(got) == _bits(want)
+
+
+def _reference_rotate_sop(sop, axis, angle):
+    """``rotate_sop`` in complex arithmetic: the SU(2) half-angle element's
+    rows times (ex, ey), as the package computed it before a Jones vector
+    was stored as its four real parts."""
+    n1, n2, n3 = axis
+    c = math.cos(0.5 * angle)
+    s = math.sin(0.5 * angle)
+    ex, ey = sop.ex, sop.ey
+    return (complex(c, s * n1) * ex + complex(-s * n3, s * n2) * ey,
+            complex(s * n3, s * n2) * ex + complex(c, -s * n1) * ey)
+
+
+_signed_component = st.sampled_from((0.0, -0.0)) | _component
+
+
+@st.composite
+def _rotations(draw):
+    """(sop, axis, angle): an unnormalized SOP whose parts may be signed
+    zeros, or a random_sop draw; a unit or a non-unit axis, whose
+    components may be signed zeros too; an angle in [-2 pi, 2 pi]."""
+    if draw(st.booleans()):
+        sop = random_sop(np.random.default_rng(draw(_seed)))
+    else:
+        sop = JonesVector(
+            complex(draw(_signed_component), draw(_signed_component)),
+            complex(draw(_signed_component), draw(_signed_component)))
+    axis = [draw(st.sampled_from((0.0, -0.0)) | st.floats(-10.0, 10.0))
+            for _ in range(3)]
+    if draw(st.booleans()):
+        axis = _unit(axis)
+    angle = draw(st.sampled_from((0.0, -0.0, math.pi, -math.pi))
+                 | st.floats(-2.0 * math.pi, 2.0 * math.pi))
+    return sop, tuple(axis), angle
+
+
+@given(_rotations())
+@example((JonesVector(complex(-0.0, 0.0), complex(0.0, -0.0)),
+          (0.0, -0.0, 1.0), 0.0))
+@example((JonesVector(complex(0.6, -0.0), complex(-0.0, 0.8)),
+          (-0.0, 0.0, -0.0), math.pi))
+@example((JonesVector(complex(-0.0, -0.0), complex(-0.0, -0.0)),
+          (1.0, 1.0, 1.0), -2.0 * math.pi))
+def test_rotate_equals_complex_reference_bit_for_bit(rotation):
+    sop, axis, angle = rotation
+    e_x, e_y = _reference_rotate_sop(sop, axis, angle)
+    got = rotate_sop(sop, axis, angle)
+    assert all(type(x) is float for x in got._parts)
+    assert _bits(got._parts) == _bits((e_x.real, e_x.imag,
+                                       e_y.real, e_y.imag))
+
+
+def test_random_sop_equals_complex_reference():
+    # random_sop stores _unit's tuple; it built complex(a, b), complex(c, d)
+    for seed in range(1000):
+        a, b, c, d = _unit(np.random.default_rng(seed).normal(size=4)
+                           .tolist())
+        e_x, e_y = complex(a, b), complex(c, d)
+        got = random_sop(np.random.default_rng(seed))
+        assert _bits(got._parts) == _bits((e_x.real, e_x.imag,
+                                           e_y.real, e_y.imag))
 
 
 @given(_sops(), _quads())
