@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -23,11 +24,14 @@ import numpy as np
 
 from .device import (PHASE_SPAN, PhaseQuad, TpsParams, DeviceParams,
                      _check_field, measure)
+from .jones import _frozen
 
 #: objective protocol: a phase 4-tuple, the evaluation's noise pair (two
 #: floats, i_px's first) and the lock's whole channel block (see
 #: ``run_lock``) in, a plain (i_px, i_py) tuple out
 Objective = Callable[..., tuple[float, float]]
+#: one lock's random inputs, as ``_draw`` returns them
+_Draws = namedtuple("_Draws", "noise0 cols channel")
 
 # intensities are clamped here before dB conversion in traces, so a reading
 # noise-clipped to zero yields a large finite ER instead of an error
@@ -59,7 +63,7 @@ _STEPS = (0.16, 0.08, 0.03, 0.008)
 _EDGES = (0.1, 0.01, 0.001)
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class StepSchedule:
     """The search step as a function of the intensity gap.
 
@@ -118,7 +122,7 @@ def step_for_gap(i_st: float, schedule: StepSchedule) -> float:
     return s0 if i_st > e1 else s1 if i_st > e2 else s2 if i_st > e3 else s3
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class AnnealConfig:
     """Annealing loop parameters.
 
@@ -285,6 +289,22 @@ def bind_objective(input_sop, params: DeviceParams, rng) -> Objective:
     return objective
 
 
+def _draw(rng, n: int) -> _Draws:
+    """A lock's inputs, drawn from ``rng`` under the stream contract, in
+    this order whatever the device, channel and schedule: uniforms (n, 9),
+    row i - 1 r then u for stages 1-4 and iteration i's Metropolis uniform;
+    normals (n + 1, 2), row k evaluation k's noise (0 the initial one), i_px
+    first; normals (n, 3), the channel's.  ``run_lock`` only reads the value:
+    noise row 0, the columns of ``_signed`` steps, Metropolis uniforms and
+    noise rows 1..n as flat lists, and the channel block."""
+    uniforms = rng.random((n, 9))
+    noise = rng.standard_normal((n + 1, 2))
+    channel = rng.standard_normal((n, 3))
+    cols = np.concatenate((_signed(uniforms), uniforms[:, 8:], noise[1:]),
+                          axis=1).T.tolist()
+    return _Draws(noise[0].tolist(), cols, channel)
+
+
 def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
              rng, schedule: StepSchedule = StepSchedule()) -> LockTrace:
     """Run the annealing lock and return its full trace.
@@ -297,26 +317,20 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
     steps of one ``_signed`` pass over the uniform block, evaluates them (a
     plain 4-tuple) and applies ``accept``'s rule against the latest reading.
 
-    Stream contract: before the first evaluation, and never after, three
-    blocks are drawn from ``rng`` whatever the device, channel and schedule,
-    n being ``cfg.total_iterations``: uniforms (n, 9), row i - 1 holding r
-    then u for stages 1-4 and the Metropolis uniform of iteration i; then
-    standard normals (n + 1, 2), the noise of evaluation k in row k (k = 0
-    the initial one), i_px's first; then standard normals (n, 3), the
-    channel's.  Evaluation k calls ``objective(phases, noise, channel)``
-    with row k as a pair of floats (a 2-tuple in the loop, a list for the
-    initial evaluation) and the whole channel block, the same array on every
-    call (a new block restarts ``DisturbedObjective``'s SOP sequence, whose
-    evaluation k reads rows up to ``max(k - 1, 0)``), and unpacks (i_px, i_py).
-
-    The loop takes its inputs as flat lists of floats, one per column of
-    the signed steps, the Metropolis uniforms and noise rows 1..n; so the
-    only containers a default lock keeps are its 500 candidate tuples,
-    which stay under the collector's generation-0 threshold.  It records
-    only each iteration's step, phases, reading and verdict, one list per
-    field; ``er_db`` and the lock point are derived from those once the
-    loop ends, with the same values a per-iteration computation gives, and
-    the ``phases`` array when it is first read.
+    ``rng`` is a generator, which ``_draw`` draws from before the first
+    evaluation and not after, or ``_draw``'s value for n =
+    ``cfg.total_iterations`` (another length is a ValueError).  Evaluation
+    k calls ``objective(phases, noise, channel)`` with noise row k as a
+    pair of floats (a 2-tuple in the loop, a list for the initial one) and
+    the whole channel block, the same array on every call (a new block
+    restarts ``DisturbedObjective``'s SOP sequence, whose evaluation k reads
+    rows up to ``max(k - 1, 0)``), and unpacks (i_px, i_py).  The loop zips
+    ``_draw``'s flat lists, so the only containers a default lock keeps are
+    its 500 candidate tuples, under the collector's generation-0 threshold.
+    It records only each iteration's step, phases, reading and verdict, one
+    list per field; ``er_db`` and the lock point are derived from those once
+    the loop ends, with the same values a per-iteration computation gives,
+    and the ``phases`` array when it is first read.
 
     While every held phase x lies in lo < x < top, lo the schedule's
     largest step and top = fl(phase_max - lo), the loop moves by the plain
@@ -328,24 +342,21 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
     config on under 0.06% of iterations, all in ``fixed(0.16)``.
     """
     n_iter = cfg.total_iterations
-    uniforms = rng.random((n_iter, 9))
-    noise = rng.standard_normal((n_iter + 1, 2))
-    channel = rng.standard_normal((n_iter, 3))
+    drawn = rng if isinstance(rng, _Draws) else _draw(rng, n_iter)
+    noise0, cols, channel = drawn
+    if len(cols[0]) != n_iter:
+        raise ValueError(f"drawn for {len(cols[0])} iterations, not {n_iter}")
 
     hi = tps.phase_max
     state = initial_thetas = (hi / 2.0,) * 4
 
-    i_ref, i_py = objective(state, noise[0].tolist(), channel)
+    i_ref, i_py = objective(state, noise0, channel)
     initial_sample = (i_ref, i_py)
 
     e1, e2, e3 = _EDGES
     s0, s1, s2, s3 = schedule.steps
     exp = math.exp
 
-    # iteration i's signed steps, Metropolis uniform and noise, row i - 1 of
-    # one (n, 7) block, entering the loop as seven flat lists of floats
-    cols = np.concatenate((_signed(uniforms), uniforms[:, 8:], noise[1:]),
-                          axis=1).T.tolist()
     # the band where no step reaches an edge, and whether x1..x4 lie in it
     lo = max(s0, s1, s2, s3)
     top = hi - lo

@@ -114,10 +114,12 @@ def _check_size(cfg, workers: int) -> None:
             f"more than the {have} bytes of memory on this host")
 
 
-def _write_outputs(cfg, table) -> str:
+def _write_outputs(cfg, table, finals=None) -> str:
     stem, ext = os.path.splitext(cfg.output_path)
     table.write_csv(cfg.output_path)
     table.write_aggregate_csv(f"{stem}_aggregate{ext or '.csv'}")
+    if finals is not None:  # median_final_er, before summarize takes the p50
+        finals.update((lab, float(c[-1])) for lab, c in table._p50.items())
     text = summarize(table)
     with open(f"{stem}_summary.txt", "w") as f:
         f.write(text)
@@ -200,9 +202,9 @@ def _cmd_sweep(args) -> int:
         _check_size(cfg, workers)
     for value, cfg in zip(values, cfgs):
         table = run_experiment(cfg, max_workers=workers)
-        _write_outputs(cfg, table)
-        finals = ", ".join(f"{lab}={table.median_final_er(lab):.2f}dB"
-                           for lab in table.variant_order)
+        finals = {}
+        _write_outputs(cfg, table, finals)
+        finals = ", ".join(f"{lab}={f:.2f}dB" for lab, f in finals.items())
         print(f"{key}={value}: median final ER {finals} -> {cfg.output_path}")
     return 0
 

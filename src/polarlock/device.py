@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import math
 from math import cos, isfinite, sin
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import ClassVar, NamedTuple
 
-from .jones import JonesMatrix, JonesVector, make_m0, make_m45
+from .jones import JonesMatrix, JonesVector, _frozen, make_m0, make_m45
 
 #: the controllable span of one heater, radians
 PHASE_SPAN = 3.0 * math.pi
@@ -52,7 +52,7 @@ def _check_field(params, name: str, positive: bool) -> None:
                          f"{'> 0' if positive else '>= 0'}, got {value!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class TpsParams:
     """The heater as a lock reads it: ``phase_max``, the span ``PHASE_SPAN``
     that each stage phase searches.  Like the calibration, it is a constant,
@@ -71,7 +71,7 @@ class PhaseQuad(NamedTuple):
     theta4: float
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class DeviceParams:
     """Full simulated-device parameter block.
 

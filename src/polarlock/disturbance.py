@@ -10,17 +10,16 @@ quantity.  They act on the input SOP, i.e. on the fiber before the chip.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import count, repeat
 
 import numpy as np
 
 from .anneal import AnnealConfig, LockTrace, _er_db_array, run_lock
 from .device import DeviceParams, _check_field, measure
-from .jones import JonesVector, _unit, _vector, random_sop
+from .jones import JonesVector, _frozen, _unit, _vector, random_sop
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class DisturbanceModel:
     """What the channel does to the input SOP over the run.
 

@@ -16,12 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .anneal import (AnnealConfig, StepSchedule, _fmt, bind_objective,
-                     run_lock)
+from .anneal import (AnnealConfig, StepSchedule, _draw, _fmt,
+                     bind_objective, run_lock)
 from .device import PHASE_SPAN, DeviceParams, dpc_transform
 from .disturbance import DisturbanceModel, DisturbedObjective
 from .jones import (ALGEBRA_TOL, COUPLER_IN, COUPLER_OUT, JonesVector,
-                    make_m0, make_m45, random_sop, to_stokes)
+                    _frozen, make_m0, make_m45, random_sop, to_stokes)
 
 #: CSV column order is part of the output contract
 CSV_COLUMNS = ("variant", "trial", "iteration", "temperature", "step_rad",
@@ -136,7 +136,7 @@ def _g9_words(x: np.ndarray, out: np.ndarray) -> None:
                              f"S{4 * _NUMBER}").view((_WORD, _NUMBER))
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class ExperimentConfig:
     """Everything one ensemble run needs; defaults reproduce the reference
     three-variant comparison at 200 trials.  Each variant is the step
@@ -296,48 +296,52 @@ class ResultsTable:
                              for row in zip(*(c.tolist() for c in curve)))
 
 
-def _run_trial(cfg: ExperimentConfig, schedule: StepSchedule, trial: int):
-    """One trial's ``_FIELDS``; its rng depends on base_seed + trial alone."""
+def _run_trial(cfg: ExperimentConfig, trial: int):
+    """One trial's ``_FIELDS`` per variant; its rng depends on base_seed +
+    trial alone.  Each variant locks on the trial's one ``_draw`` with a fresh
+    objective: ``DisturbedObjective`` restarts only on an unseen block."""
     rng = np.random.default_rng(cfg.base_seed + trial)
     sop = random_sop(rng)
-    if cfg.disturbance.kind == "static":
-        objective = bind_objective(sop, cfg.device, rng)
-    else:
-        objective = DisturbedObjective(sop, cfg.device, cfg.disturbance, rng)
-    trace = run_lock(objective, cfg.anneal, cfg.device.tps, rng, schedule)
-    return [getattr(trace, name) for name in _FIELDS]
+    drawn = _draw(rng, cfg.anneal.total_iterations)
+    cells = []
+    for schedule in cfg.variants:
+        objective = (bind_objective(sop, cfg.device, rng)
+                     if cfg.disturbance.kind == "static" else
+                     DisturbedObjective(sop, cfg.device, cfg.disturbance, rng))
+        trace = run_lock(objective, cfg.anneal, cfg.device.tps, drawn,
+                         schedule)
+        cells.append([getattr(trace, name) for name in _FIELDS])
+    return cells
 
 
 def _run_bytes(cfg: ExperimentConfig, workers: int) -> int:
-    """Least memory a run needs: its result blocks, plus one live lock per
-    worker or the row writer's chunk, whichever is larger (never both)."""
-    jobs = len(cfg.variants) * cfg.trials
-    live = max(_LOCK_BYTES * min(workers, jobs),
+    """Least memory a run needs: its result blocks, plus one live lock and
+    its trial's earlier cells per worker (at most one per trial) or the row
+    writer's chunk, whichever is larger (never both)."""
+    cells = _CELL_BYTES * len(cfg.variants)  # one trial's, per iteration
+    live = max((_LOCK_BYTES + cells - _CELL_BYTES) * min(workers, cfg.trials),
                _ROW_BYTES * min(cfg.trials, _CHUNK_TRIALS))
-    return (_CELL_BYTES * jobs + live) * cfg.anneal.total_iterations
+    return (cells * cfg.trials + live) * cfg.anneal.total_iterations
 
 
 def run_experiment(cfg: ExperimentConfig,
                    max_workers: int = 1) -> ResultsTable:
-    """Run every (variant, trial) pair into a results table allocated
-    before the first lock, each trial's fields landing in its row.
+    """Run every trial into a results table allocated before the first
+    lock, each (variant, trial) cell's fields landing in its row.
 
-    Trial seeds are ``base_seed + trial`` (shared across variants, making
-    the comparison paired on input SOPs).  A ``max_workers`` above 1 runs
-    trials in a process pool of at most one worker per job, with output
-    identical to the serial order.
+    Trial seeds are ``base_seed + trial``, and a trial's variants share its
+    draws, making the comparison paired on input SOPs and every draw.  A
+    ``max_workers`` above 1 runs trials in a process pool of at most one
+    worker per trial, with output identical to the serial order.
     """
     shape = (len(cfg.variants), cfg.trials, cfg.anneal.total_iterations)
     blocks = [np.empty(shape) for _ in _FIELDS[:-1]] + [np.empty(shape, bool)]
     table = ResultsTable(tuple(v.label for v in cfg.variants),
                          cfg.anneal.temperature, *blocks)
-    # the (variant, trial) cells in order, which both map paths keep
-    cells = list(np.ndindex(shape[:2]))
-    jobs = (_run_trial, [cfg] * len(cells),
-            [cfg.variants[v] for v, _ in cells], [t for _, t in cells])
+    jobs = (_run_trial, [cfg] * cfg.trials, range(cfg.trials))
 
     # the pool forks all its workers at the first submit, so cap them
-    workers = min(max_workers, len(cells))
+    workers = min(max_workers, cfg.trials)
     pool = nullcontext()
     if workers > 1:
         # imported here: a serial run never needs multiprocessing
@@ -345,9 +349,9 @@ def run_experiment(cfg: ExperimentConfig,
         pool = ProcessPoolExecutor(max_workers=workers)
     with pool:
         results = pool.map(*jobs, chunksize=4) if workers > 1 else map(*jobs)
-        for (v, t), fields in zip(cells, results):
-            for block, values in zip(blocks, fields):
-                block[v, t] = values
+        for t, cells in enumerate(results):
+            for block, values in zip(blocks, zip(*cells)):
+                block[:, t] = values
     return table
 
 
@@ -370,7 +374,7 @@ def summarize(table: ResultsTable) -> str:
 # ---------------------------------------------------------------------------
 # algebraic identity suite (the CLI `validate` subcommand)
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class IdentityCheck:
     name: str
     defect: float

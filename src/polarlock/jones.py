@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import reduce
 
 import numpy as np
@@ -31,12 +31,21 @@ import numpy as np
 ALGEBRA_TOL = 1e-12
 
 
+def _frozen(cls):
+    """Frozen slots dataclass; any set or delete raises FrozenInstanceError."""
+    def refuse(self, name, *value):
+        raise FrozenInstanceError(f"{cls.__name__} is frozen: {name!r}")
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__setattr__ = cls.__delattr__ = refuse
+    return cls
+
+
 def _require_finite(name: str, value: float) -> None:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+@_frozen
 class JonesVector:
     """Complex two-component field amplitude (ex, ey), stored as its four
     real parts ``_parts = (ex.real, ex.imag, ey.real, ey.imag)``, which
@@ -90,7 +99,7 @@ def _vector(parts: tuple[float, float, float, float]) -> JonesVector:
     return v
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class JonesMatrix:
     """Complex 2x2 transfer matrix; unitary for lossless elements."""
 
@@ -128,7 +137,7 @@ class JonesMatrix:
                         dtype=complex)
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class StokesParams:
     """Stokes four-tuple; (s1, s2, s3)/s0 sits on the unit sphere for pure
     states."""

@@ -60,6 +60,7 @@ def test_step_for_gap_fixed_schedule():
         assert step_for_gap(gap, sched) == 0.16
 
 
+@pytest.mark.kernel_variant
 @pytest.mark.parametrize("step", [math.nan, math.inf, -0.1])
 def test_step_schedule_rejects_non_finite(step):
     with pytest.raises(ValueError, match="step must be a finite number"):
@@ -79,6 +80,7 @@ def test_fixed_schedule_allows_zero_step():
 
 # --- proposals ---------------------------------------------------------------
 
+@pytest.mark.kernel_variant
 def test_propose_lower_boundary_moves_up():
     # at the lower boundary the move is +st*r regardless of the sign draw
     rng = FakeRng([0.5, 0.0] * 4)
@@ -86,6 +88,7 @@ def test_propose_lower_boundary_moves_up():
     assert out == (0.08,) * 4
 
 
+@pytest.mark.kernel_variant
 def test_propose_upper_boundary_moves_down():
     rng = FakeRng([1.0, 0.9] * 4)
     out = propose(PhaseQuad(*(SPAN,) * 4), 0.16, rng)
@@ -96,6 +99,7 @@ def test_propose_upper_boundary_moves_down():
     assert out == pytest.approx((SPAN - 0.16,) * 4)
 
 
+@pytest.mark.kernel_variant
 def test_propose_interior_signed_moves():
     rng = FakeRng([0.25, 0.9] * 4)  # u >= 0.5 selects the negative sign
     out = propose(PhaseQuad(*(math.pi,) * 4), 0.08, rng)
@@ -191,6 +195,7 @@ def test_run_lock_temperature_schedule_exact():
         assert np.all(block == cfg.t0 * 0.5 ** outer)
 
 
+@pytest.mark.kernel_variant
 @pytest.mark.parametrize("t0", [1e-5, 1e-3])
 def test_lock_verdicts_recompute_from_trace(t0):
     # every verdict of the loop, redone from the trace and the redrawn
@@ -280,6 +285,17 @@ def test_a_lock_runs_no_garbage_collection(model):
     finally:
         gc.callbacks.remove(count)
     assert starts == []
+
+
+@pytest.mark.parametrize("drawn_for", [11, 13])
+def test_run_lock_rejects_draws_of_another_length(drawn_for):
+    # zip would cut the loop at the shorter of the schedule and the columns
+    rng = np.random.default_rng(3)
+    sop, dev = random_sop(rng), DeviceParams()
+    drawn = anneal._draw(rng, drawn_for)
+    with pytest.raises(ValueError, match=f"{drawn_for} iterations, not 12"):
+        run_lock(bind_objective(sop, dev, rng), AnnealConfig(m0=2, n0=6),
+                 dev.tps, drawn)
 
 
 def test_run_lock_fixed_zero_step_is_constant():

@@ -1,6 +1,14 @@
 """The public namespace of the package."""
 
+import copy
+import dataclasses
+import pickle
+
+import pytest
+
 import polarlock
+from polarlock import (anneal, cli, config, device, disturbance, harness,
+                       jones, oracle)
 
 
 def test_public_names_resolve_once():
@@ -29,3 +37,38 @@ def test_public_names_are_pinned():
         "run_identity_checks", "summarize",
         "ConfigError", "load_experiment_config",
     }
+
+
+# one instance of every frozen dataclass of the package
+_FROZEN_SAMPLES = (
+    jones.JonesVector(0.6, 0.8j), jones.JonesMatrix(1, 0, 0, 1),
+    jones.StokesParams(1.0, 1.0, 0.0, 0.0), device.TpsParams(),
+    device.DeviceParams(), anneal.StepSchedule(0.16), anneal.AnnealConfig(),
+    disturbance.DisturbanceModel("drift", drift_rate=0.01),
+    harness.ExperimentConfig(trials=3), harness.IdentityCheck("x", 0.0, 1.0))
+
+
+def test_every_frozen_dataclass_has_a_sample():
+    frozen = {cls for module in (jones, device, anneal, disturbance, harness,
+                                 oracle, config, cli)
+              for cls in vars(module).values()
+              if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+              and cls.__dataclass_params__.frozen}
+    assert frozen == {type(v) for v in _FROZEN_SAMPLES}
+
+
+@pytest.mark.parametrize("value", _FROZEN_SAMPLES,
+                         ids=lambda v: type(v).__name__)
+def test_frozen_dataclasses_refuse_every_name_alike(value):
+    # CPython's frozen slots dataclass raises TypeError from super() for a
+    # name that is not a field; every one here raises FrozenInstanceError
+    names = [f.name for f in dataclasses.fields(value)] + ["foo", "ex"]
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(value, name)
+    assert pickle.loads(pickle.dumps(value)) == value
+    assert copy.deepcopy(value) == value
+    if type(value) is not jones.JonesVector:  # its __init__ takes ex, ey
+        assert dataclasses.replace(value) == value

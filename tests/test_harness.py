@@ -15,10 +15,12 @@ from polarlock import (AnnealConfig, ConfigError, DeviceParams,
                        DisturbanceModel, ExperimentConfig, JonesVector,
                        StepSchedule, load_experiment_config,
                        oracle_best, port_intensity, random_sop,
-                       run_experiment, run_identity_checks, summarize)
+                       run_experiment, run_identity_checks, run_lock,
+                       summarize)
 from polarlock.cli import _check_size, _write_outputs
 from polarlock.cli import main as cli_main
 from polarlock.config import KEYS, parse_config_text
+from polarlock.disturbance import DisturbedObjective
 from polarlock.device import PHASE_SPAN
 from polarlock.harness import (_CELL_BYTES, _FIELDS, _LOCK_BYTES, _ROW_BYTES,
                                ResultsTable, _run_bytes, _run_trial)
@@ -129,13 +131,38 @@ def test_table_blocks_match_trial_traces(workers):
     # the size check counts a cell at the table's own bytes
     assert _CELL_BYTES == sum(getattr(table, name).itemsize
                               for name in _FIELDS)
-    for v, variant in enumerate(SMALL.variants):
-        for t in range(SMALL.trials):
-            fields = _run_trial(SMALL, variant, t)
+    for t in range(SMALL.trials):
+        cells = _run_trial(SMALL, t)
+        assert len(cells) == len(SMALL.variants)
+        for v, fields in enumerate(cells):
             for name, values in zip(_FIELDS, fields, strict=True):
                 block = getattr(table, name)
                 assert block.dtype == values.dtype
                 assert np.array_equal(block[v, t], values)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("model", [
+    DisturbanceModel(kind="drift", drift_rate=0.01),
+    DisturbanceModel(kind="jump", jump_at=40, jump_magnitude=1.0)],
+    ids=["drift", "jump"])
+def test_table_equals_per_cell_reference_locks(model, workers):
+    # each (variant, trial) cell as its own lock on a generator seeded
+    # base_seed + trial, with its own objective: the trial's shared draws and
+    # a fresh DisturbedObjective per variant restart the channel every lock
+    cfg = replace(SMALL, disturbance=model, base_seed=21)
+    table = run_experiment(cfg, max_workers=workers)
+    for v, schedule in enumerate(cfg.variants):
+        for t in range(cfg.trials):
+            rng = np.random.default_rng(cfg.base_seed + t)
+            sop = random_sop(rng)
+            trace = run_lock(DisturbedObjective(sop, cfg.device, model, rng),
+                             cfg.anneal, cfg.device.tps, rng, schedule)
+            for name in _FIELDS:
+                want = getattr(trace, name)
+                got = getattr(table, name)[v, t]
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
 
 
 def test_run_experiment_deterministic_csv(tmp_path):
@@ -178,11 +205,11 @@ def test_run_experiment_caps_pool_at_job_count(tmp_path, monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    cfg = replace(SMALL, trials=1)
+    cfg = replace(SMALL, trials=2)
     serial, capped = tmp_path / "serial.csv", tmp_path / "capped.csv"
     run_experiment(cfg, max_workers=1).write_csv(serial)
     run_experiment(cfg, max_workers=5000).write_csv(capped)
-    assert requested == [len(cfg.variants)]
+    assert requested == [cfg.trials]
     assert serial.read_bytes() == capped.read_bytes()
 
     requested.clear()  # one job runs serially, with no pool at all
@@ -303,6 +330,35 @@ def test_outputs_take_one_percentile_per_variant(tmp_path, monkeypatch):
     # each curve is taken once: the next figure computes its own
     assert table._p50 == {}
     assert summarize(table) == want and len(calls) == 4
+
+
+def test_sweep_takes_one_percentile_per_variant_and_value(tmp_path,
+                                                         monkeypatch, capsys):
+    # the line a sweep prints reads its finals off the aggregate file's p50
+    # curves: two values of three variants take six percentile calls
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("anneal.m0 = 2\nanneal.n0 = 25\nexperiment.trials = 3\n")
+    out = tmp_path / "out.csv"
+    calls = []
+    percentile = np.percentile
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return percentile(*args, **kwargs)
+
+    monkeypatch.setattr(np, "percentile", counted)
+    assert cli_main(["sweep", "--key", "noise_sigma", "--values", "0,5e-4",
+                     "--config", str(cfg), "--out", str(out)]) == 0
+    assert calls == [[10.0, 50.0, 90.0]] * 6
+    monkeypatch.setattr(np, "percentile", percentile)
+    lines = capsys.readouterr().out.splitlines()
+    for line, value in zip(lines, ["0", "5e-4"], strict=True):
+        table = run_experiment(load_experiment_config(
+            str(cfg), {"device.noise_sigma": value}))
+        finals = ", ".join(f"{lab}={table.median_final_er(lab):.2f}dB"
+                           for lab in table.variant_order)
+        assert line == (f"device.noise_sigma={value}: median final ER "
+                        f"{finals} -> {tmp_path}/out_noise_sigma_{value}.csv")
 
 
 def test_median_final_er_is_the_median_curves_last_point():
@@ -638,8 +694,8 @@ def _traced_peak(call) -> int:
     DisturbanceModel(), DisturbanceModel(kind="drift", drift_rate=0.01)])
 def test_a_lock_peaks_below_what_the_size_check_counts(model):
     cfg = replace(SMALL, anneal=AnnealConfig(m0=1, n0=1000),
-                  disturbance=model)
-    peak = _traced_peak(lambda: _run_trial(cfg, cfg.variants[0], 0))
+                  disturbance=model, variants=SMALL.variants[:1])
+    peak = _traced_peak(lambda: _run_trial(cfg, 0))
     assert peak < _LOCK_BYTES * cfg.anneal.total_iterations
 
 
@@ -665,33 +721,36 @@ def _fake_memory(monkeypatch, pages: int) -> None:
 
 
 def test_size_check_counts_one_lock_per_worker(monkeypatch):
-    # 1,500 cells and 500 iterations: 649,500 bytes with one worker,
-    # 1,249,500 with two, and 250 pages hold 1,024,000
+    # 3,000 cells and 500 iterations: 99,000 bytes, plus, per worker, one
+    # lock and the two cells its trial finished first, 633,000 bytes; so
+    # 732,000 bytes with one worker, 1,365,000 with two, and 250 pages hold
+    # 1,024,000
     _fake_memory(monkeypatch, 250)
-    cfg = ExperimentConfig(trials=1)
-    assert _run_bytes(cfg, 1) == 649_500
-    assert _run_bytes(cfg, 2) == 1_249_500
-    assert _run_bytes(cfg, 200) == 1_849_500
+    cfg = ExperimentConfig(trials=2)
+    assert _run_bytes(cfg, 1) == 732_000
+    assert _run_bytes(cfg, 2) == 1_365_000
+    assert _run_bytes(cfg, 200) == 1_365_000
     _check_size(cfg, 1)
-    with pytest.raises(ConfigError, match="needs at least 1249500 bytes"):
+    with pytest.raises(ConfigError, match="needs at least 1365000 bytes"):
         _check_size(cfg, 2)
-    # three jobs keep at most three locks live
-    with pytest.raises(ConfigError, match="needs at least 1849500 bytes"):
+    # two trials keep at most two locks live
+    with pytest.raises(ConfigError, match="needs at least 1365000 bytes"):
         _check_size(cfg, 200)
 
 
 @pytest.mark.parametrize("threads, pages", [("1", 100), ("2", 250)])
 def test_cli_lock_too_large_for_memory_fails_before_any_lock(
         threads, pages, tmp_path, monkeypatch, capsys):
-    # the 1,500 result cells, 49,500 bytes, fit in either memory; one
-    # 500-iteration lock too many does not
+    # as many trials as workers, so that each worker runs a lock: the 1,500
+    # or 3,000 result cells, 49,500 or 99,000 bytes, fit in either memory;
+    # one 500-iteration lock too many does not
     def no_lock(*args, **kwargs):
         raise AssertionError("locked before checking the run's size")
     monkeypatch.setattr("polarlock.cli.run_experiment", no_lock)
     monkeypatch.setenv("POLARLOCK_THREADS", threads)
     _fake_memory(monkeypatch, pages)
     out = tmp_path / "out.csv"
-    assert cli_main(["run", "--trials", "1", "--out", str(out)]) == 1
+    assert cli_main(["run", "--trials", threads, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert f"more than the {4096 * pages} bytes of memory" in err
     assert list(tmp_path.iterdir()) == []
@@ -700,8 +759,9 @@ def test_cli_lock_too_large_for_memory_fails_before_any_lock(
 def test_cli_write_too_large_for_memory_fails_before_any_lock(
         tmp_path, monkeypatch, capsys):
     # ten trials of the three default variants: the 15,000 cells and one
-    # lock, 1,095,000 bytes, fit in 500 pages (2,048,000); the cells and the
-    # row writer's ten-trial chunk, 2,995,000 bytes, do not
+    # lock with its trial's two earlier cells, 1,128,000 bytes, fit in 500
+    # pages (2,048,000); the cells and the row writer's ten-trial chunk,
+    # 2,995,000 bytes, do not
     def no_lock(*args, **kwargs):
         raise AssertionError("locked before checking the run's size")
     monkeypatch.setattr("polarlock.cli.run_experiment", no_lock)

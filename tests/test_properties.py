@@ -26,9 +26,9 @@ from polarlock import (AnnealConfig, DeviceParams, DisturbanceModel,
                        load_experiment_config, measure, port_intensity,
                        random_sop, rotate_sop, run_lock)
 from polarlock import cli
-from polarlock.anneal import (_EDGES, _STEPS, LockTrace, _er_db, _er_db_array,
-                              _move, _schedule, _signed, propose,
-                              step_for_gap)
+from polarlock.anneal import (_EDGES, _STEPS, LockTrace, _draw, _er_db,
+                              _er_db_array, _move, _schedule, _signed,
+                              propose, step_for_gap)
 from polarlock.disturbance import DisturbedObjective
 from polarlock.config import KEYS
 from polarlock.device import PHASE_SPAN, TpsParams
@@ -170,6 +170,7 @@ _DEVICES = (DeviceParams.ideal(), DeviceParams(noise_sigma=0.0),
             DeviceParams())
 
 
+@pytest.mark.kernel_variant
 @pytest.mark.parametrize("device", _DEVICES, ids=("ideal", "floor", "noisy"))
 @given(sop=_sops(), phases=_quads(st.sampled_from(_EDGE_PHASES) | _phase),
        noise=st.tuples(st.floats(-40.0, 40.0), st.floats(-40.0, 40.0)))
@@ -228,6 +229,7 @@ def _rotations(draw):
     return sop, tuple(axis), angle
 
 
+@pytest.mark.kernel_variant
 @given(_rotations())
 @example((JonesVector(complex(-0.0, 0.0), complex(0.0, -0.0)),
           (0.0, -0.0, 1.0), 0.0))
@@ -244,6 +246,7 @@ def test_rotate_equals_complex_reference_bit_for_bit(rotation):
                                        e_y.real, e_y.imag))
 
 
+@pytest.mark.kernel_variant
 def test_random_sop_equals_complex_reference():
     # random_sop stores _unit's tuple; it built complex(a, b), complex(c, d)
     for seed in range(1000):
@@ -311,6 +314,7 @@ _EDGE_U = (0.0, math.nextafter(0.5, 0.0), 0.5, 0.9)
 _R = (0.7, 0.3, math.nextafter(1.0, 0.0), 0.05)
 
 
+@pytest.mark.kernel_variant
 @pytest.mark.parametrize("hi", [3 * math.pi, 1.0])
 def test_unrolled_move_at_the_edges(hi):
     # each component meets each edge phase and each edge uniform
@@ -336,6 +340,7 @@ def _moves(draw):
     return s_p, step, [draw(uniform) for _ in range(9)], hi
 
 
+@pytest.mark.kernel_variant
 @given(_moves())
 def test_unrolled_move_equals_per_component_reference(move):
     s_p, step, draws, hi = move
@@ -361,6 +366,7 @@ def test_scalar_normals_equal_normal_pair(seed, sigma):
     assert pair.random() == scalar.random()
 
 
+@pytest.mark.kernel_variant
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_cascade_rejects_nonfinite_phase(bad):
     sop = JonesVector(1.0, 0.0)
@@ -375,6 +381,7 @@ def test_cascade_rejects_nonfinite_phase(bad):
                 read()
 
 
+@pytest.mark.kernel_variant
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_cascade_rejects_nonfinite_sop(bad):
     # a NaN or infinite component would otherwise read as a NaN or infinite
@@ -396,6 +403,7 @@ def test_cascade_rejects_nonfinite_sop(bad):
             assert repr(sop) in str(e.value)
 
 
+@pytest.mark.kernel_variant
 def test_sop_whose_port_powers_overflow_is_rejected_as_nonfinite():
     # the field stays finite here, but its squares overflow: the readings
     # would be (inf, inf), which look like a reading and are not one
@@ -592,6 +600,7 @@ _LOCK_SCHEDULES = (StepSchedule(), StepSchedule(0.16), StepSchedule(0.008),
                    StepSchedule(0.0), StepSchedule(3.0))
 
 
+@pytest.mark.kernel_variant
 @pytest.mark.parametrize("kind", ["static", "drift", "jump"])
 @settings(deadline=None)
 @given(seed=_seed, schedule=st.sampled_from(_LOCK_SCHEDULES),
@@ -625,6 +634,7 @@ def _rising(objective):
     return rising
 
 
+@pytest.mark.kernel_variant
 @pytest.mark.parametrize("kind", ["static", "drift"])
 @pytest.mark.parametrize("schedule,hi", [
     (StepSchedule(2.0), PHASE_SPAN), (StepSchedule(3.0), PHASE_SPAN),
@@ -674,6 +684,7 @@ def _band_moves(draw):
                                      for _ in range(4))
 
 
+@pytest.mark.kernel_variant
 @settings(max_examples=300)
 @given(_band_moves())
 def test_plain_move_in_the_band_equals_move(move):
@@ -686,6 +697,77 @@ def test_plain_move_in_the_band_equals_move(move):
                  x4 + step * d4)
         assert _bits(plain) == _bits(_move((x1, x2, x3, x4), step,
                                            (d1, d2, d3, d4), PHASE_SPAN))
+
+
+_SHARED_SCHEDULES = (StepSchedule(), StepSchedule(0.16), StepSchedule(0.008),
+                     StepSchedule(0.0))
+_SHARED_DEVICES = (DeviceParams(), DeviceParams.ideal())
+
+
+def _model(kind, cfg, rate, jump_at, magnitude):
+    return (DisturbanceModel(kind="drift", drift_rate=rate)
+            if kind == "drift" else
+            DisturbanceModel(kind="jump", jump_magnitude=magnitude,
+                             jump_at=jump_at % cfg.total_iterations)
+            if kind == "jump" else DisturbanceModel())
+
+
+def _run_on_draw(objective, cfg, tps, rng, schedule):
+    """``run_lock`` on the value ``_draw`` takes from ``rng``."""
+    return run_lock(objective, cfg, tps, _draw(rng, cfg.total_iterations),
+                    schedule)
+
+
+@pytest.mark.kernel_variant
+@pytest.mark.parametrize("kind", ["static", "drift", "jump"])
+@settings(deadline=None)
+@given(seed=_seed, schedule=st.sampled_from(_SHARED_SCHEDULES),
+       device=st.sampled_from(_SHARED_DEVICES),
+       t0=st.sampled_from((1e-5, 1e-3)), m0=st.integers(1, 4),
+       n0=st.integers(1, 30), rate=st.floats(1e-3, 1.0),
+       jump_at=st.integers(0, 119), magnitude=st.floats(0.0, math.pi))
+@example(seed=0, schedule=StepSchedule(), device=DeviceParams(), t0=1e-5,
+         m0=10, n0=50, rate=0.01, jump_at=250, magnitude=math.pi / 2)
+def test_drawn_inputs_lock_as_the_generator_bit_for_bit(
+        kind, seed, schedule, device, t0, m0, n0, rate, jump_at, magnitude):
+    # run_lock on _draw's value equals run_lock on the generator it was
+    # drawn from, trace and the generator's end state alike
+    cfg = AnnealConfig(t0=t0, m0=m0, n0=n0)
+    model = _model(kind, cfg, rate, jump_at, magnitude)
+    want = _lock_with(run_lock, model, device, cfg, schedule, seed)
+    assert _lock_with(_run_on_draw, model, device, cfg, schedule,
+                      seed) == want
+
+
+@pytest.mark.kernel_variant
+@pytest.mark.parametrize("kind", ["static", "drift", "jump"])
+@settings(deadline=None)
+@given(seed=_seed, device=st.sampled_from(_SHARED_DEVICES),
+       t0=st.sampled_from((1e-5, 1e-3)), m0=st.integers(1, 4),
+       n0=st.integers(1, 30), rate=st.floats(1e-3, 1.0),
+       jump_at=st.integers(0, 119), magnitude=st.floats(0.0, math.pi))
+@example(seed=0, device=DeviceParams(), t0=1e-5, m0=10, n0=50, rate=0.01,
+         jump_at=250, magnitude=math.pi / 2)
+def test_one_draw_serves_every_schedule_bit_for_bit(
+        kind, seed, device, t0, m0, n0, rate, jump_at, magnitude):
+    # as a harness trial shares its draws: every schedule locks on one
+    # value, each with a fresh objective, as it locks on its own generator,
+    # and the locks leave the value as they found it
+    cfg = AnnealConfig(t0=t0, m0=m0, n0=n0)
+    model = _model(kind, cfg, rate, jump_at, magnitude)
+    rng = np.random.default_rng(seed)
+    sop = random_sop(rng)
+    drawn = _draw(rng, cfg.total_iterations)
+    before = (_bits(drawn.noise0), [_bits(c) for c in drawn.cols],
+              drawn.channel.tobytes())
+    for schedule in _SHARED_SCHEDULES:
+        objective = (bind_objective(sop, device, rng) if kind == "static"
+                     else DisturbedObjective(sop, device, model, rng))
+        got = run_lock(objective, cfg, device.tps, drawn, schedule)
+        want = _lock_with(run_lock, model, device, cfg, schedule, seed)[0]
+        assert _trace_bytes(got) == want
+    assert (_bits(drawn.noise0), [_bits(c) for c in drawn.cols],
+            drawn.channel.tobytes()) == before
 
 
 _POSITIVE = st.floats(0.0, exclude_min=True, allow_infinity=False)
@@ -988,6 +1070,7 @@ def _anneal_configs(draw):
     return AnnealConfig(t0=t0, m0=m0, n0=n0)
 
 
+@pytest.mark.kernel_variant
 @settings(max_examples=25, deadline=None)
 @given(acfg=_anneal_configs(), trials=st.integers(1, 3),
        base=st.integers(0, 2 ** 32),
@@ -1006,6 +1089,7 @@ _ODD_FLOATS = (0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
                -5e-324, 0.1, 0.16, 1e300)
 
 
+@pytest.mark.kernel_variant
 @settings(max_examples=50, deadline=None)
 @given(data=st.data(), n_variants=st.integers(1, 3), trials=st.integers(1, 3),
        n=st.integers(1, 6))
@@ -1028,6 +1112,7 @@ def test_write_csv_keeps_every_value_apart(data, n_variants, trials, n):
     assert _written_rows_csv(table) == _reference_rows_csv(table)
 
 
+@pytest.mark.kernel_variant
 def test_write_csv_keeps_the_longest_lead_columns_whole():
     # -1.23456789e-100 is the longest '%.9g' form, 16 characters, and the
     # iteration count reaches five digits
@@ -1073,6 +1158,7 @@ _G9_EDGES = [math.nextafter(1e-4, 0.0), 1e-4, math.nextafter(1e-4, 1.0),
           -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308])
 # one bit pattern throughout, as a fixed step's column, and values that are
 # equal as floats but not as bits
+@pytest.mark.kernel_variant
 @example([0.16] * 3)
 @example([-0.0] * 3)
 @example([0.0, -0.0, 0.0])
@@ -1081,12 +1167,14 @@ def test_g9_kernel_equals_percent_format(values):
     assert _g9(values) == _percent_g9(values)
 
 
+@pytest.mark.kernel_variant
 def test_g9_kernel_equals_percent_format_on_random_bits():
     rng = np.random.default_rng(20221)
     bits = rng.integers(0, 2 ** 64, 200_000, np.uint64, endpoint=False)
     assert _g9(bits.view(float)) == _percent_g9(bits.view(float))
 
 
+@pytest.mark.kernel_variant
 def test_g9_kernel_equals_percent_format_on_decimals():
     # nine-digit decimals in every decade that fixed notation reaches or
     # rounds into, and the ten-digit halfway points between them, which
@@ -1138,6 +1226,7 @@ _labels = st.lists((st.sampled_from(["fixé(0.1)", "λ", "a\0b", "x\ny", ",,"])
                    min_size=1, max_size=3, unique=True)
 
 
+@pytest.mark.kernel_variant
 @settings(max_examples=15, deadline=None)
 @given(data=st.data(), labels=_labels, trials=st.integers(1, 2),
        n=st.integers(1, 4))
