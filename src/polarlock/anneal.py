@@ -300,8 +300,8 @@ def _draw(rng, n: int) -> _Draws:
     uniforms = rng.random((n, 9))
     noise = rng.standard_normal((n + 1, 2))
     channel = rng.standard_normal((n, 3))
-    cols = np.concatenate((_signed(uniforms), uniforms[:, 8:], noise[1:]),
-                          axis=1).T.tolist()
+    cols = [*_signed(uniforms).T.tolist(), uniforms[:, 8].tolist(),
+            *noise[1:].T.tolist()]
     return _Draws(noise[0].tolist(), cols, channel)
 
 
@@ -322,13 +322,15 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
     ``cfg.total_iterations`` (another length is a ValueError).  Evaluation
     k calls ``objective(phases, noise, channel)`` with noise row k as a
     pair of floats (a 2-tuple in the loop, a list for the initial one) and
-    the whole channel block, the same array on every call (a new block
-    restarts ``DisturbedObjective``'s SOP sequence, whose evaluation k reads
-    rows up to ``max(k - 1, 0)``), and unpacks (i_px, i_py).  The loop zips
-    ``_draw``'s flat lists, so the only containers a default lock keeps are
-    its 500 candidate tuples, under the collector's generation-0 threshold.
-    It records only each iteration's step, phases, reading and verdict, one
-    list per field; ``er_db`` and the lock point are derived from those once
+    this lock's own view of the channel block, the same on every call (a
+    new block restarts ``DisturbedObjective``'s SOP sequence, whose
+    evaluation k reads rows up to ``max(k - 1, 0)``), and unpacks (i_px,
+    i_py).  The loop zips ``_draw``'s flat lists, so the only containers a
+    default lock keeps are its 500 candidate tuples, under the collector's
+    generation-0 threshold.  It records each iteration's step, phases and
+    readings, one list per field, and the rows where it took a worse
+    reading; ``accepted`` (a reading at or above the one before it, or a
+    recorded row), ``er_db`` and the lock point are derived from those once
     the loop ends, with the same values a per-iteration computation gives,
     and the ``phases`` array when it is first read.
 
@@ -350,6 +352,7 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
     hi = tps.phase_max
     state = initial_thetas = (hi / 2.0,) * 4
 
+    channel = channel.view()  # this lock's block, new to every objective
     i_ref, i_py = objective(state, noise0, channel)
     initial_sample = (i_ref, i_py)
 
@@ -363,15 +366,16 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
     x1 = x2 = x3 = x4 = state[0]
     inner = lo < x1 < top
     temperature, temps = _schedule(cfg)
-    cands, steps, pxs, pys, oks = [], [], [], [], []
+    cands, steps, pxs, pys, uphill = [], [], [], [], []
     for t, d1, d2, d3, d4, u, zx, zy in zip(temps, *cols):
         gap = 1.0 - i_ref
         st = s0 if gap > e1 else s1 if gap > e2 else s2 if gap > e3 else s3
         cand = ((x1 + st * d1, x2 + st * d2, x3 + st * d3, x4 + st * d4)
                 if inner else _move(state, st, (d1, d2, d3, d4), hi))
         i_px, i_py = objective(cand, (zx, zy), channel)
-        ok = i_px >= i_ref or u < exp((i_px - i_ref) / t)
-        if ok:
+        if i_px >= i_ref or u < exp((i_px - i_ref) / t):
+            if i_px < i_ref:
+                uphill.append(len(pxs))
             x1, x2, x3, x4 = state = cand
             inner = (lo < x1 < top and lo < x2 < top and lo < x3 < top
                      and lo < x4 < top)
@@ -380,15 +384,16 @@ def run_lock(objective: Objective, cfg: AnnealConfig, tps: TpsParams,
         steps.append(st)
         pxs.append(i_px)
         pys.append(i_py)
-        oks.append(ok)
 
     px, py = np.array(pxs, float), np.array(pys, float)
     # the lock point: the first of the highest readings, the initial one
     # included, i.e. where the running best (i_max) reaches its final value
     readings = np.concatenate((initial_sample[:1], px))
+    accepted = px >= readings[:-1]
+    accepted[uphill] = True
     best_iter = int(np.argmax(readings))
     best_thetas = cands[best_iter - 1] if best_iter else initial_thetas
     return LockTrace(temperature, np.array(steps, float), cands, px, py,
-                     _er_db_array(px, py), np.array(oks, bool),
+                     _er_db_array(px, py), accepted,
                      PhaseQuad(*best_thetas), float(readings[best_iter]),
                      best_iter, initial_sample)

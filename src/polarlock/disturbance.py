@@ -114,10 +114,10 @@ class DisturbedObjective:
     """Objective that measures, at evaluation k, the k-th SOP of the
     channel's sequence (``_channel``), then adds the noise as ``measure``
     does.  A call whose ``channel`` block is not the previous call's starts
-    a new sequence from the input SOP, so each ``run_lock`` (a new block)
-    sees the channel from its start.  Bare calls continue one sequence that
-    draws each row from ``rng`` before ``measure``'s own noise draw.  A
-    static channel gives the trace of a plain bound objective.
+    a new sequence from the input SOP, so each ``run_lock`` (its own view of
+    the block) sees the channel from its start.  Bare calls continue one
+    sequence that draws each row from ``rng`` before ``measure``'s own noise
+    draw.  A static channel gives the trace of a plain bound objective.
     """
 
     def __init__(self, input_sop: JonesVector, params: DeviceParams,

@@ -298,16 +298,16 @@ class ResultsTable:
 
 def _run_trial(cfg: ExperimentConfig, trial: int):
     """One trial's ``_FIELDS`` per variant; its rng depends on base_seed +
-    trial alone.  Each variant locks on the trial's one ``_draw`` with a fresh
-    objective: ``DisturbedObjective`` restarts only on an unseen block."""
+    trial alone.  Each variant locks on the trial's one ``_draw`` with the
+    trial's one objective."""
     rng = np.random.default_rng(cfg.base_seed + trial)
     sop = random_sop(rng)
     drawn = _draw(rng, cfg.anneal.total_iterations)
+    objective = (bind_objective(sop, cfg.device, rng)
+                 if cfg.disturbance.kind == "static" else
+                 DisturbedObjective(sop, cfg.device, cfg.disturbance, rng))
     cells = []
     for schedule in cfg.variants:
-        objective = (bind_objective(sop, cfg.device, rng)
-                     if cfg.disturbance.kind == "static" else
-                     DisturbedObjective(sop, cfg.device, cfg.disturbance, rng))
         trace = run_lock(objective, cfg.anneal, cfg.device.tps, drawn,
                          schedule)
         cells.append([getattr(trace, name) for name in _FIELDS])

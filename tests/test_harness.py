@@ -148,8 +148,8 @@ def test_table_blocks_match_trial_traces(workers):
     ids=["drift", "jump"])
 def test_table_equals_per_cell_reference_locks(model, workers):
     # each (variant, trial) cell as its own lock on a generator seeded
-    # base_seed + trial, with its own objective: the trial's shared draws and
-    # a fresh DisturbedObjective per variant restart the channel every lock
+    # base_seed + trial, with its own objective: the trial's one
+    # DisturbedObjective restarts the channel on every lock of its draws
     cfg = replace(SMALL, disturbance=model, base_seed=21)
     table = run_experiment(cfg, max_workers=workers)
     for v, schedule in enumerate(cfg.variants):

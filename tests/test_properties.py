@@ -770,6 +770,33 @@ def test_one_draw_serves_every_schedule_bit_for_bit(
             drawn.channel.tobytes()) == before
 
 
+@pytest.mark.kernel_variant
+@pytest.mark.parametrize("kind", ["drift", "jump"])
+@settings(deadline=None)
+@given(seed=_seed, device=st.sampled_from(_SHARED_DEVICES),
+       t0=st.sampled_from((1e-5, 1e-3)), m0=st.integers(1, 4),
+       n0=st.integers(1, 30), rate=st.floats(1e-3, 1.0),
+       jump_at=st.integers(0, 119), magnitude=st.floats(0.0, math.pi))
+@example(seed=0, device=DeviceParams(), t0=1e-5, m0=10, n0=50, rate=0.01,
+         jump_at=250, magnitude=math.pi / 2)
+def test_a_reused_objective_locks_as_a_fresh_one_bit_for_bit(
+        kind, seed, device, t0, m0, n0, rate, jump_at, magnitude):
+    # one DisturbedObjective locks one drawn value twice with the same
+    # schedule, then with every other schedule, as a harness trial reuses
+    # it: each lock sees the channel from its start, as a fresh objective's
+    cfg = AnnealConfig(t0=t0, m0=m0, n0=n0)
+    model = _model(kind, cfg, rate, jump_at, magnitude)
+    rng = np.random.default_rng(seed)
+    sop = random_sop(rng)
+    drawn = _draw(rng, cfg.total_iterations)
+    shared = DisturbedObjective(sop, device, model, rng)
+    for schedule in _SHARED_SCHEDULES[:1] + _SHARED_SCHEDULES:
+        got = run_lock(shared, cfg, device.tps, drawn, schedule)
+        want = run_lock(DisturbedObjective(sop, device, model, rng), cfg,
+                        device.tps, drawn, schedule)
+        assert _trace_bytes(got) == _trace_bytes(want)
+
+
 _POSITIVE = st.floats(0.0, exclude_min=True, allow_infinity=False)
 _NON_NEGATIVE = st.floats(0.0, allow_infinity=False)
 
