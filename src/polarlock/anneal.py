@@ -23,7 +23,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .device import (PHASE_SPAN, PhaseQuad, TpsParams, DeviceParams,
-                     _check_field, measure)
+                     _check_field, _check_int, measure)
 from .jones import _frozen
 
 #: objective protocol: a phase 4-tuple, the evaluation's noise pair (two
@@ -139,6 +139,8 @@ class AnnealConfig:
 
     def __post_init__(self):
         _check_field(self, "t0", positive=True)
+        _check_int(self, "m0")
+        _check_int(self, "n0")
         if self.m0 < 1 or self.n0 < 1:
             raise ValueError("m0 and n0 must be >= 1")
         # halving reaches 0 within ~2,100 loops from any finite t0, so a

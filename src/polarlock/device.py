@@ -20,6 +20,7 @@ of a zero; its docstring gives the argument.
 from __future__ import annotations
 
 import math
+import operator
 from math import cos, isfinite, sin
 from dataclasses import field
 from typing import ClassVar, NamedTuple
@@ -50,6 +51,16 @@ def _check_field(params, name: str, positive: bool) -> None:
     if not ((0.0 < value if positive else 0.0 <= value) and value < math.inf):
         raise ValueError(f"{name} must be a finite number "
                          f"{'> 0' if positive else '>= 0'}, got {value!r}")
+
+
+def _check_int(params, name: str) -> None:
+    """Raise ValueError naming field ``name`` of ``params`` unless it is an
+    integer, a Python or a numpy one (``operator.index`` takes it)."""
+    value = getattr(params, name)
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @_frozen

@@ -15,7 +15,7 @@ from itertools import count, repeat
 import numpy as np
 
 from .anneal import AnnealConfig, LockTrace, _er_db_array, run_lock
-from .device import DeviceParams, _check_field, measure
+from .device import DeviceParams, _check_field, _check_int, measure
 from .jones import JonesVector, _frozen, _unit, _vector, random_sop
 
 
@@ -40,6 +40,7 @@ class DisturbanceModel:
         _check_field(self, "drift_rate", positive=False)
         if not 0.0 <= self.jump_magnitude <= math.pi:
             raise ValueError("jump_magnitude must lie in [0, pi]")
+        _check_int(self, "jump_at")
         if self.jump_at < 0:
             raise ValueError("jump_at must be >= 0")
         for name, kind in (("drift_rate", "drift"), ("jump_at", "jump"),

@@ -18,7 +18,7 @@ import numpy as np
 
 from .anneal import (AnnealConfig, StepSchedule, _draw, _fmt,
                      bind_objective, run_lock)
-from .device import PHASE_SPAN, DeviceParams, dpc_transform
+from .device import PHASE_SPAN, DeviceParams, _check_int, dpc_transform
 from .disturbance import DisturbanceModel, DisturbedObjective
 from .jones import (ALGEBRA_TOL, COUPLER_IN, COUPLER_OUT, JonesVector,
                     _frozen, make_m0, make_m45, random_sop, to_stokes)
@@ -31,10 +31,13 @@ CSV_COLUMNS = ("variant", "trial", "iteration", "temperature", "step_rad",
 _FIELDS = CSV_COLUMNS[4:]
 _CELL_BYTES = 33  # four float64 and one bool per (variant, trial, iteration)
 # peaks under tracemalloc, rounded up: one lock of 10^4 iterations held 660
-# bytes per iteration on a static channel and 756 under drift, and write_csv
-# 430-445 bytes per row of its chunk at one trial, 291-294 at ten
+# bytes per iteration on a static channel and 756 under drift, write_csv
+# 430-445 bytes per row of its chunk at one trial, 291-294 at ten, and the
+# percentile pass, which sorts a copy of er_db, 9.2-9.8 bytes per cell at
+# 200-1,000 trials
 _LOCK_BYTES = 1200
 _ROW_BYTES = 500
+_PASS_BYTES = 12
 # median ER (dB) whose first crossing the summary reports, the paper's claim
 _LOCK_DB = 25.0
 
@@ -152,6 +155,8 @@ class ExperimentConfig:
     output_path: str = "results.csv"
 
     def __post_init__(self):
+        _check_int(self, "trials")
+        _check_int(self, "base_seed")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.base_seed < 0:
@@ -181,7 +186,11 @@ class ResultsTable:
     """Per-iteration results of a whole ensemble as (variant, trial,
     iteration) blocks: ``er_db[v, t, i]`` is iteration i + 1 of trial t of
     ``variant_order[v]``, and likewise for every field but ``temperature``,
-    the ``(iterations,)`` schedule all trials share."""
+    the ``(iterations,)`` schedule all trials share.
+
+    Every ER figure, the aggregate file and the summary included, reads one
+    percentile pass over ``er_db``, taken on first read and kept read-only,
+    so the blocks must not change after it."""
 
     variant_order: tuple[str, ...]
     temperature: np.ndarray
@@ -190,9 +199,9 @@ class ResultsTable:
     i_py: np.ndarray
     er_db: np.ndarray
     accepted: np.ndarray
-    # write_aggregate_csv's p50 curves, each taken once by _median_figures
-    _p50: dict = field(default_factory=dict, init=False, repr=False,
-                       compare=False)
+    # percentile_curves' (p10, p50, p90) x variant x iteration array
+    _percentiles: np.ndarray | None = field(default=None, init=False,
+                                            repr=False, compare=False)
 
     @property
     def trials(self) -> int:
@@ -214,30 +223,28 @@ class ResultsTable:
     def percentile_curves(self, label: str
                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(iteration, p10, p50, p90) ER curves across trials."""
-        er = self.er_db[self._index(label)]
-        p10, p50, p90 = np.percentile(er, [10.0, 50.0, 90.0], axis=0)
+        v = self._index(label)
+        if self._percentiles is None:
+            self._percentiles = np.percentile(self.er_db, [10.0, 50.0, 90.0],
+                                              axis=1)
+            self._percentiles.flags.writeable = False
         iters = np.arange(1, self.iterations_per_trial + 1)
-        return iters, p10, p50, p90
+        return iters, *self._percentiles[:, v]
 
     def median_er_curve(self, label: str) -> np.ndarray:
         """The p50 curve of ``percentile_curves``, the aggregate file's."""
-        return np.percentile(self.er_db[self._index(label)], 50.0, axis=0)
-
-    def _median_figures(self, label: str) -> tuple[float, int | None]:
-        curve = (self._p50.pop(label) if label in self._p50
-                 else self.median_er_curve(label))
-        hits = np.nonzero(curve >= _LOCK_DB)[0]
-        return float(curve[-1]), int(hits[0]) + 1 if hits.size else None
+        return self.percentile_curves(label)[2]
 
     def first_crossing(self, label: str) -> int | None:
         """First iteration at which the median ER reaches ``_LOCK_DB``."""
-        return self._median_figures(label)[1]
+        hits = np.nonzero(self.median_er_curve(label) >= _LOCK_DB)[0]
+        return int(hits[0]) + 1 if hits.size else None
 
     def acceptance_rate(self, label: str) -> float:
         return float(np.mean(self.accepted[self._index(label)]))
 
     def median_final_er(self, label: str) -> float:
-        return self._median_figures(label)[0]
+        return float(self.median_er_curve(label)[-1])
 
     def write_csv(self, path: str) -> None:
         """Rows in the documented column order, variant by variant, then
@@ -288,7 +295,6 @@ class ResultsTable:
         # every label is looked up before the file exists
         curves = [self.percentile_curves(label)
                   for label in self.variant_order]
-        self._p50.update(zip(self.variant_order, (c[2] for c in curves)))
         with open(path, "w", newline="") as f:
             f.write("variant,iteration,er_db_p10,er_db_p50,er_db_p90\n")
             for label, curve in zip(self.variant_order, curves):
@@ -316,11 +322,13 @@ def _run_trial(cfg: ExperimentConfig, trial: int):
 
 def _run_bytes(cfg: ExperimentConfig, workers: int) -> int:
     """Least memory a run needs: its result blocks, plus one live lock and
-    its trial's earlier cells per worker (at most one per trial) or the row
-    writer's chunk, whichever is larger (never both)."""
+    its trial's earlier cells per worker (at most one per trial), the row
+    writer's chunk or the percentile pass, whichever is largest (never two
+    at once)."""
     cells = _CELL_BYTES * len(cfg.variants)  # one trial's, per iteration
     live = max((_LOCK_BYTES + cells - _CELL_BYTES) * min(workers, cfg.trials),
-               _ROW_BYTES * min(cfg.trials, _CHUNK_TRIALS))
+               _ROW_BYTES * min(cfg.trials, _CHUNK_TRIALS),
+               _PASS_BYTES * len(cfg.variants) * cfg.trials)
     return (cells * cfg.trials + live) * cfg.anneal.total_iterations
 
 
@@ -362,10 +370,10 @@ def summarize(table: ResultsTable) -> str:
     lines = [f"trials: {table.trials}",
              f"iterations_per_trial: {table.iterations_per_trial}"]
     for label in table.variant_order:
-        final, crossing = table._median_figures(label)
-        lines.append(f"{label}.median_final_er_db: {_fmt(final)}")
+        lines.append(f"{label}.median_final_er_db: "
+                     f"{_fmt(table.median_final_er(label))}")
         lines.append(f"{label}.crossing_25db: "
-                     f"{crossing if crossing is not None else 'none'}")
+                     f"{table.first_crossing(label) or 'none'}")
         lines.append(f"{label}.acceptance_rate: "
                      f"{_fmt(table.acceptance_rate(label))}")
     return "\n".join(lines) + "\n"

@@ -22,8 +22,9 @@ from polarlock.cli import main as cli_main
 from polarlock.config import KEYS, parse_config_text
 from polarlock.disturbance import DisturbedObjective
 from polarlock.device import PHASE_SPAN
-from polarlock.harness import (_CELL_BYTES, _FIELDS, _LOCK_BYTES, _ROW_BYTES,
-                               ResultsTable, _run_bytes, _run_trial)
+from polarlock.harness import (_CELL_BYTES, _FIELDS, _LOCK_BYTES,
+                               _PASS_BYTES, _ROW_BYTES, ResultsTable,
+                               _run_bytes, _run_trial)
 
 SMALL = ExperimentConfig(
     anneal=AnnealConfig(m0=4, n0=25),
@@ -311,31 +312,30 @@ def test_medians_are_the_aggregate_files_p50(tmp_path):
 
 
 def test_outputs_take_one_percentile_per_variant(tmp_path, monkeypatch):
-    # the aggregate file's p50 curves serve the summary, which reads as
-    # summarize reads without them
+    # one percentile pass over the whole table serves the aggregate file and
+    # the summary, which reads as an equal table's summary
     table = run_experiment(SMALL)
-    want = summarize(table)
+    want = summarize(run_experiment(SMALL))
     calls = []
     percentile = np.percentile
 
     def counted(*args, **kwargs):
-        calls.append(args[1])
+        calls.append((args[0].shape, args[1]))
         return percentile(*args, **kwargs)
 
     monkeypatch.setattr(np, "percentile", counted)
     cfg = replace(SMALL, output_path=str(tmp_path / "run.csv"))
     assert _write_outputs(cfg, table) == want
-    assert calls == [[10.0, 50.0, 90.0]] * len(table.variant_order)
+    assert calls == [(table.er_db.shape, [10.0, 50.0, 90.0])]
     assert (tmp_path / "run_summary.txt").read_text() == want
-    # each curve is taken once: the next figure computes its own
-    assert table._p50 == {}
-    assert summarize(table) == want and len(calls) == 4
+    # the pass is kept: a second summary takes none
+    assert summarize(table) == want and len(calls) == 1
 
 
 def test_sweep_takes_one_percentile_per_variant_and_value(tmp_path,
                                                          monkeypatch, capsys):
-    # the line a sweep prints reads its finals off the aggregate file's p50
-    # curves: two values of three variants take six percentile calls
+    # the line a sweep prints reads its finals off the table's one percentile
+    # pass: two values of three variants take two percentile calls
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("anneal.m0 = 2\nanneal.n0 = 25\nexperiment.trials = 3\n")
     out = tmp_path / "out.csv"
@@ -343,13 +343,13 @@ def test_sweep_takes_one_percentile_per_variant_and_value(tmp_path,
     percentile = np.percentile
 
     def counted(*args, **kwargs):
-        calls.append(args[1])
+        calls.append((args[0].shape, args[1]))
         return percentile(*args, **kwargs)
 
     monkeypatch.setattr(np, "percentile", counted)
     assert cli_main(["sweep", "--key", "noise_sigma", "--values", "0,5e-4",
                      "--config", str(cfg), "--out", str(out)]) == 0
-    assert calls == [[10.0, 50.0, 90.0]] * 6
+    assert calls == [((3, 3, 50), [10.0, 50.0, 90.0])] * 2
     monkeypatch.setattr(np, "percentile", percentile)
     lines = capsys.readouterr().out.splitlines()
     for line, value in zip(lines, ["0", "5e-4"], strict=True):
@@ -421,6 +421,26 @@ def test_identity_checks_all_pass():
 def test_experiment_config_rejects_base_step_beyond_phase_span():
     with pytest.raises(ValueError, match=r"variant fixed\(10\): .*PHASE_SPAN"):
         ExperimentConfig(variants=(StepSchedule(10.0),))
+
+
+_COUNTS = {
+    "m0": lambda v: AnnealConfig(m0=v),
+    "n0": lambda v: AnnealConfig(n0=v),
+    "jump_at": lambda v: DisturbanceModel(kind="jump", jump_at=v,
+                                          jump_magnitude=1.0),
+    "trials": lambda v: ExperimentConfig(trials=v),
+    "base_seed": lambda v: ExperimentConfig(base_seed=v),
+}
+
+
+@pytest.mark.parametrize("name", _COUNTS)
+def test_counts_must_be_integers(name):
+    # a float count fails where it is made, naming its field, not mid-run in
+    # numpy, range, repeat or SeedSequence
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, "
+                                         r"got 2\.5$"):
+        _COUNTS[name](2.5)
+    _COUNTS[name](np.int64(3))  # numpy integers count
 
 
 # half the span, where every lock starts, and half its float spacing
@@ -713,6 +733,23 @@ def test_write_csv_peaks_below_what_the_size_check_counts(trials, tmp_path):
                                             variants=(StepSchedule(),)))
     peak = _traced_peak(lambda: table.write_csv(str(tmp_path / "rows.csv")))
     assert peak < _ROW_BYTES * trials * table.iterations_per_trial
+
+
+def test_percentile_pass_peaks_below_what_the_size_check_counts(tmp_path):
+    # 200 trials of three variants: the pass's copy of er_db outgrows the
+    # row writer's ten-trial chunk, so the check counts the pass instead
+    cfg = ExperimentConfig(anneal=AnnealConfig(m0=1, n0=100), trials=200)
+    er = np.random.default_rng(0).normal(20.0, 5.0, (3, 200, 100))
+    zeros = np.zeros_like(er)
+
+    def aggregate():
+        table = ResultsTable(("a", "b", "c"), np.ones(100), zeros, zeros,
+                             zeros, er, zeros.astype(bool))
+        table.write_aggregate_csv(str(tmp_path / "aggregate.csv"))
+
+    assert _traced_peak(aggregate) < _PASS_BYTES * er.size
+    assert (_run_bytes(cfg, 1)
+            == (_CELL_BYTES + _PASS_BYTES) * er.size)
 
 
 def _fake_memory(monkeypatch, pages: int) -> None:

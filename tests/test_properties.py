@@ -1279,6 +1279,36 @@ def test_writers_equal_text_mode_references(data, labels, trials, n):
             assert f.read() == want
 
 
+# readings a lock can give, ties among them likely: both zeros, the ER
+# floor and ceiling at +-120 dB that _DB_FLOOR sets, and their neighbours
+_ER_READINGS = (0.0, -0.0, 120.0, -120.0, math.nextafter(120.0, 0.0),
+                math.nextafter(-120.0, 0.0), 25.0, 5e-324)
+
+
+@pytest.mark.kernel_variant
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), n_variants=st.integers(1, 3), trials=st.integers(1, 7),
+       n=st.integers(1, 5))
+def test_one_percentile_pass_equals_one_per_variant(data, n_variants, trials,
+                                                    n):
+    # the table's one np.percentile over every variant gives each variant's
+    # curves bit for bit as a call on its own block does
+    shape = (n_variants, trials, n)
+    er = np.array(data.draw(st.lists(
+        st.sampled_from(_ER_READINGS) | st.floats(-120.0, 120.0),
+        min_size=math.prod(shape), max_size=math.prod(shape))),
+        float).reshape(shape)
+    zeros = np.zeros(shape)
+    table = ResultsTable(tuple(f"v{i}" for i in range(n_variants)),
+                         np.ones(n), zeros, zeros, zeros, er,
+                         zeros.astype(bool))
+    for v, label in enumerate(table.variant_order):
+        want = np.percentile(er[v], [10.0, 50.0, 90.0], axis=0)
+        iters, *curves = table.percentile_curves(label)
+        assert iters.tolist() == list(range(1, n + 1))
+        assert np.array(curves).tobytes() == want.tobytes()
+
+
 # --- whole config files -------------------------------------------------------
 
 _DEFAULT_STEP = 0.16  # the largest step of the default variants
