@@ -88,14 +88,26 @@ def _workers() -> int:
     return workers
 
 
-def _check_output(path: str) -> None:
-    """Fail before the first lock if the output files cannot be created."""
+def _output_paths(path: str) -> tuple[str, str, str]:
+    """The rows, aggregate and summary files written for output path
+    ``path``: ``out.csv`` gives ``out_aggregate.csv`` and
+    ``out_summary.txt`` beside it."""
+    stem, ext = os.path.splitext(path)
+    return path, f"{stem}_aggregate{ext or '.csv'}", f"{stem}_summary.txt"
+
+
+def _check_output(path: str, written) -> None:
+    """Fail before the first lock if output path ``path`` names no file or
+    no writable directory, or if a file in ``written`` is a directory."""
     folder = os.path.dirname(path) or "."
     if not os.path.basename(path) or os.path.isdir(path):
         raise ConfigError(f"output path {path!r} names no file")
     if not os.path.isdir(folder) or not os.access(folder, os.W_OK):
         raise ConfigError(f"output path {path!r}: directory {folder!r} "
                           "does not exist or is not writable")
+    for name in written:
+        if os.path.isdir(name):
+            raise ConfigError(f"output file {name!r} is a directory")
 
 
 def _check_size(cfg, workers: int) -> None:
@@ -115,11 +127,11 @@ def _check_size(cfg, workers: int) -> None:
 
 
 def _write_outputs(cfg, table) -> str:
-    stem, ext = os.path.splitext(cfg.output_path)
-    table.write_csv(cfg.output_path)
-    table.write_aggregate_csv(f"{stem}_aggregate{ext or '.csv'}")
+    rows, aggregate, summary = _output_paths(cfg.output_path)
+    table.write_csv(rows)
+    table.write_aggregate_csv(aggregate)
     text = summarize(table)
-    with open(f"{stem}_summary.txt", "w") as f:
+    with open(summary, "w") as f:
         f.write(text)
     return text
 
@@ -137,7 +149,7 @@ def _trim_heap() -> None:
 def _cmd_run(args) -> int:
     workers = _workers()
     cfg = load_experiment_config(args.config, _overrides(args))
-    _check_output(cfg.output_path)
+    _check_output(cfg.output_path, _output_paths(cfg.output_path))
     _check_size(cfg, workers)
     _trim_heap()
     text = _write_outputs(cfg, run_experiment(cfg, max_workers=workers))
@@ -180,7 +192,6 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("--values must list at least one value")
     base_over = _overrides(args)
     base_cfg = load_experiment_config(args.config, base_over)
-    _check_output(base_cfg.output_path)
     stem, ext = os.path.splitext(base_cfg.output_path)
     ext = ext or ".csv"
     leaf = key.rsplit(".", 1)[1]
@@ -189,6 +200,8 @@ def _cmd_sweep(args) -> int:
         **base_over, key: value,
         "experiment.output": f"{stem}_{leaf}_{value}{ext}"})
         for value in values]
+    _check_output(base_cfg.output_path, [
+        name for cfg in cfgs for name in _output_paths(cfg.output_path)])
     seen: dict = {}  # two spellings of one value would run the same twice
     for value, cfg in zip(values, cfgs):
         run = replace(cfg, output_path="")

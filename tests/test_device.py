@@ -11,6 +11,7 @@ from polarlock import (AnnealConfig, DeviceParams, JonesVector, PhaseQuad,
                        thermal_step_response, voltage_to_phase,
                        voltage_to_power)
 from polarlock.device import PHASE_SPAN, V_MAX, TpsParams
+from reference import _crossing_time
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -212,23 +213,6 @@ def test_measure_noisy_reading_draws_one_normal_pair():
 
 
 # --- thermal step response ---------------------------------------------------
-
-def _crossing_time(v_from, v_to, frac, t_hi=200e-6):
-    """Bisection for the time at which the phase crosses ``frac`` of its
-    swing; independent of the closed-form settling expression."""
-    phi0 = voltage_to_phase(v_from)
-    phi1 = voltage_to_phase(v_to)
-    target = phi0 + frac * (phi1 - phi0)
-    sign = 1.0 if phi1 >= phi0 else -1.0
-    lo, hi = 0.0, t_hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if sign * (thermal_step_response(v_from, v_to, mid) - target) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
 
 def test_thermal_initial_and_steady_state():
     assert thermal_step_response(0.0, 5.6, 0.0) == pytest.approx(

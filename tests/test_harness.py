@@ -106,6 +106,18 @@ def test_experiment_config_validation():
                                                       jump_at=500))
 
 
+def test_variants_are_stored_as_a_tuple_of_schedules():
+    # a list is stored as its tuple, so the config hashes and equals the
+    # one built from a tuple; an element that is not a schedule is a named
+    # error, not an AttributeError from the label check
+    listed = ExperimentConfig(variants=[StepSchedule()])
+    assert type(listed.variants) is tuple
+    assert listed == ExperimentConfig(variants=(StepSchedule(),))
+    assert hash(listed) == hash(ExperimentConfig(variants=(StepSchedule(),)))
+    with pytest.raises(ValueError, match=r"variants\[1\] .* 'variable'"):
+        ExperimentConfig(variants=(StepSchedule(), "variable"))
+
+
 # --- experiment runs -------------------------------------------------------------
 
 def test_run_experiment_row_count_and_order(tmp_path):
@@ -668,6 +680,23 @@ def test_cli_bad_output_fails_before_any_lock(command, output, via_file,
     assert cli_main(argv) == 1
     assert f"output path {output!r}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == ([cfg] if via_file else [])
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("side", ["_aggregate.csv", "_summary.txt"])
+def test_cli_blocked_side_file_fails_before_any_lock(command, side, tmp_path,
+                                                     monkeypatch, capsys):
+    # a directory where the aggregate or summary file would go stops the
+    # command before its first lock, so not even the rows file is written
+    monkeypatch.chdir(tmp_path)
+    argv, stem = [command, "--trials", "1", "--out", "b.csv"], "b"
+    if command == "sweep":
+        argv += ["--key", "noise_sigma", "--values", "0"]
+        stem = "b_noise_sigma_0"
+    (tmp_path / f"{stem}{side}").mkdir()
+    assert cli_main(argv) == 1
+    assert f"{stem}{side}" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == [f"{stem}{side}"]
 
 
 def _host_memory() -> int:

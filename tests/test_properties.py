@@ -1,7 +1,6 @@
 """Property tests of the lock kernel's invariants and of the numpy stream
 identities its rng draw order relies on."""
 
-import cmath
 import contextlib
 import dataclasses
 import functools
@@ -10,7 +9,7 @@ import locale
 import math
 import os
 import tempfile
-from itertools import count, islice
+from itertools import count
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -26,15 +25,19 @@ from polarlock import (AnnealConfig, DeviceParams, DisturbanceModel,
                        load_experiment_config, measure, port_intensity,
                        random_sop, rotate_sop, run_lock)
 from polarlock import cli
-from polarlock.anneal import (_EDGES, _STEPS, LockTrace, _draw, _er_db,
-                              _er_db_array, _move, _schedule, _signed,
-                              propose, step_for_gap)
+from polarlock.anneal import (_STEPS, _draw, _er_db, _er_db_array, _move,
+                              _signed, propose, step_for_gap)
 from polarlock.disturbance import DisturbedObjective
 from polarlock.config import KEYS
 from polarlock.device import PHASE_SPAN, TpsParams
-from polarlock.harness import (_NUMBER, _WORD, CSV_COLUMNS, ResultsTable,
-                               _g9_words, run_experiment)
+from polarlock.harness import (_NUMBER, _WORD, ResultsTable, _g9_words,
+                               run_experiment)
 from polarlock.jones import _unit
+from reference import (_FIELDS, _four_product_cascade, _move_reference,
+                       _reference_aggregate_csv, _reference_cascade,
+                       _reference_measure, _reference_rotate_sop,
+                       _reference_rows_csv, _reference_run_lock,
+                       _reference_step)
 
 _phase = st.floats(allow_nan=False, allow_infinity=False)
 _component = st.floats(-1e100, 1e100)
@@ -52,104 +55,10 @@ def _quads(draw, phase=_phase):
     return PhaseQuad(*(draw(phase) for _ in range(4)))
 
 
-def _reference_cascade(sop, phases):
-    """Output field (ex, ey) of ``dpc_transform(phases) @ sop`` in scalar
-    complex arithmetic, without building the matrices.
-
-    The first row (b00, b01) is formed in the same order as the matrix
-    chain: M45(t4) @ M0(t3), then @ M45(t2), then @ M0(t1).  The terms left
-    out are those multiplying the exact zero off-diagonals of the M0 stages;
-    for finite phases such a term is a signed zero, and adding it changes at
-    most the sign of a zero.  The cascade is special unitary, so its second
-    row is (-conj(b01), conj(b00)), and forming it so is exact too: each
-    factor of the chain's second row is the conjugate, or the negated
-    conjugate, of one in its first row (c2 and c4 are real, s2 and s4
-    imaginary); negating or conjugating is exact; conj(x) * conj(y) ==
-    conj(x * y) holds exactly; and IEEE sums and products commute.  So the
-    result equals the matrix chain's, except at most in the sign of a zero,
-    which no reading sees.
-
-    A NaN or infinite phase or SOP component raises ValueError naming
-    both.  One test of ex finds them all: the trig raises on an infinite
-    phase, which then stands as NaN, and a NaN or an infinity times any
-    factor, or summed with anything, is NaN or infinite.
-    """
-    t1, t2, t3, t4 = phases
-    try:
-        # the stage elements, exactly as make_m0 and make_m45 build them
-        p1 = cmath.exp(-0.5j * t1)
-        p3 = cmath.exp(-0.5j * t3)
-        c2 = math.cos(0.5 * t2)
-        s2 = -1.0j * math.sin(0.5 * t2)
-        c4 = math.cos(0.5 * t4)
-        s4 = -1.0j * math.sin(0.5 * t4)
-    except ValueError:
-        p1 = p3 = c2 = s2 = c4 = s4 = math.nan
-    # the first row of M45(t4) @ M0(t3), then @ M45(t2), then @ M0(t1)
-    a00 = c4 * p3
-    a01 = s4 * p3.conjugate()
-    b00 = (a00 * c2 + a01 * s2) * p1
-    b01 = (a00 * s2 + a01 * c2) * p1.conjugate()
-    # @ sop
-    ex, ey = sop.ex, sop.ey
-    e_x = b00 * ex + b01 * ey
-    if not cmath.isfinite(e_x):
-        raise ValueError("stage phases and input SOP must be finite, got "
-                         f"{phases!r} and {sop!r}")
-    return e_x, b00.conjugate() * ey - b01.conjugate() * ex
-
-
-def _reference_measure(input_sop, phases, params, rng, noise=None):
-    """``measure`` in scalar complex arithmetic: the ports of
-    ``_reference_cascade``, then the splitter floor, the noise and the clamp
-    at zero."""
-    e_x, e_y = _reference_cascade(input_sop, phases)
-    i_px = e_x.real * e_x.real + e_x.imag * e_x.imag
-    i_py = e_y.real * e_y.real + e_y.imag * e_y.imag
-
-    floor = params._py_floor
-    if floor is not None:
-        floor = i_px * floor
-        if floor > i_py:
-            i_py = floor
-
-    sigma = params.noise_sigma
-    if sigma > 0.0:
-        if noise is None:
-            if rng is None:
-                raise ValueError("measure needs an rng when noise_sigma > 0")
-            noise = rng.standard_normal(2).tolist()
-        z_px, z_py = noise
-        i_px += sigma * z_px
-        i_py += sigma * z_py
-
-    if i_px < 0.0:
-        i_px = 0.0
-    if i_py < 0.0:
-        i_py = 0.0
-    return i_px, i_py
-
-
 @given(_sops(), _quads())
 def test_cascade_equals_matrix_chain_exactly(sop, phases):
     ref = dpc_transform(phases) @ sop
     assert _reference_cascade(sop, phases) == (ref.ex, ref.ey)
-
-
-def _four_product_cascade(sop, phases):
-    """Both rows of M45(t4) @ M0(t3) @ M45(t2) @ M0(t1), then @ sop, every
-    element formed as its own product, in the matrix chain's order."""
-    t1, t2, t3, t4 = phases
-    p1, p3 = cmath.exp(-0.5j * t1), cmath.exp(-0.5j * t3)
-    c2, s2 = math.cos(0.5 * t2), -1.0j * math.sin(0.5 * t2)
-    c4, s4 = math.cos(0.5 * t4), -1.0j * math.sin(0.5 * t4)
-    a00, a01 = c4 * p3, s4 * p3.conjugate()
-    a10, a11 = s4 * p3, c4 * p3.conjugate()
-    b00 = (a00 * c2 + a01 * s2) * p1
-    b01 = (a00 * s2 + a01 * c2) * p1.conjugate()
-    b10 = (a10 * c2 + a11 * s2) * p1
-    b11 = (a10 * s2 + a11 * c2) * p1.conjugate()
-    return b00 * sop.ex + b01 * sop.ey, b10 * sop.ex + b11 * sop.ey
 
 
 # phases where a sine or cosine of the half phase is exactly 0 or 1, or
@@ -192,18 +101,6 @@ def test_measure_equals_complex_reference_bit_for_bit(device, sop, phases,
     want = _reference_measure(sop, phases, device, None, noise)
     assert all(type(x) is float for x in got)
     assert _bits(got) == _bits(want)
-
-
-def _reference_rotate_sop(sop, axis, angle):
-    """``rotate_sop`` in complex arithmetic: the SU(2) half-angle element's
-    rows times (ex, ey), as the package computed it before a Jones vector
-    was stored as its four real parts."""
-    n1, n2, n3 = axis
-    c = math.cos(0.5 * angle)
-    s = math.sin(0.5 * angle)
-    ex, ey = sop.ex, sop.ey
-    return (complex(c, s * n1) * ex + complex(-s * n3, s * n2) * ey,
-            complex(s * n3, s * n2) * ex + complex(c, -s * n1) * ey)
 
 
 _signed_component = st.sampled_from((0.0, -0.0)) | _component
@@ -283,19 +180,6 @@ def test_ideal_measure_matches_matrix_chain(sop, phases):
 def test_propose_stays_in_range(start, step, phase_max, seed):
     out = propose(start, step, np.random.default_rng(seed), phase_max)
     assert all(0.0 <= x <= phase_max for x in out)
-
-
-def _move_reference(s_p, st, draws, hi):
-    """The boundary-reflecting move, one component at a time."""
-    out = []
-    for k, x in enumerate(s_p):
-        r, u = draws[2 * k], draws[2 * k + 1]
-        if x <= 0.0 or (x < hi and u < 0.5):
-            x = x + st * r
-        else:
-            x = x - st * r
-        out.append(0.0 if x < 0.0 else hi if x > hi else x)
-    return tuple(out)
 
 
 def _bits(xs):
@@ -463,24 +347,6 @@ class _Reading(float):
         return self.gap if other == 1.0 else float(other) - float(self)
 
 
-# the paper's variable-step table as (gap threshold, step) pairs, written
-# here so that the reference does not read the table it checks
-_PAPER_TABLE = ((1.0, 0.16), (0.1, 0.08), (0.01, 0.03), (0.001, 0.008))
-
-
-def _reference_step(gap, schedule):
-    """The step of the first entry whose bracket holds the gap clamped into
-    [0, 1]; the last entry's step at or below its threshold.  A fixed step
-    is one entry."""
-    entries = (_PAPER_TABLE if schedule.step is None
-               else ((1.0, schedule.step),))
-    g = 0.0 if gap < 0.0 else 1.0 if gap > 1.0 else gap
-    for (_, step), (lower, _) in zip(entries, entries[1:]):
-        if g > lower:
-            return step
-    return entries[-1][1]
-
-
 _THRESHOLDS = (1.0, 0.1, 0.01, 0.001, 0.0)
 _EDGE_GAPS = tuple(g for t in _THRESHOLDS for g in (
     t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf))) + (
@@ -519,57 +385,6 @@ def test_loop_step_lookup_equals_step_for_gap(schedule, gaps):
     assert want == [_reference_step(g, schedule) for g in gaps]
 
 
-def _reference_run_lock(objective, cfg, tps, rng,
-                        schedule=StepSchedule()):
-    """``run_lock`` as it was before its loop took its inputs as flat
-    columns and wrote the move out in place: the noise block as a list of
-    rows, each iteration's signed steps as a row list, and ``_move``
-    called on every iteration."""
-    n_iter = cfg.total_iterations
-    uniforms = rng.random((n_iter, 9))
-    noise = rng.standard_normal((n_iter + 1, 2)).tolist()
-    channel = rng.standard_normal((n_iter, 3))
-
-    hi = tps.phase_max
-    state = initial_thetas = (hi / 2.0,) * 4
-
-    i_ref, i_py = objective(state, noise[0], channel)
-    initial_sample = (i_ref, i_py)
-
-    e1, e2, e3 = _EDGES
-    s0, s1, s2, s3 = schedule.steps
-    exp = math.exp
-
-    temperature, temps = _schedule(cfg)
-    cands, steps, pxs, pys, oks = [], [], [], [], []
-    for t, d, u, z in zip(temps, _signed(uniforms).tolist(),
-                          uniforms[:, 8].tolist(), islice(noise, 1, None)):
-        gap = 1.0 - i_ref
-        st = s0 if gap > e1 else s1 if gap > e2 else s2 if gap > e3 else s3
-        cand = _move(state, st, d, hi)
-        i_px, i_py = objective(cand, z, channel)
-        ok = i_px >= i_ref or u < exp((i_px - i_ref) / t)
-        if ok:
-            state = cand
-        i_ref = i_px
-        cands.append(cand)
-        steps.append(st)
-        pxs.append(i_px)
-        pys.append(i_py)
-        oks.append(ok)
-
-    px, py = np.array(pxs, float), np.array(pys, float)
-    # the lock point: the first of the highest readings, the initial one
-    # included, i.e. where the running best (i_max) reaches its final value
-    readings = np.concatenate((initial_sample[:1], px))
-    best_iter = int(np.argmax(readings))
-    best_thetas = cands[best_iter - 1] if best_iter else initial_thetas
-    return LockTrace(temperature, np.array(steps, float), cands, px, py,
-                     _er_db_array(px, py), np.array(oks, bool),
-                     PhaseQuad(*best_thetas), float(readings[best_iter]),
-                     best_iter, initial_sample)
-
-
 def _trace_bytes(trace):
     """Every field of a trace as bytes, or as ``float.hex`` strings, which
     tell -0.0 from 0.0."""
@@ -582,15 +397,28 @@ def _trace_bytes(trace):
             trace.best_iteration, _bits(trace.initial_sample))
 
 
+def _model(kind, cfg, rate, jump_at, magnitude):
+    return (DisturbanceModel(kind="drift", drift_rate=rate)
+            if kind == "drift" else
+            DisturbanceModel(kind="jump", jump_magnitude=magnitude,
+                             jump_at=jump_at % cfg.total_iterations)
+            if kind == "jump" else DisturbanceModel())
+
+
+def _objective(sop, device, model, rng):
+    """The objective a harness trial locks: ``measure`` bound to the SOP
+    on a static channel, else a ``DisturbedObjective``."""
+    return (bind_objective(sop, device, rng) if model.kind == "static"
+            else DisturbedObjective(sop, device, model, rng))
+
+
 def _lock_with(run, model, device, cfg, schedule, seed, wrap=None,
                tps=None):
     """One lock by ``run`` as a harness trial runs it, with ``wrap`` applied
     to its objective and ``tps`` in place of the device's, if given: its
     trace's bytes and the generator's state after it."""
     rng = np.random.default_rng(seed)
-    sop = random_sop(rng)
-    objective = (bind_objective(sop, device, rng) if model.kind == "static"
-                 else DisturbedObjective(sop, device, model, rng))
+    objective = _objective(random_sop(rng), device, model, rng)
     trace = run(wrap(objective) if wrap else objective, cfg,
                 tps or device.tps, rng, schedule)
     return _trace_bytes(trace), rng.bit_generator.state
@@ -613,14 +441,30 @@ _LOCK_SCHEDULES = (StepSchedule(), StepSchedule(0.16), StepSchedule(0.008),
 def test_run_lock_equals_reference_loop_bit_for_bit(kind, seed, schedule,
                                                     device, t0, m0, n0, rate,
                                                     jump_at, magnitude):
+    # as a harness trial locks its variants: one draw and one objective
+    # lock under every schedule, the first twice, each as the reference
+    # loop locks on the schedule's own generator; a lock on a fresh
+    # generator equals it too, end state included
     cfg = AnnealConfig(t0=t0, m0=m0, n0=n0)
-    model = (DisturbanceModel(kind="drift", drift_rate=rate)
-             if kind == "drift" else
-             DisturbanceModel(kind="jump", jump_magnitude=magnitude,
-                              jump_at=jump_at % cfg.total_iterations)
-             if kind == "jump" else DisturbanceModel())
-    want = _lock_with(_reference_run_lock, model, device, cfg, schedule, seed)
-    assert _lock_with(run_lock, model, device, cfg, schedule, seed) == want
+    model = _model(kind, cfg, rate, jump_at, magnitude)
+    want = {s: _lock_with(_reference_run_lock, model, device, cfg, s, seed)
+            for s in _LOCK_SCHEDULES}
+    rng = np.random.default_rng(seed)
+    sop = random_sop(rng)
+    drawn = _draw(rng, cfg.total_iterations)
+    assert rng.bit_generator.state == want[schedule][1]
+
+    def drawn_bytes():
+        return (_bits(drawn.noise0), [_bits(c) for c in drawn.cols],
+                drawn.channel.tobytes())
+    before = drawn_bytes()
+    objective = _objective(sop, device, model, rng)
+    for s in _LOCK_SCHEDULES[:1] + _LOCK_SCHEDULES:
+        got = run_lock(objective, cfg, device.tps, drawn, s)
+        assert _trace_bytes(got) == want[s][0]
+    assert _lock_with(run_lock, model, device, cfg, schedule,
+                      seed) == want[schedule]
+    assert drawn_bytes() == before
 
 
 def _rising(objective):
@@ -697,104 +541,6 @@ def test_plain_move_in_the_band_equals_move(move):
                  x4 + step * d4)
         assert _bits(plain) == _bits(_move((x1, x2, x3, x4), step,
                                            (d1, d2, d3, d4), PHASE_SPAN))
-
-
-_SHARED_SCHEDULES = (StepSchedule(), StepSchedule(0.16), StepSchedule(0.008),
-                     StepSchedule(0.0))
-_SHARED_DEVICES = (DeviceParams(), DeviceParams.ideal())
-
-
-def _model(kind, cfg, rate, jump_at, magnitude):
-    return (DisturbanceModel(kind="drift", drift_rate=rate)
-            if kind == "drift" else
-            DisturbanceModel(kind="jump", jump_magnitude=magnitude,
-                             jump_at=jump_at % cfg.total_iterations)
-            if kind == "jump" else DisturbanceModel())
-
-
-def _run_on_draw(objective, cfg, tps, rng, schedule):
-    """``run_lock`` on the value ``_draw`` takes from ``rng``."""
-    return run_lock(objective, cfg, tps, _draw(rng, cfg.total_iterations),
-                    schedule)
-
-
-@pytest.mark.kernel_variant
-@pytest.mark.parametrize("kind", ["static", "drift", "jump"])
-@settings(deadline=None)
-@given(seed=_seed, schedule=st.sampled_from(_SHARED_SCHEDULES),
-       device=st.sampled_from(_SHARED_DEVICES),
-       t0=st.sampled_from((1e-5, 1e-3)), m0=st.integers(1, 4),
-       n0=st.integers(1, 30), rate=st.floats(1e-3, 1.0),
-       jump_at=st.integers(0, 119), magnitude=st.floats(0.0, math.pi))
-@example(seed=0, schedule=StepSchedule(), device=DeviceParams(), t0=1e-5,
-         m0=10, n0=50, rate=0.01, jump_at=250, magnitude=math.pi / 2)
-def test_drawn_inputs_lock_as_the_generator_bit_for_bit(
-        kind, seed, schedule, device, t0, m0, n0, rate, jump_at, magnitude):
-    # run_lock on _draw's value equals run_lock on the generator it was
-    # drawn from, trace and the generator's end state alike
-    cfg = AnnealConfig(t0=t0, m0=m0, n0=n0)
-    model = _model(kind, cfg, rate, jump_at, magnitude)
-    want = _lock_with(run_lock, model, device, cfg, schedule, seed)
-    assert _lock_with(_run_on_draw, model, device, cfg, schedule,
-                      seed) == want
-
-
-@pytest.mark.kernel_variant
-@pytest.mark.parametrize("kind", ["static", "drift", "jump"])
-@settings(deadline=None)
-@given(seed=_seed, device=st.sampled_from(_SHARED_DEVICES),
-       t0=st.sampled_from((1e-5, 1e-3)), m0=st.integers(1, 4),
-       n0=st.integers(1, 30), rate=st.floats(1e-3, 1.0),
-       jump_at=st.integers(0, 119), magnitude=st.floats(0.0, math.pi))
-@example(seed=0, device=DeviceParams(), t0=1e-5, m0=10, n0=50, rate=0.01,
-         jump_at=250, magnitude=math.pi / 2)
-def test_one_draw_serves_every_schedule_bit_for_bit(
-        kind, seed, device, t0, m0, n0, rate, jump_at, magnitude):
-    # as a harness trial shares its draws: every schedule locks on one
-    # value, each with a fresh objective, as it locks on its own generator,
-    # and the locks leave the value as they found it
-    cfg = AnnealConfig(t0=t0, m0=m0, n0=n0)
-    model = _model(kind, cfg, rate, jump_at, magnitude)
-    rng = np.random.default_rng(seed)
-    sop = random_sop(rng)
-    drawn = _draw(rng, cfg.total_iterations)
-    before = (_bits(drawn.noise0), [_bits(c) for c in drawn.cols],
-              drawn.channel.tobytes())
-    for schedule in _SHARED_SCHEDULES:
-        objective = (bind_objective(sop, device, rng) if kind == "static"
-                     else DisturbedObjective(sop, device, model, rng))
-        got = run_lock(objective, cfg, device.tps, drawn, schedule)
-        want = _lock_with(run_lock, model, device, cfg, schedule, seed)[0]
-        assert _trace_bytes(got) == want
-    assert (_bits(drawn.noise0), [_bits(c) for c in drawn.cols],
-            drawn.channel.tobytes()) == before
-
-
-@pytest.mark.kernel_variant
-@pytest.mark.parametrize("kind", ["drift", "jump"])
-@settings(deadline=None)
-@given(seed=_seed, device=st.sampled_from(_SHARED_DEVICES),
-       t0=st.sampled_from((1e-5, 1e-3)), m0=st.integers(1, 4),
-       n0=st.integers(1, 30), rate=st.floats(1e-3, 1.0),
-       jump_at=st.integers(0, 119), magnitude=st.floats(0.0, math.pi))
-@example(seed=0, device=DeviceParams(), t0=1e-5, m0=10, n0=50, rate=0.01,
-         jump_at=250, magnitude=math.pi / 2)
-def test_a_reused_objective_locks_as_a_fresh_one_bit_for_bit(
-        kind, seed, device, t0, m0, n0, rate, jump_at, magnitude):
-    # one DisturbedObjective locks one drawn value twice with the same
-    # schedule, then with every other schedule, as a harness trial reuses
-    # it: each lock sees the channel from its start, as a fresh objective's
-    cfg = AnnealConfig(t0=t0, m0=m0, n0=n0)
-    model = _model(kind, cfg, rate, jump_at, magnitude)
-    rng = np.random.default_rng(seed)
-    sop = random_sop(rng)
-    drawn = _draw(rng, cfg.total_iterations)
-    shared = DisturbedObjective(sop, device, model, rng)
-    for schedule in _SHARED_SCHEDULES[:1] + _SHARED_SCHEDULES:
-        got = run_lock(shared, cfg, device.tps, drawn, schedule)
-        want = run_lock(DisturbedObjective(sop, device, model, rng), cfg,
-                        device.tps, drawn, schedule)
-        assert _trace_bytes(got) == _trace_bytes(want)
 
 
 _POSITIVE = st.floats(0.0, exclude_min=True, allow_infinity=False)
@@ -892,14 +638,8 @@ def test_derived_trace_fields_equal_per_iteration_definitions(
     cfg = AnnealConfig(m0=m0, n0=n0)
     n = m0 * n0
     rng = np.random.default_rng(seed)
-    sop = random_sop(rng)
-    if kind == "static":
-        objective = bind_objective(sop, device, rng)
-    else:
-        model = (DisturbanceModel("drift", drift_rate=0.05) if kind == "drift"
-                 else DisturbanceModel("jump", jump_at=n // 2,
-                                       jump_magnitude=math.pi / 2))
-        objective = DisturbedObjective(sop, device, model, rng)
+    objective = _objective(random_sop(rng), device,
+                           _model(kind, cfg, 0.05, n // 2, math.pi / 2), rng)
     evaluated = []
 
     def spy(phases, *rows):
@@ -942,16 +682,6 @@ def test_derived_trace_fields_equal_per_iteration_definitions(
 _SCHEDULES = (StepSchedule.default(), StepSchedule(0.16),
               StepSchedule(0.008))
 _KINDS = ("static", "drift", "jump")
-_FIELDS = ("step_rad", "i_px", "i_py", "er_db", "accepted")
-
-
-def _objective(kind, sop, device, rng, jump_at):
-    if kind == "static":
-        return bind_objective(sop, device, rng)
-    model = (DisturbanceModel("drift", drift_rate=0.05) if kind == "drift"
-             else DisturbanceModel("jump", jump_at=jump_at,
-                                   jump_magnitude=math.pi / 2))
-    return DisturbedObjective(sop, device, model, rng)
 
 
 class RecordingRng:
@@ -1008,7 +738,8 @@ def test_blocks_do_not_depend_on_noise_channel_or_schedule(seed, n0):
                                            (5e-4, "jump", _SCHEDULES[0], 0)]:
         rng = RecordingRng(seed)
         device = DeviceParams(noise_sigma=sigma)
-        objective = _objective(kind, random_sop(rng), device, rng, jump_at)
+        objective = _objective(random_sop(rng), device, _model(
+            kind, cfg, 0.05, jump_at, math.pi / 2), rng)
 
         def frozen_objective(phases, *rows, objective=objective, rng=rng):
             rng.frozen = True
@@ -1032,7 +763,8 @@ def test_generator_ends_in_one_state(seed, kind, sigma, schedule, n0):
     def end_state(kind, sigma, schedule):
         rng = np.random.default_rng(seed)
         device = DeviceParams(noise_sigma=sigma)
-        objective = _objective(kind, random_sop(rng), device, rng, n0)
+        objective = _objective(random_sop(rng), device, _model(
+            kind, cfg, 0.05, n0, math.pi / 2), rng)
         run_lock(objective, cfg, device.tps, rng, schedule)
         return rng.bit_generator.state
 
@@ -1049,7 +781,8 @@ def test_wrapped_objective_gives_the_bare_trace(seed, kind, sigma, n0):
     def trace(wrap):
         rng = np.random.default_rng(seed)
         device = DeviceParams(noise_sigma=sigma)
-        objective = _objective(kind, random_sop(rng), device, rng, n0)
+        objective = _objective(random_sop(rng), device, _model(
+            kind, cfg, 0.05, n0, math.pi / 2), rng)
         if wrap:
             inner = objective
 
@@ -1064,20 +797,6 @@ def test_wrapped_objective_gives_the_bare_trace(seed, kind, sigma, n0):
 
 
 # --- the row writer ----------------------------------------------------------
-
-def _reference_rows_csv(table) -> str:
-    """The reference row file: every column of every row formatted, one
-    ``%``-format per row, no value formatted once for several rows."""
-    lines = [",".join(CSV_COLUMNS) + "\n"]
-    temperatures = table.temperature.tolist()
-    for v, label in enumerate(table.variant_order):
-        for t in range(table.trials):
-            cols = (getattr(table, name)[v, t].tolist() for name in _FIELDS)
-            for i, row in enumerate(zip(temperatures, *cols), 1):
-                lines.append("%s,%d,%d,%.9g,%.9g,%.9g,%.9g,%.9g,%d\n"
-                             % (label, t, i, *row))
-    return "".join(lines)
-
 
 def _written_rows_csv(table) -> str:
     with tempfile.TemporaryDirectory() as tmp:
@@ -1226,16 +945,6 @@ def test_g9_kernel_equals_percent_format_on_decimals():
     near = np.concatenate((near, -near))
     assert near.size == 23_200
     assert _g9(near) == _percent_g9(near)
-
-
-def _reference_aggregate_csv(table) -> str:
-    lines = ["variant,iteration,er_db_p10,er_db_p50,er_db_p90\n"]
-    for label in table.variant_order:
-        iters, p10, p50, p90 = table.percentile_curves(label)
-        for i in range(len(iters)):
-            lines.append(f"{label},{iters[i]},{p10[i]:.9g},{p50[i]:.9g},"
-                         f"{p90[i]:.9g}\n")
-    return "".join(lines)
 
 
 def _encodable(label: str) -> bool:
